@@ -59,7 +59,6 @@ from .instances import (
 )
 from .streams import (
     Stream,
-    StreamEvent,
     StreamSource,
     read_stream,
     to_dynamic_stream,

@@ -1,11 +1,12 @@
 """Streaming coloring algorithms: iterative sparsification and sampling.
 
-All three runners consume streams through one-way iterators and answer the
-q vs large distinguishing problem with a one-sided "large": whenever they say
-"large" they hold a stored subgraph of the input whose chromatic number
-exceeds q. Per-round chromatic numbers are computed with the exact solver
-capped at q, which never changes a verdict but avoids searching above the
-cap.
+The two insertion runners consume streams through one-way iterators of
+``(u, v, delta)`` tuples; the dynamic runner reads the stream's event columns
+once, in one forward pass. All three answer the q vs large distinguishing
+problem with a one-sided "large": whenever they say "large" they hold a
+stored subgraph of the input whose chromatic number exceeds q. Per-round
+chromatic numbers are computed with the exact solver capped at q, which
+never changes a verdict but avoids searching above the cap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import ArgumentError
 from .exact import color_with_cap, color_exactly, dsatur_coloring
 from .graph import Coloring, Graph, monochromatic_edges, product_coloring
 from .seeds import rng_for
-from .streams import INSERTION, Stream, StreamSource
+from .streams import INSERTION, Stream, StreamSource, pair_totals
 
 
 def default_budget(n: int, t: int, multiplier: float = 1.0) -> int:
@@ -73,7 +74,6 @@ class OfflineColoringRun:
 def offline_iterative_coloring(
     g: Graph,
     t: int,
-    budget_fn=None,
     seed: int | None = None,
     colorer: str = "exact",
     chi_cap: int | None = None,
@@ -92,7 +92,7 @@ def offline_iterative_coloring(
     if colorer not in ("exact", "dsatur"):
         raise ArgumentError(f"unknown colorer {colorer!r}")
     n = g.n
-    budget = budget_fn(n, t) if budget_fn else default_budget(n, t, budget_multiplier)
+    budget = default_budget(n, t, budget_multiplier)
     rng = rng_for(seed, 41)
     current = g.edge_array()
     m_sizes = [current.shape[0]]
@@ -155,15 +155,14 @@ def run_random_order(
     exhausted = False
     for i in range(1, t + 1):
         stored: list[tuple[int, int]] = []
-        while len(stored) < budget:
-            ev = next(events, None)
-            if ev is None:
-                exhausted = True
-                break
+        for u, v, _ in events:
             events_read += 1
-            u, v = ev.pair()
             if coloring.colors[u] == coloring.colors[v]:
                 stored.append((u, v))
+                if len(stored) == budget:
+                    break
+        else:
+            exhausted = True
         rounds_used = i
         peak_edges = max(peak_edges, len(stored))
         h = Graph(n, stored)
@@ -225,8 +224,7 @@ def run_multipass(
         passes_used += 1
         reservoir: list[tuple[int, int]] = []
         mono_seen = 0
-        for ev in events:
-            u, v = ev.pair()
+        for u, v, _ in events:
             if coloring.colors[u] != coloring.colors[v]:
                 continue
             mono_seen += 1
@@ -265,11 +263,12 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     """Dynamic-stream distinguisher via random vertex-induced subgraphs.
 
     Samples 2*log2(n) trial vertex sets up front with per-vertex probability
-    p = 4 ln(n) / t, maintains one signed counter per sampled pair (plain
-    integers; desk-scale multiplicities never approach overflow, so no
-    modular trick is needed), and at stream end rebuilds each induced
-    subgraph from the positive counters; "large" iff some trial subgraph
-    needs more than q colors. Below the t >= 4 log2(n) regime the runner
+    p = 4 ln(n) / t, then reads the stream in one forward pass over its event
+    columns, keeping per trial one signed counter per pair inside the trial's
+    vertex set (desk-scale multiplicities never approach overflow, so no
+    modular trick is needed). At stream end it rebuilds each induced subgraph
+    from the positive counters; "large" iff some trial subgraph needs more
+    than q colors. Below the t >= 4 log2(n) regime the runner
     stores the whole multigraph instead (flagged in the metadata).
     """
     if q < 2 or t < 1:
@@ -294,25 +293,19 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     k_trials = math.ceil(2 * math.log2(n))
     rng = rng_for(seed, 43)
     member = rng.random((k_trials, n)) < p
-    counters: list[dict[tuple[int, int], int]] = [dict() for _ in range(k_trials)]
-    for ev in stream:
-        u, v = ev.pair()
-        for tr in range(k_trials):
-            row = member[tr]
-            if row[u] and row[v]:
-                d = counters[tr]
-                d[(u, v)] = d.get((u, v), 0) + ev.delta
-    total_counters = sum(len(d) for d in counters)
+    # one forward pass over the event columns marks the trials that see each
+    # event; each trial then keeps one signed counter per pair it saw
+    u, v, _ = stream.events.T
+    counters = [pair_totals(n, stream.events[seen]) for seen in member[:, u] & member[:, v]]
     meta = {
         "mode": "sampled",
         "p": p,
         "k_trials": k_trials,
         "sampled_sizes": [int(member[tr].sum()) for tr in range(k_trials)],
-        "counters": total_counters,
+        "counters": sum(len(pairs) for pairs, _ in counters),
     }
-    for tr in range(k_trials):
-        edges = [e for e, c in counters[tr].items() if c > 0]
-        h = Graph(n, edges)
+    for tr, (pairs, totals) in enumerate(counters):
+        h = Graph(n, pairs[totals > 0].tolist())
         ci = color_with_cap(h, q)
         if ci is None:
             return Verdict(label="large", evidence=Evidence("trial", tr, h), metadata=meta)

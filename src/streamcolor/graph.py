@@ -255,6 +255,8 @@ def read_graph(path: str) -> Graph:
         n = int(lines[0].split("n=")[1])
     except (IndexError, ValueError):
         raise FormatError("header must carry n=<N>", line=1)
+    if n < 0:
+        raise FormatError(f"vertex count n={n} is negative", line=1)
     edges = []
     seen = set()
     for i, line in enumerate(lines[1:], start=2):
@@ -296,10 +298,12 @@ def read_coloring(path: str) -> Coloring:
             payload = json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}")
-    try:
-        c = Coloring.from_array(payload["colors"])
-    except KeyError:
-        raise FormatError("missing 'colors' field")
+    if not isinstance(payload, dict) or "colors" not in payload:
+        raise FormatError("expected a JSON object with a 'colors' field")
+    colors = payload["colors"]
+    if not isinstance(colors, list) or any(type(x) is not int for x in colors):
+        raise FormatError("'colors' must be a list of integers")
+    c = Coloring.from_array(colors)
     if c.n != payload.get("n") or c.num_colors != payload.get("num_colors"):
         raise FormatError("coloring fields are inconsistent with the colors array")
     return c

@@ -1,102 +1,112 @@
-"""Edge streams: event model, builders, serialization, and pass control.
+"""Edge streams: columnar event arrays, builders, serialization, pass control.
 
-Streams are materialized in memory at desk scale but algorithms consume
-them strictly through one-way iterators; multi-pass runners must go through
-`StreamSource`, which meters rewinds explicitly.
+A stream is one ``(m, 3)`` int64 array of ``(u, v, delta)`` rows with
+``u < v``. Streams are materialized in memory at desk scale, but algorithms
+consume them strictly through one-way iterators of plain ``(u, v, delta)``
+tuples; multi-pass runners must go through `StreamSource`, which meters
+rewinds explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import DynamicMultigraph, Graph, normalize_edge
+from .graph import Graph
 from .seeds import rng_for
 
 INSERTION = "ins"
 DYNAMIC = "dyn"
 
 
-@dataclass(frozen=True)
-class StreamEvent:
-    u: int
-    v: int
-    delta: int  # +1 or -1
-
-    def pair(self) -> tuple[int, int]:
-        return normalize_edge(self.u, self.v)
-
-
 class Stream:
     """Immutable event sequence over vertices [0, n).
 
-    Insertion-only streams carry only +1 events with no repeated pair;
-    dynamic streams additionally allow deletions, with every prefix keeping
-    all multiplicities non-negative.
+    ``events`` is a read-only ``(m, 3)`` int64 array of ``(u, v, delta)``
+    rows, each pair normalized to ``u < v``. The constructor takes such an
+    array or a sequence of ``(u, v, delta)`` triples in either endpoint
+    order. Insertion-only streams carry only +1 events with no repeated
+    pair; dynamic streams additionally allow deletions, with every prefix
+    keeping all multiplicities non-negative.
     """
 
-    def __init__(self, n: int, model: str, events: list[StreamEvent]):
+    def __init__(self, n: int, model: str, events):
         if model not in (INSERTION, DYNAMIC):
             raise ArgumentError(f"unknown stream model {model!r}")
         if n < 0:
             raise ArgumentError("vertex count must be non-negative")
         self.n = int(n)
         self.model = model
-        self.events: tuple[StreamEvent, ...] = tuple(events)
+        try:
+            arr = np.asarray(events)
+        except ValueError:
+            raise ArgumentError("events must be (u, v, delta) triples")
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ArgumentError(
+                f"events must be an (m, 3) integer array, got {arr.dtype} of shape {arr.shape}"
+            )
+        u, v, delta = arr.astype(np.int64).T
+        if np.any(u == v):
+            raise ArgumentError(f"self-loop on vertex {u[u == v][0]}")
+        self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
+        self.events.flags.writeable = False
         self._validate()
 
     def _validate(self) -> None:
-        if self.model == INSERTION:
-            seen: set[tuple[int, int]] = set()
-            for ev in self.events:
-                if ev.delta != 1:
-                    raise StreamValidationError(
-                        f"insertion-only stream carries delta {ev.delta}"
-                    )
-                e = self._check_pair(ev)
-                if e in seen:
-                    raise StreamValidationError(f"pair {e} inserted twice")
-                seen.add(e)
-        else:
-            counts: dict[tuple[int, int], int] = {}
-            for ev in self.events:
-                if ev.delta not in (1, -1):
-                    raise StreamValidationError(f"delta must be +1/-1, got {ev.delta}")
-                e = self._check_pair(ev)
-                c = counts.get(e, 0) + ev.delta
-                if c < 0:
-                    raise StreamValidationError(
-                        f"pair {e} deleted more times than inserted"
-                    )
-                counts[e] = c
-
-    def _check_pair(self, ev: StreamEvent) -> tuple[int, int]:
-        e = normalize_edge(ev.u, ev.v)
-        if e[0] < 0 or e[1] >= self.n:
-            raise StreamValidationError(f"pair {e} out of range for n={self.n}")
-        return e
+        """One array pass: stable sort by pair, then a per-pair running sum."""
+        u, v, delta = self.events.T
+        allowed = (1,) if self.model == INSERTION else (1, -1)
+        bad = ~np.isin(delta, allowed)
+        if bad.any():
+            raise StreamValidationError(
+                f"{self.model} stream carries delta {delta[bad][0]}; allowed: {allowed}"
+            )
+        outside = (u < 0) | (v >= self.n)
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) out of range for n={self.n}")
+        key = u * self.n + v
+        order = np.argsort(key, kind="stable")
+        key, d = key[order], delta[order]
+        first = np.diff(key, prepend=-1) != 0
+        running = np.cumsum(d)
+        running -= (running - d)[first][np.cumsum(first) - 1]
+        wrong = running > 1 if self.model == INSERTION else running < 0
+        if wrong.any():
+            i = order[wrong].min()
+            what = "inserted twice" if self.model == INSERTION else "deleted more than inserted"
+            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) {what}")
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[StreamEvent]:
-        return iter(self.events)
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return zip(*self.events.T.tolist())
 
     def final_graph(self) -> Graph:
-        """The simple graph left after replaying every event."""
-        m = DynamicMultigraph(self.n)
-        for ev in self.events:
-            m.apply(ev.u, ev.v, ev.delta)
-        return Graph(self.n, (e for e, c in m.counts.items() if c > 0))
+        """The simple graph left after every event: pairs whose deltas sum above 0."""
+        pairs, totals = pair_totals(self.n, self.events)
+        return Graph(self.n, pairs[totals > 0].tolist())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Stream)
             and self.n == other.n
             and self.model == other.model
-            and self.events == other.events
+            and np.array_equal(self.events, other.events)
         )
+
+
+def pair_totals(n: int, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs of ``(u, v, delta)`` rows and each pair's delta sum."""
+    _, first, slot = np.unique(
+        events[:, 0] * n + events[:, 1], return_index=True, return_inverse=True
+    )
+    return events[first, :2], np.bincount(slot, weights=events[:, 2], minlength=len(first))
 
 
 class StreamSource:
@@ -107,27 +117,25 @@ class StreamSource:
         self.max_passes = max_passes
         self.passes_opened = 0
 
-    def open(self) -> Iterator[StreamEvent]:
+    def open(self) -> Iterator[tuple[int, int, int]]:
         if self.max_passes is not None and self.passes_opened >= self.max_passes:
             raise PassLimitError(
                 f"source allows {self.max_passes} passes; another was requested"
             )
         self.passes_opened += 1
-        return iter(self.stream.events)
+        return iter(self.stream)
 
 
 def to_insertion_stream(
     g: Graph, order: str = "as-given", seed: int | None = None
 ) -> Stream:
     """One +1 event per edge, in sorted-edge order or a seeded shuffle."""
-    edges = sorted(g.edges)
+    edges = g.edge_array()
     if order == "shuffled":
-        rng = rng_for(seed, 1)
-        perm = rng.permutation(len(edges))
-        edges = [edges[i] for i in perm]
+        edges = edges[rng_for(seed, 1).permutation(len(edges))]
     elif order != "as-given":
         raise ArgumentError(f"unknown order {order!r}")
-    return Stream(g.n, INSERTION, [StreamEvent(u, v, 1) for u, v in edges])
+    return Stream(g.n, INSERTION, np.column_stack((edges, np.ones(len(edges), np.int64))))
 
 
 def to_dynamic_stream(
@@ -142,35 +150,21 @@ def to_dynamic_stream(
     if extra_pairs < 0 or cycles < 0:
         raise ArgumentError("churn parameters must be >= 0")
     rng = rng_for(seed, 2)
-    base = [(u, v) for u, v in sorted(g.edges)]
     churn: list[tuple[int, int]] = []
     if extra_pairs and cycles:
         churn = _sample_non_edges(g, extra_pairs, rng)
-    # tokens: each real edge is one +1; each churn pair contributes the
-    # fixed sequence (+1, -1) * cycles
-    sequences: list[list[StreamEvent]] = [
-        [StreamEvent(u, v, 1)] for u, v in base
-    ]
-    for u, v in churn:
-        seq = []
-        for _ in range(cycles):
-            seq.append(StreamEvent(u, v, 1))
-            seq.append(StreamEvent(u, v, -1))
-        sequences.append(seq)
-    slots: list[int] = []
-    for idx, seq in enumerate(sequences):
-        slots.extend([idx] * len(seq))
-    if slots:
-        order = rng.permutation(len(slots))
-        cursors = [0] * len(sequences)
-        events = []
-        for pos in order:
-            idx = slots[pos]
-            events.append(sequences[idx][cursors[idx]])
-            cursors[idx] += 1
-    else:
-        events = []
-    return Stream(g.n, DYNAMIC, events)
+    # one slot per event: each real edge owns one slot (+1), each churn pair
+    # owns 2 * cycles slots; the k-th slot of a pair in stream order carries
+    # +1 for even k and -1 for odd k
+    pairs = np.concatenate((g.edge_array(), np.array(churn, np.int64).reshape(-1, 2)))
+    lengths = np.r_[np.ones(g.num_edges, np.int64), np.full(len(churn), 2 * cycles)]
+    slots = np.repeat(np.arange(len(pairs)), lengths)
+    owner = slots[rng.permutation(len(slots))]
+    starts = np.cumsum(lengths) - lengths
+    rank = np.empty_like(slots)
+    rank[np.argsort(owner, kind="stable")] = np.arange(len(slots)) - starts[slots]
+    delta = np.where(rank % 2 == 0, 1, -1)
+    return Stream(g.n, DYNAMIC, np.column_stack((pairs[owner], delta)))
 
 
 def _sample_non_edges(
@@ -210,9 +204,8 @@ def write_stream(stream: Stream, path: str) -> None:
     """Stream text format: header, then ``<u> <v> <+1|-1>`` per event (u < v)."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{STREAM_HEADER} n={stream.n} model={stream.model}\n")
-        for ev in stream.events:
-            u, v = ev.pair()
-            f.write(f"{u} {v} {'+1' if ev.delta > 0 else '-1'}\n")
+        for u, v, delta in stream.events.tolist():
+            f.write(f"{u} {v} {'+1' if delta > 0 else '-1'}\n")
 
 
 def read_stream(path: str) -> Stream:
@@ -231,6 +224,8 @@ def read_stream(path: str) -> Stream:
         model = header["model"]
     except (KeyError, ValueError):
         raise FormatError("header must carry n=<N> model=<ins|dyn>", line=1)
+    if n < 0:
+        raise FormatError(f"vertex count n={n} is negative", line=1)
     if model not in (INSERTION, DYNAMIC):
         raise FormatError(f"unknown model {model!r}", line=1)
     events = []
@@ -254,6 +249,5 @@ def read_stream(path: str) -> Stream:
             raise FormatError(f"self-loop {u} {v}", line=lineno)
         if min(u, v) < 0 or max(u, v) >= n:
             raise FormatError(f"pair ({u}, {v}) out of range for n={n}", line=lineno)
-        a, b = (u, v) if u < v else (v, u)
-        events.append(StreamEvent(a, b, delta))
+        events.append((u, v, delta))
     return Stream(n, model, events)

@@ -72,10 +72,8 @@ class TestOfflineIterativeColoring:
 
     def test_small_budget_multiple_rounds(self):
         g = bipartite(60, 400, seed=7)
-        run = offline_iterative_coloring(
-            g, 2, budget_fn=lambda n, t: 100, seed=7
-        )
-        assert run.budget == 100
+        run = offline_iterative_coloring(g, 2, seed=7, budget_multiplier=0.05)
+        assert run.budget == default_budget(60, 2, 0.05) < g.num_edges
         assert is_proper_coloring(g, run.coloring) or run.m_sizes[-1] > 0
 
     def test_dsatur_colorer(self):
@@ -225,3 +223,20 @@ class TestRunDynamic:
         verdict = run_dynamic(stream, 2, 32, seed=6)
         cap = sum(s * (s - 1) // 2 for s in verdict.metadata["sampled_sizes"])
         assert verdict.metadata["counters"] <= cap
+
+    def test_counters_match_per_event_replay(self):
+        # reference: replay every event into one dict of counters per trial
+        g = planted(128, 14, seed=7)
+        stream = to_dynamic_stream(g, extra_pairs=300, cycles=2, seed=7)
+        verdict = run_dynamic(stream, 2, 32, seed=7)
+        meta = verdict.metadata
+        member = rng_for(7, 43).random((meta["k_trials"], 128)) < meta["p"]
+        counters = [{} for _ in member]
+        for u, v, delta in stream:
+            for row, d in zip(member, counters):
+                if row[u] and row[v]:
+                    d[(u, v)] = d.get((u, v), 0) + delta
+        assert meta["counters"] == sum(len(d) for d in counters)
+        assert verdict.label == "large"
+        tr = verdict.evidence.index
+        assert verdict.evidence.subgraph.edges == {e for e, c in counters[tr].items() if c > 0}

@@ -115,6 +115,26 @@ class TestVerify:
         c.write_text('{"colors":[0,0,0,0,0,0,0,0,0,0],"n":10,"num_colors":1}\n')
         assert run(["verify", "coloring", "--graph", str(g), "--coloring", str(c)]) == 1
 
+    def test_malformed_coloring_exit_3(self, tmp_path, capsys):
+        g = tmp_path / "g.graph"
+        c = tmp_path / "c.json"
+        g.write_text("#graph v1 n=2\n0 1\n")
+        for text in ("[1,2]", '{"colors":5}', '{"colors":["a","b"],"n":2,"num_colors":2}',
+                     '{"colors":[1.5,0],"n":2,"num_colors":2}'):
+            c.write_text(text + "\n")
+            assert run(["verify", "coloring", "--graph", str(g), "--coloring", str(c)]) == 3
+            assert "error" in capsys.readouterr().err
+
+    def test_negative_n_header_exit_3(self, tmp_path):
+        g = tmp_path / "g.graph"
+        c = tmp_path / "c.json"
+        g.write_text("#graph v1 n=-2\n")
+        c.write_text('{"colors":[],"n":0,"num_colors":0}\n')
+        assert run(["verify", "coloring", "--graph", str(g), "--coloring", str(c)]) == 3
+        s = tmp_path / "s.stream"
+        s.write_text("#stream v1 n=-2 model=ins\n")
+        assert run(["run", "random-order", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
+
 
 class TestStreamAndRun:
     def test_shuffle_run_roundtrip(self, tmp_path):

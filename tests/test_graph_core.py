@@ -261,3 +261,28 @@ class TestSerialization:
         path = tmp_path / "c.json"
         write_coloring(c, str(path))
         assert read_coloring(str(path)) == c
+
+    def test_graph_rejects_negative_n(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("#graph v1 n=-2\n")
+        with pytest.raises(FormatError) as err:
+            read_graph(str(path))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,2]\n",
+            '{"colors":5}\n',
+            '"colors"\n',
+            '{"n":2,"num_colors":2}\n',
+            '{"colors":["a","b"],"n":2,"num_colors":2}\n',
+            '{"colors":[1.5,0],"n":2,"num_colors":2}\n',
+            '{"colors":[true,false],"n":2,"num_colors":2}\n',
+        ],
+    )
+    def test_coloring_rejects_malformed_payload(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_coloring(str(path))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from streamcolor import (
     DynamicMultigraph,
     Graph,
     Stream,
-    StreamEvent,
     StreamSource,
     finalize_multigraph,
     read_stream,
@@ -33,12 +33,12 @@ class TestInsertionStreams:
 
     def test_as_given_order(self):
         s = to_insertion_stream(k3())
-        assert [(e.u, e.v, e.delta) for e in s] == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+        assert list(s) == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
 
     def test_shuffle_same_multiset(self):
         a = to_insertion_stream(k3(), "shuffled", seed=1)
         b = to_insertion_stream(k3(), "shuffled", seed=2)
-        assert sorted(e.pair() for e in a) == sorted(e.pair() for e in b)
+        assert sorted(a) == sorted(b)
 
     def test_shuffle_deterministic_in_seed(self):
         a = to_insertion_stream(k3(), "shuffled", seed=5)
@@ -50,18 +50,18 @@ class TestInsertionStreams:
         counts = collections.Counter()
         for seed in range(6000):
             s = to_insertion_stream(k3(), "shuffled", seed=seed)
-            counts[tuple(e.pair() for e in s)] += 1
+            counts[tuple(s)] += 1
         assert len(counts) == 6
         _, pvalue = stats.chisquare(list(counts.values()))
         assert pvalue > 1e-4
 
     def test_rejects_duplicate_insertions(self):
         with pytest.raises(StreamValidationError):
-            Stream(3, "ins", [StreamEvent(0, 1, 1), StreamEvent(1, 0, 1)])
+            Stream(3, "ins", [(0, 1, 1), (1, 0, 1)])
 
     def test_rejects_deletions(self):
         with pytest.raises(StreamValidationError):
-            Stream(3, "ins", [StreamEvent(0, 1, -1)])
+            Stream(3, "ins", [(0, 1, -1)])
 
 
 class TestDynamicStreams:
@@ -69,7 +69,7 @@ class TestDynamicStreams:
         s = to_dynamic_stream(k3(), extra_pairs=0, cycles=1, seed=0)
         assert s.model == "dyn"
         assert len(s) == 3
-        assert all(e.delta == 1 for e in s)
+        assert all(delta == 1 for _, _, delta in s)
         assert s.final_graph() == k3()
 
     def test_churn_length_and_final_graph(self):
@@ -89,8 +89,8 @@ class TestDynamicStreams:
         g = Graph(10, [(0, 1), (2, 3), (4, 5)])
         s = to_dynamic_stream(g, extra_pairs=10, cycles=3, seed=9)
         m = DynamicMultigraph(10)
-        for ev in s:  # DynamicMultigraph.apply raises on any negative prefix
-            m.apply(ev.u, ev.v, ev.delta)
+        for u, v, delta in s:  # DynamicMultigraph.apply raises on any negative prefix
+            m.apply(u, v, delta)
         assert finalize_multigraph(m) == g
 
     def test_too_much_churn_rejected(self):
@@ -103,6 +103,92 @@ class TestDynamicStreams:
         g = Graph(8, [(0, 1), (1, 2), (3, 4), (5, 7)])
         s = to_dynamic_stream(g, extra_pairs=5, cycles=2, seed=seed)
         assert s.final_graph() == g
+
+
+@st.composite
+def event_lists(draw, deltas=(1, -1)):
+    """(n, events) with n <= 6, either endpoint order and no self-loops."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    events = draw(
+        st.lists(st.tuples(pair, st.sampled_from(deltas)).map(lambda e: (*e[0], e[1])),
+                 max_size=24)
+    )
+    return n, events
+
+
+class TestStreamConstruction:
+    @given(event_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_dynamic_validation_matches_multigraph_replay(self, case):
+        n, events = case
+        reference = DynamicMultigraph(n)
+        try:
+            for u, v, delta in events:
+                reference.apply(u, v, delta)
+        except ArgumentError:  # some prefix went negative
+            with pytest.raises(StreamValidationError):
+                Stream(n, "dyn", events)
+            return
+        assert Stream(n, "dyn", events).final_graph() == finalize_multigraph(reference)
+
+    @given(event_lists(deltas=(1,)))
+    @settings(max_examples=200, deadline=None)
+    def test_insertion_validation_rejects_exactly_repeats(self, case):
+        n, events = case
+        pairs = [(min(u, v), max(u, v)) for u, v, _ in events]
+        if len(set(pairs)) < len(pairs):
+            with pytest.raises(StreamValidationError):
+                Stream(n, "ins", events)
+            return
+        s = Stream(n, "ins", events)
+        assert list(s) == [(u, v, 1) for u, v in pairs]
+        assert s.final_graph() == Graph(n, pairs)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1))
+    def test_rejects_rows_that_are_not_triples(self, rows):
+        with pytest.raises(ArgumentError):
+            Stream(6, "dyn", rows)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [(0, 1), (1, 2), (0, 2)],
+            np.array([[0, 1], [1, 2], [0, 2]]),
+            [(0, 1, 1), (1, 2)],
+            np.array([[0.0, 1.0, 1.0]]),
+            np.zeros((2, 3, 1), dtype=np.int64),
+        ],
+    )
+    def test_rejects_bad_shapes_and_dtypes(self, events):
+        with pytest.raises(ArgumentError):
+            Stream(3, "ins", events)
+
+    def test_self_loop_is_argument_error(self):
+        with pytest.raises(ArgumentError):
+            Stream(3, "dyn", [(0, 1, 1), (2, 2, 1)])
+
+    def test_out_of_range_and_bad_delta_are_validation_errors(self):
+        for model, events in [("ins", [(0, 3, 1)]), ("dyn", [(-1, 1, 1)]),
+                              ("dyn", [(0, 1, 2)]), ("dyn", [(0, 1, 0)])]:
+            with pytest.raises(StreamValidationError):
+                Stream(3, model, events)
+
+    def test_array_input_is_normalized_and_frozen(self):
+        s = Stream(4, "dyn", np.array([[3, 1, 1], [1, 3, -1], [2, 0, 1]]))
+        assert s.events.dtype == np.int64 and s.events.shape == (3, 3)
+        assert list(s) == [(1, 3, 1), (1, 3, -1), (0, 2, 1)]
+        assert all(type(x) is int for ev in s for x in ev)
+        with pytest.raises(ValueError):
+            s.events[0, 0] = 0
+        assert s.final_graph() == Graph(4, [(0, 2)])
+
+    def test_empty(self):
+        for events in ([], (), np.empty((0, 3), dtype=np.int64)):
+            s = Stream(5, "ins", events)
+            assert len(s) == 0 and list(s) == [] and s.final_graph() == Graph(5)
 
 
 class TestStreamSource:
@@ -136,7 +222,7 @@ class TestSerialization:
         path = tmp_path / "s.stream"
         path.write_text("#stream v1 n=3 model=ins\n1 0 +1\n")
         s = read_stream(str(path))
-        assert s.events[0].pair() == (0, 1)
+        assert tuple(s.events[0, :2]) == (0, 1)
 
     def test_self_loop_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.stream"
@@ -156,6 +242,13 @@ class TestSerialization:
         path.write_text("#stream v2 n=3 model=ins\n")
         with pytest.raises(FormatError):
             read_stream(str(path))
+
+    def test_negative_n_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.stream"
+        path.write_text("#stream v1 n=-2 model=dyn\n")
+        with pytest.raises(FormatError) as err:
+            read_stream(str(path))
+        assert err.value.line == 1
 
     def test_bad_delta(self, tmp_path):
         path = tmp_path / "bad.stream"
