@@ -104,7 +104,7 @@ def offline_iterative_coloring(
         else:
             idx = rng.choice(current.shape[0], size=budget, replace=False)
             sample = current[np.sort(idx)]
-        h = Graph(n, map(tuple, sample))
+        h = Graph(n, sample)
         if chi_cap is not None:
             ci = color_with_cap(h, chi_cap)
             if ci is None:
@@ -305,7 +305,7 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         "counters": sum(len(pairs) for pairs, _ in counters),
     }
     for tr, (pairs, totals) in enumerate(counters):
-        h = Graph(n, pairs[totals > 0].tolist())
+        h = Graph(n, pairs[totals > 0])
         ci = color_with_cap(h, q)
         if ci is None:
             return Verdict(label="large", evidence=Evidence("trial", tr, h), metadata=meta)

@@ -231,7 +231,7 @@ def _verdict_json(verdict: Verdict) -> str:
         payload["evidence"] = {
             "kind": verdict.evidence.kind,
             "index": verdict.evidence.index,
-            "subgraph_edges": sorted(list(e) for e in verdict.evidence.subgraph.edges),
+            "subgraph_edges": verdict.evidence.subgraph.edge_array().tolist(),
         }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 

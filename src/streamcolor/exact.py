@@ -234,6 +234,11 @@ def color_exactly(g: Graph) -> Coloring:
 
 def color_with_cap(g: Graph, cap: int) -> Coloring | None:
     """Minimum coloring if chi(g) <= cap, else None (the 'exceeds cap' case)."""
+    if cap < 1:
+        raise ArgumentError("cap must be >= 1")
+    if cap <= 2:
+        # one search: a proper coloring with at most two colors is minimum
+        return find_k_coloring(g, cap)
     k = chromatic_number(g, cap=cap)
     if k is None:
         return None

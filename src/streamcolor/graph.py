@@ -1,7 +1,10 @@
 """Graph, coloring, and multigraph data model.
 
-Vertices are integers ``0..n-1``; edges are unordered pairs stored as
-``(u, v)`` with ``u < v``. Graphs and colorings are immutable after
+Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
+read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
+and without repeats, built by deduplicating the 1-D keys ``u * n + v``. The
+frozenset of edge tuples and the dict-of-set adjacency are views derived
+from that array on first use. Graphs and colorings are immutable after
 construction and safe to share across threads. Isolated vertices are
 implicit: a graph may have millions of vertices but only the edge set is
 materialized.
@@ -17,6 +20,9 @@ import numpy as np
 
 from .errors import ArgumentError, FormatError
 
+# the largest n whose pair keys u * n + v (at most n*n - n - 1) fit in int64
+MAX_VERTICES = 3_037_000_499
+
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
     """Order an endpoint pair; self-loops are rejected."""
@@ -25,62 +31,118 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def int_rows(items, width: int, what: str) -> np.ndarray:
+    """`items` as an ``(m, width)`` int64 array.
+
+    Takes an integer array of that shape or an iterable of length-`width`
+    integer rows; any other shape, ragged rows or a non-integer dtype raise
+    `ArgumentError` rather than being reshaped.
+    """
+    if not isinstance(items, np.ndarray):
+        items = list(items)
+    try:
+        arr = np.asarray(items)
+    except ValueError:
+        raise ArgumentError(f"{what} must be rows of {width} integers")
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width or (arr.size and arr.dtype.kind not in "iu"):
+        raise ArgumentError(
+            f"{what} must be an (m, {width}) integer array, got {arr.dtype} of shape {arr.shape}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
 class Graph:
-    """Simple undirected graph on ``[0, n)`` with a frozen edge set."""
+    """Simple undirected graph on ``[0, n)``.
 
-    __slots__ = ("n", "edges", "_edge_array", "_adj")
+    The constructor takes an ``(m, 2)`` integer array or an iterable of
+    ``(u, v)`` pairs in either endpoint order; repeated pairs collapse, and a
+    self-loop or an endpoint outside ``[0, n)`` raises `ArgumentError`.
+    `edge_array` is the single stored form; `edges` and `adjacency` are
+    views derived from it on first use and cached.
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ArgumentError("vertex count must be non-negative")
-        self.n = int(n)
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            e = normalize_edge(int(u), int(v))
-            if e[0] < 0 or e[1] >= n:
-                raise ArgumentError(f"edge {e} out of range for n={n}")
-            seen.add(e)
-        self.edges: frozenset[tuple[int, int]] = frozenset(seen)
-        self._edge_array: np.ndarray | None = None
+    __slots__ = ("n", "_edge_array", "_edges", "_adj")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
+        if not 0 <= n <= MAX_VERTICES:
+            raise ArgumentError(f"vertex count must be in [0, {MAX_VERTICES}]")
+        self.n = n = int(n)
+        pairs = int_rows(edges, 2, "edges")
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        loop = lo == hi
+        if loop.any():
+            raise ArgumentError(f"self-loop on vertex {lo[loop][0]}")
+        outside = (lo < 0) | (hi >= n)
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise ArgumentError(f"edge ({lo[i]}, {hi[i]}) out of range for n={n}")
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        arr = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, n, out=(arr[:, 0], arr[:, 1]))
+        arr.flags.writeable = False
+        self._edge_array = arr
+        self._edges: frozenset[tuple[int, int]] | None = None
         self._adj: dict[int, set[int]] | None = None
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edge_array)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a sorted ``(m, 2)`` int64 array (cached)."""
-        if self._edge_array is None:
-            if self.edges:
-                arr = np.array(sorted(self.edges), dtype=np.int64)
-            else:
-                arr = np.empty((0, 2), dtype=np.int64)
-            self._edge_array = arr
+        """Edges as the stored read-only, sorted ``(m, 2)`` int64 array."""
         return self._edge_array
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as a frozenset of ``(u, v)`` tuples (derived, cached)."""
+        if self._edges is None:
+            # copying a set presizes the frozenset's table: half the size
+            # of one grown by adding the tuples one at a time
+            self._edges = frozenset(set(zip(*self._edge_array.T.tolist())))
+        return self._edges
+
     def adjacency(self) -> Mapping[int, set[int]]:
-        """Adjacency sets for vertices with degree >= 1 (cached)."""
+        """Neighbour sets of the vertices with degree >= 1, keyed in
+        ascending vertex order (derived, cached)."""
         if self._adj is None:
-            adj: dict[int, set[int]] = {}
-            for u, v in self.edges:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-            self._adj = adj
+            a = self._edge_array
+            src = np.concatenate((a[:, 0], a[:, 1]))
+            order = np.argsort(src, kind="stable")
+            src = src[order]
+            nbrs = np.concatenate((a[:, 1], a[:, 0]))[order].tolist()
+            starts = np.flatnonzero(np.diff(src, prepend=-1))
+            bounds = starts.tolist() + [len(nbrs)]
+            self._adj = {
+                v: set(nbrs[lo:hi]) for v, lo, hi in zip(src[starts].tolist(), bounds, bounds[1:])
+            }
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+        u, v = normalize_edge(u, v)
+        if u < 0 or v >= self.n:
+            return False
+        a = self._edge_array
+        keys = a[:, 0] * self.n + a[:, 1]
+        key = u * self.n + v
+        i = np.searchsorted(keys, key)
+        return bool(i < len(keys) and keys[i] == key)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency().get(v, ()))
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+            isinstance(other, Graph)
+            and self.n == other.n
+            and np.array_equal(self._edge_array, other._edge_array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -211,24 +273,16 @@ def verify_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on `vertices` plus the old-id -> new-id relabel map."""
-    vs = sorted(set(int(v) for v in vertices))
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+    vs = np.fromiter(vertices, dtype=np.int64)
+    if vs.size and (vs.min() < 0 or vs.max() >= g.n):
         raise ArgumentError(f"vertex set not contained in [0, {g.n})")
-    relabel = {v: i for i, v in enumerate(vs)}
-    vset = set(vs)
-    # iterate whichever side is smaller: all edges, or pairs via adjacency
-    edges = []
-    if g.num_edges <= len(vs) * max(1, len(vs)):
-        for u, v in g.edges:
-            if u in vset and v in vset:
-                edges.append((relabel[u], relabel[v]))
-    else:
-        adj = g.adjacency()
-        for u in vs:
-            for w in adj.get(u, ()):
-                if w > u and w in vset:
-                    edges.append((relabel[u], relabel[w]))
-    return Graph(len(vs), edges), relabel
+    member = np.zeros(g.n, dtype=bool)
+    member[vs] = True
+    vs = np.flatnonzero(member)
+    new_id = np.cumsum(member) - 1  # relabel lookup, valid on members
+    a = g.edge_array()
+    sub = Graph(len(vs), new_id[a[member[a[:, 0]] & member[a[:, 1]]]])
+    return sub, dict(zip(vs.tolist(), range(len(vs))))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +296,7 @@ def write_graph(g: Graph, path: str) -> None:
     """Graph text format: header ``#graph v1 n=<N>``, then ``u v`` lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{GRAPH_HEADER} n={g.n}\n")
-        for u, v in sorted(g.edges):
+        for u, v in g.edge_array().tolist():
             f.write(f"{u} {v}\n")
 
 

@@ -113,22 +113,17 @@ class GraphSpec:
         if self.kind == "empty":
             return Graph(self.n)
         if self.kind == "planted":
-            verts = rng.choice(self.n, size=self.clique, replace=False)
-            vs = sorted(int(v) for v in verts)
-            edges = [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-            return Graph(self.n, edges)
+            verts = np.sort(rng.choice(self.n, size=self.clique, replace=False))
+            i, j = np.triu_indices(self.clique, k=1)
+            return Graph(self.n, np.column_stack((verts[i], verts[j])))
         if self.kind == "bipartite":
             right = self.n - self.left
             picks = rng.choice(self.left * right, size=self.m, replace=False)
-            edges = [
-                (int(idx) // right, self.left + int(idx) % right) for idx in picks
-            ]
-            return Graph(self.n, edges)
+            return Graph(self.n, np.column_stack((picks // right, self.left + picks % right)))
         # gnm
         iu, iv = np.triu_indices(self.n, k=1)
         picks = rng.choice(len(iu), size=self.m, replace=False)
-        edges = [(int(iu[i]), int(iv[i])) for i in picks]
-        return Graph(self.n, edges)
+        return Graph(self.n, np.column_stack((iu[picks], iv[picks])))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -278,7 +273,7 @@ def experiment_vertex_sampling(
         g = spec.build(rng_for(seed, 200, trial))
         rng = rng_for(seed, 201, trial)
         mask = rng.random(spec.n) < p
-        verts = [v for v in range(spec.n) if mask[v]]
+        verts = np.flatnonzero(mask)
         h, _ = induced_subgraph(g, verts)
         chi_h = chromatic_number(h)
         indicator = chi_h < threshold

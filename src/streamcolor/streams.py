@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import Graph
+from .graph import Graph, int_rows
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -39,17 +39,7 @@ class Stream:
             raise ArgumentError("vertex count must be non-negative")
         self.n = int(n)
         self.model = model
-        try:
-            arr = np.asarray(events)
-        except ValueError:
-            raise ArgumentError("events must be (u, v, delta) triples")
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3 or (arr.size and arr.dtype.kind not in "iu"):
-            raise ArgumentError(
-                f"events must be an (m, 3) integer array, got {arr.dtype} of shape {arr.shape}"
-            )
-        u, v, delta = arr.astype(np.int64).T
+        u, v, delta = int_rows(events, 3, "events").T
         if np.any(u == v):
             raise ArgumentError(f"self-loop on vertex {u[u == v][0]}")
         self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
@@ -90,7 +80,7 @@ class Stream:
     def final_graph(self) -> Graph:
         """The simple graph left after every event: pairs whose deltas sum above 0."""
         pairs, totals = pair_totals(self.n, self.events)
-        return Graph(self.n, pairs[totals > 0].tolist())
+        return Graph(self.n, pairs[totals > 0])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -178,7 +168,8 @@ def _sample_non_edges(
         raise ArgumentError(
             f"requested {count} churn pairs but only {available} non-edges exist"
         )
-    chosen: set[tuple[int, int]] = set()
+    edges = g.edge_array()
+    taken = set((edges[:, 0] * n + edges[:, 1]).tolist())  # pair keys u * n + v
     out = []
     while len(out) < count:
         u = int(rng.integers(0, n))
@@ -186,9 +177,10 @@ def _sample_non_edges(
         if u == v:
             continue
         e = (u, v) if u < v else (v, u)
-        if e in g.edges or e in chosen:
+        key = e[0] * n + e[1]
+        if key in taken:
             continue
-        chosen.add(e)
+        taken.add(key)
         out.append(e)
     return out
 

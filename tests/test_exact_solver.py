@@ -13,7 +13,7 @@ from streamcolor import (
     is_proper_coloring,
 )
 from streamcolor.errors import ArgumentError
-from streamcolor.exact import greedy_clique_lower_bound
+from streamcolor.exact import _two_coloring, color_with_cap, greedy_clique_lower_bound
 
 from oracles import brute_chromatic, brute_k_colorable
 
@@ -113,6 +113,13 @@ class TestSolverAgreesWithOracle:
             assert got.num_colors <= chi
         if chi >= 2:
             assert find_k_coloring(g, chi - 1) is None
+        for cap in (1, 2, 3):
+            capped = color_with_cap(g, cap)
+            if chi > cap:
+                assert capped is None
+            else:
+                assert capped is not None and is_proper_coloring(g, capped)
+                assert capped.num_colors == chi
 
 
 class TestHelpers:
@@ -131,3 +138,14 @@ class TestHelpers:
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
                 assert petersen.has_edge(u, v)
+
+    def test_color_with_cap_rejects_cap_below_one(self, c5):
+        with pytest.raises(ArgumentError):
+            color_with_cap(c5, 0)
+
+    def test_two_coloring_roots_each_component_at_its_smallest_vertex(self):
+        # components {1, 2, 3} (path 2-3-1) and {4, 5, 6} (star at 6)
+        g = Graph(7, [(3, 2), (3, 1), (6, 5), (6, 4)])
+        colors = _two_coloring(g)
+        assert colors[1] == 0 and colors[4] == 0
+        assert colors.tolist() == [0, 0, 0, 1, 0, 0, 1]

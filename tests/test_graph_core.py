@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,90 @@ class TestGraph:
     def test_adjacency(self, c5):
         assert c5.adjacency()[0] == {1, 4}
         assert c5.degree(2) == 2
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_matches_set_reference(self, n, pairs):
+        def reference() -> set[tuple[int, int]] | None:
+            """Set-based reference edge set, or None where the input is invalid."""
+            seen = set()
+            for u, v in pairs:
+                lo, hi = min(u, v), max(u, v)
+                if lo == hi or lo < 0 or hi >= n:
+                    return None
+                seen.add((lo, hi))
+            return seen
+
+        expected = reference()
+        for given_pairs in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+            if expected is None:
+                with pytest.raises(ArgumentError):
+                    Graph(n, given_pairs)
+                continue
+            g = Graph(n, given_pairs)
+            assert g.edges == expected and g.num_edges == len(expected)
+            assert g.edge_array().tolist() == [list(e) for e in sorted(expected)]
+
+    def test_input_forms_compare_and_hash_equal(self, petersen):
+        rows = petersen.edge_array()
+        forms = [
+            Graph(10, rows[::-1].copy()),
+            Graph(10, [(v, u) for u, v in rows.tolist()]),
+            Graph(10, ((u, v) for u, v in rows.tolist())),
+            Graph(10, set(petersen.edges)),
+        ]
+        for g in forms:
+            assert g == petersen and hash(g) == hash(petersen)
+        assert Graph(11, rows) != petersen
+        assert Graph(10, rows[1:]) != petersen
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 2), (3, 4, 5)],
+            [(0, 1), (2,)],
+            [(0, 1), (1, 2, 3)],
+            np.zeros((2, 3), dtype=np.int64),
+            np.array([[0.0, 1.0]]),
+            [5, 6],
+        ],
+    )
+    def test_rejects_rows_that_are_not_pairs(self, edges):
+        with pytest.raises(ArgumentError):
+            Graph(8, edges)
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ArgumentError):
+            Graph(-1)
+
+    def test_edge_array_is_read_only(self, c5):
+        with pytest.raises(ValueError):
+            c5.edge_array()[0, 0] = 3
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matches_dict_of_sets(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        expected: dict[int, set[int]] = {}
+        for (u, v), keep in zip(pairs, mask):
+            if keep:
+                expected.setdefault(u, set()).add(v)
+                expected.setdefault(v, set()).add(u)
+        adj = Graph(n, [e for e, keep in zip(pairs, mask) if keep]).adjacency()
+        assert adj == expected
+        assert list(adj) == sorted(expected)
+
+    def test_has_edge(self, c5):
+        assert c5.has_edge(0, 1) and c5.has_edge(4, 0)
+        assert not c5.has_edge(0, 2)
+        assert not c5.has_edge(0, 5) and not c5.has_edge(-1, 0)
+        assert not Graph(0).has_edge(0, 1)
+        with pytest.raises(ArgumentError):
+            c5.has_edge(2, 2)
 
 
 class TestIsProperColoring:
