@@ -1,12 +1,13 @@
 """Streaming coloring algorithms: iterative sparsification and sampling.
 
-The two insertion runners consume streams through one-way iterators of
-``(u, v, delta)`` tuples; the dynamic runner reads the stream's event columns
-once, in one forward pass. All three answer the q vs large distinguishing
-problem with a one-sided "large": whenever they say "large" they hold a
-stored subgraph of the input whose chromatic number exceeds q. Per-round
-chromatic numbers are computed with the exact solver capped at q, which
-never changes a verdict but avoids searching above the cap.
+All three runners read a pass as the stream's ``(m, 3)`` event array, in
+stream order, with array operations and no per-event Python loop; the
+multi-pass runner gets each pass from a `StreamSource`. All three answer
+the q vs large distinguishing problem with a one-sided "large": whenever
+they say "large" they hold a stored subgraph of the input whose chromatic
+number exceeds q. Per-round chromatic numbers are computed with the exact
+solver capped at q, which never changes a verdict but avoids searching
+above the cap.
 """
 
 from __future__ import annotations
@@ -148,24 +149,23 @@ def run_random_order(
     n = stream.n
     budget = default_budget(n, t, budget_multiplier)
     coloring = uniform_coloring(n)
-    events = iter(stream)
+    events = stream.events
     events_read = 0
     peak_edges = 0
     rounds_used = 0
     exhausted = False
     for i in range(1, t + 1):
-        stored: list[tuple[int, int]] = []
-        for u, v, _ in events:
-            events_read += 1
-            if coloring.colors[u] == coloring.colors[v]:
-                stored.append((u, v))
-                if len(stored) == budget:
-                    break
+        rest = events[events_read:]
+        mono = np.flatnonzero(coloring.colors[rest[:, 0]] == coloring.colors[rest[:, 1]])
+        if len(mono) >= budget:  # the budget fills at the budget-th hit
+            mono = mono[:budget]
+            events_read += int(mono[-1]) + 1
         else:
+            events_read += len(rest)
             exhausted = True
         rounds_used = i
-        peak_edges = max(peak_edges, len(stored))
-        h = Graph(n, stored)
+        peak_edges = max(peak_edges, len(mono))
+        h = Graph(n, rest[mono, :2])
         ci = color_with_cap(h, q)
         if ci is None:
             return Verdict(
@@ -222,22 +222,20 @@ def run_multipass(
     for i in range(1, t + 1):
         events = source.open()  # PassLimitError propagates to the caller
         passes_used += 1
-        reservoir: list[tuple[int, int]] = []
-        mono_seen = 0
-        for u, v, _ in events:
-            if coloring.colors[u] != coloring.colors[v]:
-                continue
-            mono_seen += 1
-            if len(reservoir) < budget:
-                reservoir.append((u, v))
-            else:
-                j = int(rng.integers(0, mono_seen))
-                if j < budget:
-                    reservoir[j] = (u, v)
+        mono = np.flatnonzero(coloring.colors[events[:, 0]] == coloring.colors[events[:, 1]])
+        mono_seen = len(mono)
+        reservoir = mono[:budget]
+        if mono_seen > budget:
+            # Algorithm R: the k-th hit (k > budget) replaces slot j ~ U[0, k)
+            # when j < budget; one array draw equals the per-hit scalar draws
+            j = rng.integers(0, np.arange(budget + 1, mono_seen + 1))
+            hit = np.flatnonzero(j < budget)[::-1]
+            slots, last = np.unique(j[hit], return_index=True)  # the latest hit wins
+            reservoir[slots] = mono[budget + hit[last]]
         peak_edges = max(peak_edges, len(reservoir))
         if mono_seen == 0:
             break
-        h = Graph(n, reservoir)
+        h = Graph(n, events[reservoir, :2])
         ci = color_with_cap(h, q)
         if ci is None:
             return Verdict(

@@ -309,8 +309,8 @@ def read_graph(path: str) -> Graph:
         n = int(lines[0].split("n=")[1])
     except (IndexError, ValueError):
         raise FormatError("header must carry n=<N>", line=1)
-    if n < 0:
-        raise FormatError(f"vertex count n={n} is negative", line=1)
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"vertex count n={n} is outside [0, {MAX_VERTICES}]", line=1)
     edges = []
     seen = set()
     for i, line in enumerate(lines[1:], start=2):

@@ -1,10 +1,10 @@
 """Edge streams: columnar event arrays, builders, serialization, pass control.
 
 A stream is one ``(m, 3)`` int64 array of ``(u, v, delta)`` rows with
-``u < v``. Streams are materialized in memory at desk scale, but algorithms
-consume them strictly through one-way iterators of plain ``(u, v, delta)``
-tuples; multi-pass runners must go through `StreamSource`, which meters
-rewinds explicitly.
+``u < v``. Streams are materialized in memory at desk scale; the runners
+read each pass as that read-only event array, in stream order, with array
+operations. Multi-pass runners must go through `StreamSource`, which meters
+passes explicitly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import Graph, int_rows
+from .graph import MAX_VERTICES, Graph, int_rows
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -35,8 +35,8 @@ class Stream:
     def __init__(self, n: int, model: str, events):
         if model not in (INSERTION, DYNAMIC):
             raise ArgumentError(f"unknown stream model {model!r}")
-        if n < 0:
-            raise ArgumentError("vertex count must be non-negative")
+        if not 0 <= n <= MAX_VERTICES:
+            raise ArgumentError(f"vertex count must be in [0, {MAX_VERTICES}]")
         self.n = int(n)
         self.model = model
         u, v, delta = int_rows(events, 3, "events").T
@@ -107,13 +107,14 @@ class StreamSource:
         self.max_passes = max_passes
         self.passes_opened = 0
 
-    def open(self) -> Iterator[tuple[int, int, int]]:
+    def open(self) -> np.ndarray:
+        """Start one pass: the stream's read-only ``(m, 3)`` event array."""
         if self.max_passes is not None and self.passes_opened >= self.max_passes:
             raise PassLimitError(
                 f"source allows {self.max_passes} passes; another was requested"
             )
         self.passes_opened += 1
-        return iter(self.stream)
+        return self.stream.events
 
 
 def to_insertion_stream(
@@ -216,8 +217,8 @@ def read_stream(path: str) -> Stream:
         model = header["model"]
     except (KeyError, ValueError):
         raise FormatError("header must carry n=<N> model=<ins|dyn>", line=1)
-    if n < 0:
-        raise FormatError(f"vertex count n={n} is negative", line=1)
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"vertex count n={n} is outside [0, {MAX_VERTICES}]", line=1)
     if model not in (INSERTION, DYNAMIC):
         raise FormatError(f"unknown model {model!r}", line=1)
     events = []

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
     Graph,
@@ -18,8 +21,10 @@ from streamcolor import (
     to_dynamic_stream,
     to_insertion_stream,
 )
+from streamcolor.algorithms import Evidence, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
-from streamcolor.graph import monochromatic_edges
+from streamcolor.exact import color_with_cap
+from streamcolor.graph import monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
 
 
@@ -159,16 +164,155 @@ class TestRunMultipass:
 
     def test_pass_limit_environment_error(self):
         g = planted(40, 3, seed=3)
-        source = StreamSource(to_insertion_stream(g), max_passes=1)
-        # t = 2 passes wanted, but the source only allows one; with a tiny
-        # budget the first pass cannot finish the job
-        with pytest.raises(PassLimitError):
-            run_multipass(source, 2, 2, seed=3, budget_multiplier=0.0001)
+        for t in (2, 3):
+            source = StreamSource(to_insertion_stream(g), max_passes=1)
+            # t passes wanted, but the source only allows one; with a tiny
+            # budget the first pass cannot finish the job
+            with pytest.raises(PassLimitError):
+                run_multipass(source, 2, t, seed=3, budget_multiplier=0.0001)
+            assert source.passes_opened == 1
 
     def test_pass_count_reported(self):
         g = bipartite(60, 800, seed=4)
         verdict = run_multipass(to_insertion_stream(g), 2, 3, seed=4)
         assert verdict.metadata["passes_used"] <= 3
+
+
+def reference_random_order(stream, q, t, budget_multiplier):
+    """The per-event fill loop: one Python step per event read."""
+    n = stream.n
+    budget = default_budget(n, t, budget_multiplier)
+    coloring = uniform_coloring(n)
+    events = iter(stream)
+    meta = {"budget": budget, "rounds_used": 0, "events_read": 0,
+            "peak_stored_edges": 0, "stream_exhausted": False}
+    for i in range(1, t + 1):
+        stored = []
+        for u, v, _ in events:
+            meta["events_read"] += 1
+            if coloring.colors[u] == coloring.colors[v]:
+                stored.append((u, v))
+                if len(stored) == budget:
+                    break
+        else:
+            meta["stream_exhausted"] = True
+        meta["rounds_used"] = i
+        meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(stored))
+        h = Graph(n, stored)
+        ci = color_with_cap(h, q)
+        if ci is None:
+            return Verdict("large", evidence=Evidence("round", i, h), metadata=meta)
+        coloring = product_coloring(coloring, ci)
+        if meta["stream_exhausted"]:
+            break
+    return Verdict("small", coloring=coloring, metadata=meta)
+
+
+def reference_multipass(stream, q, t, seed, budget_multiplier):
+    """The per-event reservoir loop: one scalar draw per overflowing hit."""
+    n = stream.n
+    budget = default_budget(n, t, budget_multiplier)
+    rng = rng_for(seed, 42)
+    coloring = uniform_coloring(n)
+    meta = {"budget": budget, "passes_used": 0, "peak_stored_edges": 0}
+    for i in range(1, t + 1):
+        meta["passes_used"] += 1
+        reservoir = []
+        mono_seen = 0
+        for u, v, _ in stream:
+            if coloring.colors[u] != coloring.colors[v]:
+                continue
+            mono_seen += 1
+            if len(reservoir) < budget:
+                reservoir.append((u, v))
+            else:
+                j = int(rng.integers(0, mono_seen))
+                if j < budget:
+                    reservoir[j] = (u, v)
+        meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(reservoir))
+        if mono_seen == 0:
+            break
+        h = Graph(n, reservoir)
+        ci = color_with_cap(h, q)
+        if ci is None:
+            return Verdict("large", evidence=Evidence("round", i, h), metadata=meta)
+        coloring = product_coloring(coloring, ci)
+        if mono_seen <= budget:
+            break
+    return Verdict("small", coloring=coloring, metadata=meta)
+
+
+def assert_same_verdict(got, want):
+    assert got.label == want.label
+    assert got.coloring == want.coloring
+    assert got.evidence == want.evidence
+    assert got.metadata == want.metadata
+
+
+@st.composite
+def runner_cases(draw):
+    n = draw(st.integers(2, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=200))
+    g = Graph(n, [(u, v) for u, v in pairs if u != v])
+    return (
+        g,
+        draw(st.integers(0, 2**16)),
+        draw(st.sampled_from((2, 3))),
+        draw(st.integers(2, 5)),
+        draw(st.sampled_from((0.002, 0.01, 0.03, 0.1, 0.3, 1.0))),
+    )
+
+
+class TestInsertionRunnersMatchPerEventLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(runner_cases())
+    def test_random_cases(self, case):
+        g, seed, q, t, mult = case
+        stream = to_insertion_stream(g, "shuffled", seed=seed)
+        assert_same_verdict(
+            run_random_order(stream, q, t, budget_multiplier=mult),
+            reference_random_order(stream, q, t, mult),
+        )
+        assert_same_verdict(
+            run_multipass(stream, q, t, seed=seed, budget_multiplier=mult),
+            reference_multipass(stream, q, t, seed, mult),
+        )
+
+    def exactly_budget_edges(self, mult):
+        # a bipartite graph with exactly `budget` edges: every event of the
+        # first round or pass is monochromatic, and round 1 is 2-colorable
+        budget = default_budget(30, 3, mult)
+        g = Graph(30, [(u, v) for u in range(15) for v in range(15, 30)][:budget])
+        assert g.num_edges == budget
+        return to_insertion_stream(g, "shuffled", seed=5)
+
+    def test_budget_fills_on_the_last_event(self):
+        stream = self.exactly_budget_edges(0.1)
+        verdict = run_random_order(stream, 2, 3, budget_multiplier=0.1)
+        assert_same_verdict(verdict, reference_random_order(stream, 2, 3, 0.1))
+        # round 1 fills on the last event, so round 2 reads nothing and ends
+        assert verdict.metadata["events_read"] == len(stream)
+        assert verdict.metadata["rounds_used"] == 2
+        assert verdict.metadata["stream_exhausted"]
+
+    def test_mono_seen_equals_budget(self):
+        stream = self.exactly_budget_edges(0.1)
+        verdict = run_multipass(stream, 2, 3, seed=6, budget_multiplier=0.1)
+        assert_same_verdict(verdict, reference_multipass(stream, 2, 3, 6, 0.1))
+        assert verdict.metadata["passes_used"] == 1
+        assert verdict.metadata["peak_stored_edges"] == len(stream)
+
+    def test_repeated_reservoir_slots(self):
+        g = planted(30, 6, seed=8)
+        stream = to_insertion_stream(g, "shuffled", seed=8)
+        budget = default_budget(30, 2, 0.01)
+        # the first pass's overflow draws hit some slot more than once
+        j = rng_for(9, 42).integers(0, np.arange(budget + 1, len(stream) + 1))
+        assert np.bincount(j[j < budget]).max() > 1
+        assert_same_verdict(
+            run_multipass(stream, 2, 2, seed=9, budget_multiplier=0.01),
+            reference_multipass(stream, 2, 2, 9, 0.01),
+        )
 
 
 class TestRunDynamic:

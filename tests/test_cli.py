@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 
-
+import streamcolor.cli
+from streamcolor import StreamSource
 from streamcolor.cli import main
+from streamcolor.graph import MAX_VERTICES
 
 
 def run(argv, capsys=None):
@@ -135,6 +137,16 @@ class TestVerify:
         s.write_text("#stream v1 n=-2 model=ins\n")
         assert run(["run", "random-order", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
 
+    def test_too_large_n_header_exit_3(self, tmp_path):
+        g = tmp_path / "g.graph"
+        c = tmp_path / "c.json"
+        g.write_text(f"#graph v1 n={MAX_VERTICES + 1}\n0 1\n")
+        c.write_text('{"colors":[0,1],"n":2,"num_colors":2}\n')
+        assert run(["verify", "coloring", "--graph", str(g), "--coloring", str(c)]) == 3
+        s = tmp_path / "s.stream"
+        s.write_text(f"#stream v1 n={MAX_VERTICES + 1} model=ins\n0 1 +1\n")
+        assert run(["run", "random-order", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
+
 
 class TestStreamAndRun:
     def test_shuffle_run_roundtrip(self, tmp_path):
@@ -170,6 +182,19 @@ class TestStreamAndRun:
         run(["stream", "shuffle", "--graph", str(g), "--seed", "1", "-o", str(s)])
         assert run(["run", "multipass", "--stream", str(s), "--q", "2", "--t", "2",
                     "--seed", "1"]) == 0
+
+    def test_multipass_pass_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        g = tmp_path / "g.graph"
+        s = tmp_path / "s.stream"
+        run(["gen", "graph", "--spec", "planted:n=40,clique=3", "--seed", "3",
+             "-o", str(g)])
+        run(["stream", "shuffle", "--graph", str(g), "--seed", "3", "-o", str(s)])
+        # a source that allows one pass where the runner asks for two
+        monkeypatch.setattr(streamcolor.cli, "StreamSource",
+                            lambda stream, max_passes: StreamSource(stream, max_passes=1))
+        assert run(["run", "multipass", "--stream", str(s), "--q", "2", "--t", "2",
+                    "--seed", "3", "--budget-multiplier", "0.0001"]) == 3
+        assert "passes" in capsys.readouterr().err
 
 
 class TestExperiments:

@@ -20,6 +20,7 @@ from streamcolor import (
     write_graph,
 )
 from streamcolor.errors import ArgumentError, FormatError
+from streamcolor.graph import MAX_VERTICES
 
 from oracles import brute_induced_edges, brute_is_proper, refine_partition
 
@@ -350,6 +351,13 @@ class TestSerialization:
     def test_graph_rejects_negative_n(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("#graph v1 n=-2\n")
+        with pytest.raises(FormatError) as err:
+            read_graph(str(path))
+        assert err.value.line == 1
+
+    def test_graph_rejects_too_large_n(self, tmp_path):
+        path = tmp_path / "big.graph"
+        path.write_text(f"#graph v1 n={MAX_VERTICES + 1}\n0 1\n")
         with pytest.raises(FormatError) as err:
             read_graph(str(path))
         assert err.value.line == 1

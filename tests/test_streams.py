@@ -20,6 +20,7 @@ from streamcolor import (
     write_stream,
 )
 from streamcolor.errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
+from streamcolor.graph import MAX_VERTICES
 
 
 def k3() -> Graph:
@@ -166,6 +167,12 @@ class TestStreamConstruction:
         with pytest.raises(ArgumentError):
             Stream(3, "ins", events)
 
+    def test_rejects_n_whose_pair_keys_overflow(self):
+        # at n = 2**33 the keys u * n + v of these two distinct pairs wrap
+        # to one int64 value
+        with pytest.raises(ArgumentError):
+            Stream(2**33, "ins", [(1, 2**31 + 5, 1), (2**31 + 1, 2**31 + 5, 1)])
+
     def test_self_loop_is_argument_error(self):
         with pytest.raises(ArgumentError):
             Stream(3, "dyn", [(0, 1, 1), (2, 2, 1)])
@@ -204,6 +211,14 @@ class TestStreamSource:
         src = StreamSource(to_insertion_stream(k3()))
         for _ in range(5):
             assert len(list(src.open())) == 3
+
+    def test_open_returns_the_read_only_event_array(self):
+        s = to_insertion_stream(k3(), "shuffled", seed=1)
+        events = StreamSource(s).open()
+        assert isinstance(events, np.ndarray) and events.shape == (3, 3)
+        assert np.array_equal(events, s.events)
+        with pytest.raises(ValueError):
+            events[0, 0] = 2
 
 
 class TestSerialization:
@@ -246,6 +261,13 @@ class TestSerialization:
     def test_negative_n_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.stream"
         path.write_text("#stream v1 n=-2 model=dyn\n")
+        with pytest.raises(FormatError) as err:
+            read_stream(str(path))
+        assert err.value.line == 1
+
+    def test_too_large_n_is_parse_error(self, tmp_path):
+        path = tmp_path / "big.stream"
+        path.write_text(f"#stream v1 n={MAX_VERTICES + 1} model=ins\n0 1 +1\n")
         with pytest.raises(FormatError) as err:
             read_stream(str(path))
         assert err.value.line == 1
