@@ -24,7 +24,7 @@ from .graph import (
     write_coloring,
     write_graph,
 )
-from .exact import chromatic_number, color_exactly, dsatur_coloring, find_k_coloring
+from .exact import chromatic_number, color_with_cap, dsatur_coloring, find_k_coloring
 from .clusterpack import (
     ClusterPackingGraph,
     DenseParams,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .exact import color_with_cap, color_exactly, dsatur_coloring
+from .exact import color_with_cap, dsatur_coloring
 from .graph import Coloring, Graph, monochromatic_edges, product_coloring
 from .seeds import rng_for
 from .streams import INSERTION, Stream, StreamSource, pair_totals
@@ -106,20 +106,18 @@ def offline_iterative_coloring(
             idx = rng.choice(current.shape[0], size=budget, replace=False)
             sample = current[np.sort(idx)]
         h = Graph(n, sample)
-        if chi_cap is not None:
-            ci = color_with_cap(h, chi_cap)
-            if ci is None:
-                return OfflineColoringRun(
-                    coloring=None,
-                    m_sizes=tuple(m_sizes),
-                    round_colors=tuple(round_colors),
-                    budget=budget,
-                    cap_exceeded_round=i,
-                )
-        elif colorer == "exact":
-            ci = color_exactly(h)
-        else:
+        if colorer == "dsatur" and chi_cap is None:
             ci = dsatur_coloring(h)
+        else:
+            ci = color_with_cap(h, chi_cap)
+        if ci is None:
+            return OfflineColoringRun(
+                coloring=None,
+                m_sizes=tuple(m_sizes),
+                round_colors=tuple(round_colors),
+                budget=budget,
+                cap_exceeded_round=i,
+            )
         round_colors.append(max(ci.num_colors, 1))
         coloring = product_coloring(coloring, ci)
         current = monochromatic_edges(current, ci)

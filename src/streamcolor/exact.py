@@ -1,11 +1,15 @@
-"""Exact chromatic number and k-coloring via iterative-deepening backtracking.
+"""Exact chromatic number and k-coloring by backtracking in DSATUR order.
 
-The solver is exponential-time by design (adequate at desk scale); it runs
-per connected component with vertices ordered by descending degree, uses a
-greedy clique on a degeneracy ordering as a lower bound (pruning only) and
-DSATUR as an upper bound, and breaks color symmetry by allowing each vertex
-at most one brand-new color class. Bipartite inputs short-circuit through a
-BFS 2-coloring, which keeps the q = 2 distinguishing workloads linear-time.
+`color_with_cap(g, cap=None)` is the one minimum-coloring entry point: it
+returns a coloring with exactly chi(g) colors, or None when `cap` is given and
+chi(g) > cap; `chromatic_number` reads its color count, and `find_k_coloring`
+returns any k-coloring. The solver is exponential-time by design (adequate at
+desk scale). Bipartite inputs short-circuit through a BFS 2-coloring, which
+keeps the q = 2 distinguishing workloads linear-time. Above two colors a
+greedy clique gives the lower bound and DSATUR (Brelaz 1979) the upper bound,
+and each k between them is tried once by `_search`: a per-component
+backtracking search in DSATUR's saturation order that lets each vertex open
+at most one new color class.
 """
 
 from __future__ import annotations
@@ -103,67 +107,53 @@ def _two_coloring(g: Graph) -> np.ndarray | None:
     return colors
 
 
-def _simple_backtrack(order: list[int], masks: list[int], k: int) -> list[int] | None:
-    """k-color positions in `order`; masks[i] = bitmask of earlier neighbors.
+def _search(g: Graph, k: int) -> Coloring | None:
+    """A k-coloring of `g` found by backtracking, or None if none exists.
 
-    Symmetry breaking: position i may reuse an open color class or open
-    exactly one new one, so the first vertex of every new class is the
-    earliest position forced to open it.
+    Each connected component is searched on its own: a component that cannot
+    be k-colored then fails once, instead of once per coloring of the
+    components searched before it. Each step colors the uncolored vertex whose
+    neighbours use the most distinct colors (ties: higher degree, then lower
+    id), the order of `dsatur_coloring`. ``counts[v][c]`` is the number of v's
+    neighbours colored c, so a step is undone by decrementing. A vertex may
+    open at most one new color, since unused colors are interchangeable.
     """
-    m = len(order)
-    assignment = [-1] * m
-    max_used = [0] * (m + 1)
-    next_try = [0] * m
-    i = 0
-    while True:
-        blocked = 0
-        mask = masks[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                blocked |= 1 << assignment[j]
-            mask >>= 1
-            j += 1
-        limit = min(k, max_used[i] + 1)
-        c = next_try[i]
-        while c < limit and (blocked >> c) & 1:
-            c += 1
-        if c >= limit:
-            next_try[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            next_try[i] = assignment[i] + 1
-            assignment[i] = -1
-            continue
-        assignment[i] = c
-        next_try[i] = c
-        max_used[i + 1] = max(max_used[i], c + 1)
-        if i + 1 == m:
-            return assignment
-        i += 1
-        next_try[i] = 0
-
-
-def _k_color_component(
-    adj: dict[int, set[int]], comp: list[int], k: int
-) -> dict[int, int] | None:
-    order = sorted(comp, key=lambda v: (-len(adj[v]), v))
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * len(order)
-    for i, v in enumerate(order):
-        for w in adj[v]:
-            j = pos.get(w)
-            if j is not None and j < i:
-                masks[i] |= 1 << j
-    assignment = _simple_backtrack(order, masks, k)
-    if assignment is None:
-        return None
-    return {v: assignment[i] for i, v in enumerate(order)}
+    adj = g.adjacency()
+    colors = [0] * g.n
+    counts = {v: [0] * k for v in adj}
+    sat = dict.fromkeys(adj, 0)
+    for comp in _components(adj):
+        uncolored = set(comp)
+        opened = 0  # colors 0..opened-1 are in use in this component
+        trail: list[tuple[int, list[int], int]] = []  # (vertex, colors left, opened before)
+        while uncolored:
+            v = max(uncolored, key=lambda u: (sat[u], len(adj[u]), -u))
+            tries = [c for c in range(min(k, opened + 1) - 1, -1, -1) if not counts[v][c]]
+            while not tries:
+                if not trail:
+                    return None
+                v, tries, opened = trail.pop()
+                c = colors[v]
+                for w in adj[v]:
+                    counts[w][c] -= 1
+                    if not counts[w][c]:
+                        sat[w] -= 1
+                uncolored.add(v)
+            c = tries.pop()
+            colors[v] = c
+            for w in adj[v]:
+                if not counts[w][c]:
+                    sat[w] += 1
+                counts[w][c] += 1
+            uncolored.remove(v)
+            trail.append((v, tries, opened))
+            opened = max(opened, c + 1)
+    return Coloring.from_array(colors)
 
 
 def find_k_coloring(g: Graph, k: int) -> Coloring | None:
-    """A proper k-coloring of `g` in canonical form, or None if impossible."""
+    """A proper k-coloring of `g` in canonical form (DSATUR's when it fits),
+    or None if impossible."""
     if k < 1:
         raise ArgumentError("k must be >= 1")
     if g.n == 0:
@@ -178,15 +168,26 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     greedy = dsatur_coloring(g)
     if greedy.num_colors <= k:
         return greedy
-    colors = np.zeros(g.n, dtype=np.int64)
-    adj = dict(g.adjacency())
-    for comp in _components(adj):
-        got = _k_color_component(adj, comp, k)
-        if got is None:
-            return None
-        for v, c in got.items():
-            colors[v] = c
-    return Coloring.from_array(colors)
+    return _search(g, k)
+
+
+def color_with_cap(g: Graph, cap: int | None = None) -> Coloring | None:
+    """A coloring of `g` with exactly chi(g) colors; None when `cap` is given
+    and chi(g) > cap (the 'exceeds cap' case)."""
+    if cap is not None and cap < 1:
+        raise ArgumentError("cap must be >= 1")
+    # a proper coloring with at most two colors is minimum
+    small = find_k_coloring(g, 2 if cap is None else min(cap, 2))
+    if small is not None or (cap is not None and cap <= 2):
+        return small
+    lb = max(3, len(greedy_clique_lower_bound(g)))
+    greedy = dsatur_coloring(g)
+    hi = greedy.num_colors if cap is None else min(greedy.num_colors, cap + 1)
+    for k in range(lb, hi):
+        found = _search(g, k)
+        if found is not None:
+            return found
+    return greedy if cap is None or greedy.num_colors <= cap else None
 
 
 def chromatic_number(g: Graph, cap: int | None = None) -> int | None:
@@ -194,54 +195,5 @@ def chromatic_number(g: Graph, cap: int | None = None) -> int | None:
 
     Conventions: chi = 0 for n = 0 and chi = 1 for edgeless n >= 1.
     """
-    if cap is not None and cap < 1:
-        raise ArgumentError("cap must be >= 1")
-    if g.n == 0:
-        return 0
-    if g.num_edges == 0:
-        return 1
-    if cap == 1:
-        return None
-    if _two_coloring(g) is not None:
-        return 2
-    if cap == 2:
-        return None
-    clique = greedy_clique_lower_bound(g)
-    lb = max(3, len(clique))
-    if cap is not None and lb > cap:
-        return None
-    ub = dsatur_coloring(g).num_colors
-    if lb >= ub:
-        return ub
-    hi = ub if cap is None else min(ub, cap + 1)
-    for k in range(lb, hi):
-        if find_k_coloring(g, k) is not None:
-            return k
-    if cap is not None and ub > cap:
-        return None
-    return ub
-
-
-def color_exactly(g: Graph) -> Coloring:
-    """A proper coloring of `g` with exactly chi(g) colors."""
-    k = chromatic_number(g)
-    if k == 0:
-        return Coloring.from_array(np.empty(0, dtype=np.int64))
-    out = find_k_coloring(g, k)
-    assert out is not None
-    return out
-
-
-def color_with_cap(g: Graph, cap: int) -> Coloring | None:
-    """Minimum coloring if chi(g) <= cap, else None (the 'exceeds cap' case)."""
-    if cap < 1:
-        raise ArgumentError("cap must be >= 1")
-    if cap <= 2:
-        # one search: a proper coloring with at most two colors is minimum
-        return find_k_coloring(g, cap)
-    k = chromatic_number(g, cap=cap)
-    if k is None:
-        return None
-    if k == 0:
-        return Coloring.from_array(np.empty(0, dtype=np.int64))
-    return find_k_coloring(g, k)
+    coloring = color_with_cap(g, cap)
+    return None if coloring is None else coloring.num_colors

@@ -1,25 +1,106 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
     Graph,
+    GraphSpec,
     chromatic_number,
-    color_exactly,
+    color_with_cap,
     dsatur_coloring,
     find_k_coloring,
     is_proper_coloring,
+    run_multipass,
+    to_insertion_stream,
 )
 from streamcolor.errors import ArgumentError
-from streamcolor.exact import _two_coloring, color_with_cap, greedy_clique_lower_bound
+from streamcolor.exact import _two_coloring, greedy_clique_lower_bound
+from streamcolor.seeds import rng_for
 
 from oracles import brute_chromatic, brute_k_colorable
 
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError, instead of hanging, when the body runs too long."""
+
+    def fail(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def reference_k_coloring(n: int, edges, k: int) -> list[int] | None:
+    """A k-coloring by a static-order bitmask backtracker, or None: the
+    reference for the DSATUR-order search. Per component, vertices go in
+    descending degree order, each allowed to open at most one new color.
+    Exponential; small n only."""
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colors = [0] * n
+    seen: set[int] = set()
+    for root in range(n):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v] - seen:
+                seen.add(w)
+                stack.append(w)
+        order = sorted(comp, key=lambda v: (-len(adj[v]), v))
+        pos = {v: i for i, v in enumerate(order)}
+        masks = [sum(1 << pos[w] for w in adj[v] if pos[w] < i) for i, v in enumerate(order)]
+        m = len(order)
+        assignment = [-1] * m
+        max_used = [0] * (m + 1)
+        next_try = [0] * m
+        i = 0
+        while i < m:
+            blocked = 0
+            for j in range(i):
+                if (masks[i] >> j) & 1:
+                    blocked |= 1 << assignment[j]
+            limit = min(k, max_used[i] + 1)
+            c = next_try[i]
+            while c < limit and (blocked >> c) & 1:
+                c += 1
+            if c >= limit:
+                next_try[i] = 0
+                i -= 1
+                if i < 0:
+                    return None
+                next_try[i] = assignment[i] + 1
+                assignment[i] = -1
+                continue
+            assignment[i] = c
+            next_try[i] = c
+            max_used[i + 1] = max(max_used[i], c + 1)
+            i += 1
+            if i < m:
+                next_try[i] = 0
+        for v, c in zip(order, assignment):
+            colors[v] = c
+    return colors
 
 
 class TestChromaticNumber:
@@ -113,7 +194,9 @@ class TestSolverAgreesWithOracle:
             assert got.num_colors <= chi
         if chi >= 2:
             assert find_k_coloring(g, chi - 1) is None
-        for cap in (1, 2, 3):
+        exact = color_with_cap(g)
+        assert is_proper_coloring(g, exact) and exact.num_colors == chi
+        for cap in range(1, 6):
             capped = color_with_cap(g, cap)
             if chi > cap:
                 assert capped is None
@@ -122,9 +205,52 @@ class TestSolverAgreesWithOracle:
                 assert capped.num_colors == chi
 
 
+class TestSolverAgreesWithStaticOrderReference:
+    @given(st.integers(0, 24), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, keep in zip(pairs, mask) if keep]
+        g = Graph(n, edges)
+        feasible = {k: reference_k_coloring(n, edges, k) is not None for k in range(1, 6)}
+        chi = 0 if n == 0 else next((k for k in range(1, 6) if feasible[k]), 6)
+        for cap in range(1, 6):
+            expected = chi if chi <= cap else None
+            assert chromatic_number(g, cap) == expected
+            capped = color_with_cap(g, cap)
+            assert (capped is None) == (expected is None)
+            if capped is not None:
+                assert is_proper_coloring(g, capped) and capped.num_colors == chi
+            found = find_k_coloring(g, cap)
+            assert (found is None) == (not feasible[cap])
+            if found is not None:
+                assert is_proper_coloring(g, found) and found.num_colors <= cap
+
+
+class TestSearchFinishes:
+    def test_multipass_round_that_hung_the_static_order_search(self):
+        g = GraphSpec.parse("gnm:n=108,m=1663").build(rng_for(68, 0))
+        stream = to_insertion_stream(g, "shuffled", seed=68)
+        with time_limit(5):
+            verdict = run_multipass(stream, 3, 5, seed=68, budget_multiplier=0.1348)
+            if verdict.is_large:
+                sub = verdict.evidence.subgraph
+                assert sub.edges <= g.edges
+                assert chromatic_number(sub, cap=3) is None
+
+    def test_component_that_fails_is_not_retried_per_coloring_of_another(self):
+        star = [(0, leaf) for leaf in range(1, 21)]
+        k4 = [(a, b) for a in range(21, 25) for b in range(a + 1, 25)]
+        g = Graph(25, star + k4)
+        with time_limit(5):
+            assert find_k_coloring(g, 3) is None
+            assert chromatic_number(g) == 4
+
+
 class TestHelpers:
     def test_color_exactly_uses_chi_colors(self, petersen):
-        got = color_exactly(petersen)
+        got = color_with_cap(petersen)
         assert got.num_colors == 3
         assert is_proper_coloring(petersen, got)
 
