@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,6 +41,7 @@ EXIT_ARGUMENT = 2
 EXIT_IO = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcolor",

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .exact import find_k_coloring
-from .graph import Coloring, Graph, is_proper_coloring
+from .graph import Coloring, Graph, Rows, header_int, is_proper_coloring, read_header, repeats
 from .seeds import rng_for
 
 MAX_VERTICES = 1 << 40
@@ -368,48 +368,37 @@ class ClusterPackingGraph:
         return out
 
 
-def _cliques_to_edges(
-    clusters: list[list[tuple[int, ...]]],
-) -> tuple[set[tuple[int, int]], dict[tuple[int, int], int]]:
-    """All implied edges plus edge -> owning cluster; raises on collision."""
-    edges: set[tuple[int, int]] = set()
-    owner: dict[tuple[int, int], int] = {}
-    for ci, cluster in enumerate(clusters):
-        for clique in cluster:
-            for a in range(len(clique)):
-                for b in range(a + 1, len(clique)):
-                    u, v = clique[a], clique[b]
-                    e = (u, v) if u < v else (v, u)
-                    if e in edges:
-                        raise GenerationError(
-                            f"edge {e} implied twice (clusters {owner[e]} and {ci})"
-                        )
-                    edges.add(e)
-                    owner[e] = ci
-    return edges, owner
+def _clique_pairs(cliques: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(u, v)`` pairs the rows of a ``(rows, k)`` clique array imply, and
+    for each row whether it implies a pair an earlier row implies."""
+    ordered = np.sort(cliques, axis=1)
+    # with no rows, a header's k alone must not size the index grid
+    a, b = np.triu_indices(cliques.shape[1] if len(cliques) else 0, 1)
+    pairs = np.stack((ordered[:, a], ordered[:, b]), axis=-1)
+    keys = pairs[..., 0] * n + pairs[..., 1]
+    again = repeats(keys.ravel()).reshape(keys.shape).any(1)
+    return pairs.reshape(-1, 2), again
 
 
-def _build_cpg(
-    layout_obj, k: int, r: int, cluster_ids: range, layout_name: str
-) -> ClusterPackingGraph:
-    clusters = [layout_obj.cluster_cliques(i) for i in cluster_ids]
-    edges, _ = _cliques_to_edges(clusters)
-    graph = Graph(layout_obj.n, edges)
-    return ClusterPackingGraph(
-        graph=graph,
-        k=k,
-        r=r,
-        t=len(clusters),
-        clusters=tuple(tuple(c) for c in clusters),
-        layout=layout_name,
-    )
+def _assemble(n: int, k: int, r: int, clusters: list, layout: str) -> ClusterPackingGraph:
+    """The graph the clusters' cliques imply; raises if two imply one edge."""
+    pairs, again = _clique_pairs(np.array(clusters, np.int64).reshape(-1, k), n)
+    if again.any():
+        raise GenerationError(f"clique {np.argmax(again)} implies an edge implied before")
+    clusters = tuple(tuple(map(tuple, c)) for c in clusters)
+    return ClusterPackingGraph(Graph(n, pairs), k, r, len(clusters), clusters, layout)
+
+
+def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGraph:
+    clusters = [layout_obj.cluster_cliques(i) for i in range(layout_obj.t_max)]
+    return _assemble(layout_obj.n, k, r, clusters, layout_name)
 
 
 def construct_lines_basic(n: int, k: int) -> ClusterPackingGraph:
     """Cluster packing graph with r = k and t = floor(n/2k^2)*floor(n/2k^3)."""
     layout = LineLayout(n=n, k=k, r=k)
     layout.validate()
-    return _build_cpg(layout, k, k, range(layout.t_max), "basic")
+    return _build_cpg(layout, k, k, "basic")
 
 
 def construct_lines_grouped(n: int, r: int, k: int) -> ClusterPackingGraph:
@@ -418,13 +407,13 @@ def construct_lines_grouped(n: int, r: int, k: int) -> ClusterPackingGraph:
         raise ArgumentError(f"need r*k <= sqrt(n): r*k = {r * k}, n = {n}")
     layout = LineLayout(n=n, k=k, r=r)
     layout.validate()
-    return _build_cpg(layout, k, r, range(layout.t_max), "grouped")
+    return _build_cpg(layout, k, r, "grouped")
 
 
 def construct_dense(params: DenseParams) -> ClusterPackingGraph:
     """Dense construction: one cluster per family set, on n = k*p^d vertices."""
     layout = DenseLayout(params)
-    return _build_cpg(layout, params.k, layout.cluster_size, range(layout.t_max), "dense")
+    return _build_cpg(layout, params.k, layout.cluster_size, "dense")
 
 
 def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:
@@ -447,16 +436,7 @@ def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:
                     tuple(a * n + clique[(a + ell) % k] for a in range(k))
                 )
         new_clusters.append(lifted)
-    edges, _ = _cliques_to_edges(new_clusters)
-    graph = Graph(n * k, edges)
-    return ClusterPackingGraph(
-        graph=graph,
-        k=k,
-        r=cpg.r * k,
-        t=cpg.t,
-        clusters=tuple(tuple(c) for c in new_clusters),
-        layout="lifted",
-    )
+    return _assemble(n * k, k, cpg.r * k, new_clusters, "lifted")
 
 
 def canonical_coloring(cpg: ClusterPackingGraph) -> Coloring:
@@ -668,61 +648,23 @@ def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
 
 
 def read_cpg(path: str) -> ClusterPackingGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith(CPG_HEADER):
-        raise FormatError(f"missing '{CPG_HEADER}' header", line=1)
-    header: dict[str, str] = {}
-    for token in lines[0][len(CPG_HEADER) :].split():
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}", line=1)
-        key, val = token.split("=", 1)
-        header[key] = val
-    try:
-        n = int(header["n"])
-        k = int(header["k"])
-        r = int(header["r"])
-        t = int(header["t"])
-        layout = header["layout"]
-    except (KeyError, ValueError):
-        raise FormatError("header must carry n=, k=, r=, t=, layout=", line=1)
+    fields, body = read_header(path, CPG_HEADER)
+    n, t = header_int(fields, "n"), header_int(fields, "t")
+    k, r = header_int(fields, "k", 1), header_int(fields, "r", 1)
+    layout = fields.get("layout")
     if layout not in _LAYOUTS:
-        raise FormatError(f"unknown layout {layout!r}", line=1)
-    clusters: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(t)]
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] != "C" or len(parts) != 3 + k:
-            raise FormatError(f"expected 'C <cluster> <clique> v1..v{k}'", line=lineno)
-        try:
-            ci, ji = int(parts[1]), int(parts[2])
-            verts = tuple(int(x) for x in parts[3:])
-        except ValueError:
-            raise FormatError("non-integer field", line=lineno)
-        if not 0 <= ci < t:
-            raise FormatError(f"cluster index {ci} out of range", line=lineno)
-        if not 0 <= ji < r:
-            raise FormatError(f"clique index {ji} out of range", line=lineno)
-        if ji in clusters[ci]:
-            raise FormatError(f"duplicate clique ({ci}, {ji})", line=lineno)
-        if any(v < 0 or v >= n for v in verts):
-            raise FormatError(f"vertex out of range in {verts}", line=lineno)
-        clusters[ci][ji] = verts
-    materialized: list[list[tuple[int, ...]]] = []
-    for ci, cluster in enumerate(clusters):
-        if len(cluster) != r:
-            raise FormatError(f"cluster {ci} has {len(cluster)} cliques, expected {r}")
-        materialized.append([cluster[j] for j in range(r)])
-    try:
-        edges, _ = _cliques_to_edges(materialized)
-    except GenerationError as exc:
-        raise FormatError(f"implied edges collide: {exc}")
-    return ClusterPackingGraph(
-        graph=Graph(n, edges),
-        k=k,
-        r=r,
-        t=t,
-        clusters=tuple(tuple(c) for c in materialized),
-        layout=layout,
+        raise FormatError(f"header must carry layout=<{'|'.join(_LAYOUTS)}>", line=1)
+    rows = Rows(body, 3 + k, {0: ("C",)})
+    _, ci, ji = rows.data[:, :3].T
+    cliques = rows.data[:, 3:]
+    rows.check(
+        ((ci < 0) | (ci >= t), "cluster index out of range"),
+        ((ji < 0) | (ji >= r), "clique index out of range"),
+        (repeats(ci * r + ji), "duplicate clique"),
+        ((cliques.min(1) < 0) | (cliques.max(1) >= n), f"vertex out of range for n={n}"),
+        ((np.diff(np.sort(cliques, axis=1), axis=1) == 0).any(1), "clique repeats a vertex"),
+        (_clique_pairs(cliques, n)[1], "edge implied twice"),
     )
+    if len(cliques) != t * r:
+        raise FormatError(f"header promises t * r = {t * r} cliques, not {len(cliques)}", line=1)
+    return _assemble(n, k, r, cliques[np.argsort(ci * r + ji)].reshape(t, r, k).tolist(), layout)

@@ -7,11 +7,13 @@ frozenset of edge tuples and the dict-of-set adjacency are views derived
 from that array on first use. Graphs and colorings are immutable after
 construction and safe to share across threads. Isolated vertices are
 implicit: a graph may have millions of vertices but only the edge set is
-materialized.
+materialized. The text formats `.graph`, `.stream` and `.cpg` share one
+header parser (`read_header`) and one row parser (`Rows`), defined here.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -292,6 +294,107 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 GRAPH_HEADER = "#graph v1"
 
 
+def read_text(path: str) -> str:
+    """The file decoded as UTF-8; other bytes raise `FormatError` at their line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
+
+
+def read_json(path: str):
+    try:
+        return json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+
+
+def read_header(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
+    """A text file's header fields and its body lines, numbered as
+    ``str.splitlines`` numbers them. The header's leading tokens must be
+    exactly `magic`'s; each other token is a ``key=value`` field."""
+    lines = read_text(path).splitlines() or [""]
+    tokens, head = lines[0].split(), magic.split()
+    fields = [token.partition("=") for token in tokens[len(head) :]]
+    if tokens[: len(head)] != head or not all(eq for _, eq, _ in fields):
+        raise FormatError(f"header must be '{magic}' and key=value fields", line=1)
+    return {key: value for key, _, value in fields}, lines[1:]
+
+
+def header_int(fields: Mapping[str, str], key: str, lo: int = 0) -> int:
+    """The header field `key` as an integer in ``[lo, MAX_VERTICES]``."""
+    try:
+        value = int(fields[key])
+        if lo <= value <= MAX_VERTICES:
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise FormatError(f"header must carry {key}=<integer in [{lo}, {MAX_VERTICES}]>", line=1)
+
+
+class Rows:
+    """The non-blank body lines of a text file as one ``(rows, width)`` int64 array.
+
+    Every field is an integer, except that a column keyed in `literals` holds
+    one of its tokens and stores that token's index. `data` holds the rows
+    before the first line that breaks this; `check` names that line unless a
+    reader's own check fails on an earlier row.
+    """
+
+    def __init__(self, body: list[str], width: int, literals: Mapping[int, tuple[str, ...]] = {}):
+        parts = [line.split() for line in body]
+        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+        self._body, self._index = body, np.flatnonzero(sizes)  # the non-blank lines
+        stop, why = len(self._index), ""  # the first row that does not parse, and why
+        wrong = np.flatnonzero(sizes[self._index] != width)
+        if wrong.size:
+            stop, why = int(wrong[0]), f"expected {width} fields"
+        tokens = list(itertools.chain.from_iterable(parts))[: stop * width]
+        for col, allowed in literals.items():
+            match = np.array(tokens[col::width], dtype=str)[:, None] == np.array(allowed)
+            if not match.any(1).all():
+                stop, why = int(np.argmin(match.any(1))), f"field {col + 1} must be one of {allowed}"
+                del tokens[stop * width :]
+            tokens[col::width] = match[:stop].argmax(1).astype(str).tolist()
+        try:
+            data = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            lo, hi = 0, len(tokens)  # the first token that does not parse is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    np.array(tokens[lo:mid], dtype=np.int64)
+                    lo = mid
+                except (ValueError, OverflowError):
+                    hi = mid
+            stop, why = lo // width, "field is not a 64-bit integer"
+            data = np.array(tokens[: stop * width], dtype=np.int64)
+        self.data, self._error = data.reshape(stop, width), (stop, why)
+
+    def check(self, *checks: tuple[np.ndarray, str]) -> None:
+        """Raise `FormatError` at the first row that a ``(bad, message)``
+        check flags or that did not parse; on one row the first check wins."""
+        row, message = self._error
+        for bad, msg in checks:
+            hits = np.flatnonzero(bad[:row])
+            if hits.size:
+                row, message = int(hits[0]), msg
+        if row < len(self._index):
+            i = int(self._index[row])
+            raise FormatError(f"{message}: {self._body[i]!r}", line=i + 2)
+
+
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """True at each entry whose key an earlier entry holds."""
+    order = np.argsort(keys, kind="stable")
+    out = np.zeros(len(keys), dtype=bool)
+    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out
+
+
 def write_graph(g: Graph, path: str) -> None:
     """Graph text format: header ``#graph v1 n=<N>``, then ``u v`` lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -301,39 +404,15 @@ def write_graph(g: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith(GRAPH_HEADER):
-        raise FormatError(f"missing '{GRAPH_HEADER}' header", line=1)
-    try:
-        n = int(lines[0].split("n=")[1])
-    except (IndexError, ValueError):
-        raise FormatError("header must carry n=<N>", line=1)
-    if not 0 <= n <= MAX_VERTICES:
-        raise FormatError(f"vertex count n={n} is outside [0, {MAX_VERTICES}]", line=1)
-    edges = []
-    seen = set()
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {line!r}", line=i)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"non-integer endpoint in {line!r}", line=i)
-        if u == v:
-            raise FormatError(f"self-loop {u} {v}", line=i)
-        if not (u < v):
-            raise FormatError(f"endpoints must satisfy u < v, got {line!r}", line=i)
-        if (u, v) in seen:
-            raise FormatError(f"duplicate edge {u} {v}", line=i)
-        if v >= n or u < 0:
-            raise FormatError(f"edge {u} {v} out of range for n={n}", line=i)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+    fields, body = read_header(path, GRAPH_HEADER)
+    n = header_int(fields, "n")
+    rows = Rows(body, 2)
+    u, v = rows.data.T
+    rows.check(
+        ((u < 0) | (u >= v) | (v >= n), f"edge must satisfy 0 <= u < v < {n}"),
+        (repeats(u * n + v), "duplicate edge"),
+    )
+    return Graph(n, rows.data)
 
 
 def coloring_to_json(c: Coloring) -> str:
@@ -347,11 +426,7 @@ def write_coloring(c: Coloring, path: str) -> None:
 
 
 def read_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}")
+    payload = read_json(path)
     if not isinstance(payload, dict) or "colors" not in payload:
         raise FormatError("expected a JSON object with a 'colors' field")
     colors = payload["colors"]

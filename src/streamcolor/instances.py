@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError, ResourceLimitError
+from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
 from .clusterpack import CheckResult, ClusterPackingGraph, LineLayout, VerificationReport, construct_lines_basic
 from .exact import find_k_coloring
 from .graph import (
@@ -35,6 +35,7 @@ from .graph import (
     finalize_multigraph,
     induced_subgraph,
     is_proper_coloring,
+    read_json,
 )
 from .seeds import rng_for
 
@@ -886,12 +887,7 @@ def write_instance(inst, path: str) -> None:
 
 def regenerate_instance(payload: dict):
     """Rebuild the full instance from a serialized (variant, params, seed)."""
-    try:
-        variant = payload["variant"]
-        params = payload["params"]
-        seed = payload["seed"]
-    except KeyError as exc:
-        raise FormatError(f"instance file missing field {exc}")
+    variant, params, seed = payload["variant"], payload["params"], payload["seed"]
     if variant == "two-player":
         return gen_two_player(
             params["n"], params["k"], seed=seed, ans_override=payload.get("ans_override")
@@ -910,20 +906,18 @@ def regenerate_instance(payload: dict):
             params["k"], params["n_base"], seed=seed,
             theta_override=payload.get("theta_override"),
         )
-    raise FormatError(f"unknown instance variant {variant!r}")
+    raise ArgumentError(f"unknown instance variant {variant!r}")
 
 
 def read_instance(path: str):
     """Load an instance file, regenerate it, and check the stored edges match."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}")
-    inst = regenerate_instance(payload)
-    stored = [
-        tuple(tuple(int(x) for x in e) for e in part) for part in payload["players"]
-    ]
-    if tuple(stored) != inst.edge_parts():
+    payload = read_json(path)
+    try:
+        inst = regenerate_instance(payload)
+        stored = tuple(tuple(tuple(map(int, e)) for e in part) for part in payload["players"])
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            GenerationError, ResourceLimitError) as exc:
+        raise FormatError(f"fields do not describe an instance: {exc!r}") from None
+    if stored != inst.edge_parts():
         raise FormatError("stored edge lists do not match the regenerated instance")
     return inst

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import MAX_VERTICES, Graph, int_rows
+from .graph import MAX_VERTICES, Graph, Rows, header_int, int_rows, read_header
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -202,45 +202,13 @@ def write_stream(stream: Stream, path: str) -> None:
 
 
 def read_stream(path: str) -> Stream:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith(STREAM_HEADER):
-        raise FormatError(f"missing '{STREAM_HEADER}' header", line=1)
-    header: dict[str, str] = {}
-    for token in lines[0][len(STREAM_HEADER) :].split():
-        if "=" not in token:
-            raise FormatError(f"bad header token {token!r}", line=1)
-        key, val = token.split("=", 1)
-        header[key] = val
-    try:
-        n = int(header["n"])
-        model = header["model"]
-    except (KeyError, ValueError):
-        raise FormatError("header must carry n=<N> model=<ins|dyn>", line=1)
-    if not 0 <= n <= MAX_VERTICES:
-        raise FormatError(f"vertex count n={n} is outside [0, {MAX_VERTICES}]", line=1)
+    fields, body = read_header(path, STREAM_HEADER)
+    n = header_int(fields, "n")
+    model = fields.get("model")
     if model not in (INSERTION, DYNAMIC):
-        raise FormatError(f"unknown model {model!r}", line=1)
-    events = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"expected '<u> <v> <+1|-1>', got {line!r}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"non-integer endpoint in {line!r}", line=lineno)
-        if parts[2] == "+1":
-            delta = 1
-        elif parts[2] == "-1":
-            delta = -1
-        else:
-            raise FormatError(f"delta must be +1 or -1, got {parts[2]!r}", line=lineno)
-        if u == v:
-            raise FormatError(f"self-loop {u} {v}", line=lineno)
-        if min(u, v) < 0 or max(u, v) >= n:
-            raise FormatError(f"pair ({u}, {v}) out of range for n={n}", line=lineno)
-        events.append((u, v, delta))
-    return Stream(n, model, events)
+        raise FormatError(f"header must carry model=<{INSERTION}|{DYNAMIC}>", line=1)
+    rows = Rows(body, 3, {2: ("-1", "+1")})
+    u, v, plus = rows.data.T
+    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    rows.check(((u == v) | outside, f"pair must be two distinct vertices below {n}"))
+    return Stream(n, model, np.column_stack((u, v, 2 * plus - 1)))

@@ -13,6 +13,15 @@ def run(argv, capsys=None):
     return code
 
 
+class TestParser:
+    def test_built_once_and_reused_without_leftover_state(self):
+        parser = streamcolor.cli.build_parser()
+        assert streamcolor.cli.build_parser() is parser
+        first = parser.parse_args(["gen", "graph", "--spec", "gnm:n=5,m=3", "--seed", "4"])
+        second = parser.parse_args(["gen", "graph", "--spec", "gnm:n=5,m=3"])
+        assert (first.seed, second.seed) == (4, None)
+
+
 class TestGen:
     def test_basic_cpg_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.cpg", tmp_path / "b.cpg"
