@@ -24,7 +24,7 @@ from .errors import (
     StreamValidationError,
     UnsupportedInputError,
 )
-from .graph import is_proper_coloring, read_coloring, read_graph, write_graph
+from .graph import is_proper_coloring, read_coloring, read_graph, read_json, write_graph
 from .harness import (
     ExperimentResult,
     GraphSpec,
@@ -208,8 +208,14 @@ def _family_from_args(args) -> clusterpack.SetFamily:
         return clusterpack.fano_family(args.fano)
     if not args.family:
         raise ArgumentError("dense construction needs --family FILE or --fano COUNT")
-    with open(args.family, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = read_json(args.family)
+    if not (
+        isinstance(payload, dict)
+        and all(type(payload.get(key)) is int for key in ("d", "w", "theta"))
+        and isinstance(payload.get("sets"), list)
+        and all(isinstance(s, list) and all(type(e) is int for e in s) for s in payload["sets"])
+    ):
+        raise FormatError("family must be a JSON object of integers d, w, theta and lists 'sets'")
     return clusterpack.SetFamily(
         d=payload["d"],
         w=payload["w"],

@@ -35,6 +35,7 @@ from .seeds import rng_for
 
 MAX_VERTICES = 1 << 40
 MAX_CLIQUES = 5_000_000
+MAX_EDGES = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +637,14 @@ _LAYOUTS = ("basic", "grouped", "dense", "lifted")
 def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
     """CPG text format: header, then one ``C <cluster> <clique> v...`` per clique."""
     layout = cpg.layout if cpg.layout in _LAYOUTS else "basic"
+    header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
+    lines = [
+        f"C {ci} {ji} {' '.join(map(str, clique))}\n"
+        for ci, cluster in enumerate(cpg.clusters)
+        for ji, clique in enumerate(cluster)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(
-            f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} "
-            f"layout={layout}\n"
-        )
-        for ci, cluster in enumerate(cpg.clusters):
-            for ji, clique in enumerate(cluster):
-                verts = " ".join(str(v) for v in clique)
-                f.write(f"C {ci} {ji} {verts}\n")
+        f.write("".join([header, *lines]))
 
 
 def read_cpg(path: str) -> ClusterPackingGraph:
@@ -654,6 +654,14 @@ def read_cpg(path: str) -> ClusterPackingGraph:
     layout = fields.get("layout")
     if layout not in _LAYOUTS:
         raise FormatError(f"header must carry layout=<{'|'.join(_LAYOUTS)}>", line=1)
+    # the pairs the header promises, counted before any is built
+    edges, pairs = t * r * k * (k - 1) // 2, n * (n - 1) // 2
+    if edges > pairs:
+        raise FormatError(
+            f"t * r cliques of k vertices imply {edges} edges; n={n} has {pairs} pairs", line=1
+        )
+    if edges > MAX_EDGES:
+        raise ResourceLimitError(f"header implies {edges} edges (guard {MAX_EDGES})")
     rows = Rows(body, 3 + k, {0: ("C",)})
     _, ci, ji = rows.data[:, :3].T
     cliques = rows.data[:, 3:]
@@ -663,7 +671,7 @@ def read_cpg(path: str) -> ClusterPackingGraph:
         (repeats(ci * r + ji), "duplicate clique"),
         ((cliques.min(1) < 0) | (cliques.max(1) >= n), f"vertex out of range for n={n}"),
         ((np.diff(np.sort(cliques, axis=1), axis=1) == 0).any(1), "clique repeats a vertex"),
-        (_clique_pairs(cliques, n)[1], "edge implied twice"),
+        (_clique_pairs(cliques[: t * r], n)[1], "edge implied twice"),
     )
     if len(cliques) != t * r:
         raise FormatError(f"header promises t * r = {t * r} cliques, not {len(cliques)}", line=1)

@@ -4,12 +4,14 @@
 returns a coloring with exactly chi(g) colors, or None when `cap` is given and
 chi(g) > cap; `chromatic_number` reads its color count, and `find_k_coloring`
 returns any k-coloring. The solver is exponential-time by design (adequate at
-desk scale). Bipartite inputs short-circuit through a BFS 2-coloring, which
-keeps the q = 2 distinguishing workloads linear-time. Above two colors a
-greedy clique gives the lower bound and DSATUR (Brelaz 1979) the upper bound,
-and each k between them is tried once by `_search`: a per-component
-backtracking search in DSATUR's saturation order that lets each vertex open
-at most one new color class.
+desk scale). Every routine here reads the graph's cached CSR neighbour lists
+(`Graph.csr`) through numpy array passes. Bipartite inputs short-circuit
+through a 2-coloring by min-label propagation over the bipartite double
+cover, which keeps the q = 2 distinguishing workloads near-linear. Above two
+colors a greedy clique gives the lower bound and DSATUR (Brelaz 1979) the
+upper bound, and each k between them is tried once by `_search`: a
+per-component backtracking search in DSATUR's saturation order that lets
+each vertex open at most one new color class.
 """
 
 from __future__ import annotations
@@ -20,90 +22,127 @@ from .errors import ArgumentError
 from .graph import Coloring, Graph
 
 
-def _components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+def _min_labels(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """Each node's smallest reachable node over the edges ``(x[i], y[i])``,
+    by min-label hooking and pointer jumping (Shiloach and Vishkin 1982).
+
+    Every label is a node of the same component, never above the node
+    itself, and each step hooks the larger label of an edge onto the
+    smaller; at the fixed point each component's label is its smallest node.
+    """
+    lab = np.arange(size)
+    while True:
+        new = lab.copy()
+        a, b = lab[x], lab[y]
+        np.minimum.at(new, np.maximum(a, b), np.minimum(a, b))
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The local ids of each edge's endpoints, from `csr`."""
+    _, indptr, indices = g.csr()
+    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    once = src < indices
+    return src[once], indices[once]
+
+
+def _components(g: Graph) -> list[np.ndarray]:
+    """The local ids of each connected component of `csr`, ordered by
+    smallest vertex."""
+    lab = _min_labels(*_edges(g), len(g.csr()[0]))
+    order = np.argsort(lab, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
 
 
 def greedy_clique_lower_bound(g: Graph) -> list[int]:
     """A clique grown greedily from each vertex in descending-degree order.
 
+    Neighbours join in descending-degree order, ties by ascending vertex.
     Used only to prune the exact search, never to answer it.
     """
-    adj = g.adjacency()
-    if not adj:
-        return []
+    verts, indptr, indices = g.csr()
+    deg = np.diff(indptr)
     best: list[int] = []
-    by_degree = sorted(adj, key=lambda v: -len(adj[v]))
-    for v in by_degree:
-        if len(adj[v]) + 1 <= len(best):
+    for v in np.argsort(-deg, kind="stable").tolist():
+        if deg[v] + 1 <= len(best):
             break  # no vertex of this degree can beat the incumbent
+        nbrs = indices[indptr[v] : indptr[v + 1]]
+        cand = np.zeros(len(verts), dtype=bool)  # adjacent to the whole clique
+        cand[nbrs] = True
         clique = [v]
-        for u in sorted(adj[v], key=lambda u: -len(adj[u])):
-            if all(u in adj[c] for c in clique):
+        for u in nbrs[np.argsort(-deg[nbrs], kind="stable")].tolist():
+            if cand[u]:
                 clique.append(u)
+                row = indices[indptr[u] : indptr[u + 1]]
+                keep = cand[row]
+                cand[:] = False
+                cand[row] = keep
         if len(clique) > len(best):
             best = clique
-    return best
+    return verts[best].tolist()
 
 
 def dsatur_coloring(g: Graph) -> Coloring:
-    """Greedy DSATUR coloring; proper but not necessarily optimal."""
-    n = g.n
-    colors = np.zeros(n, dtype=np.int64)
-    adj = g.adjacency()
-    if adj:
-        sat: dict[int, set[int]] = {v: set() for v in adj}
-        uncolored = set(adj)
-        while uncolored:
-            v = max(uncolored, key=lambda u: (len(sat[u]), len(adj[u]), -u))
-            used = sat[v]
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
-            uncolored.remove(v)
-            for w in adj[v]:
-                if w in uncolored:
-                    sat[w].add(c)
+    """Greedy DSATUR coloring; proper but not necessarily optimal.
+
+    Each step colors the uncolored vertex whose neighbours use the most
+    distinct colors (ties: higher degree, then lower id) with the smallest
+    color they do not use.
+    """
+    verts, indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    step = int(deg.max(initial=0)) + 1
+    closed = step * step  # above any saturation * step + degree
+    # one argmax picks the largest saturation * step + degree, the first
+    # (lowest) vertex on ties; a colored vertex's key is less `closed`
+    key = deg.copy()
+    # used[c, v]: a neighbour of v has color c. Rows from `opened` on are all
+    # False, so an argmin over rows 0..opened finds the smallest free color;
+    # the rows double as colors open, so a star gets 2 rows, not Δ + 1
+    used = np.zeros((2, len(verts)), dtype=bool)
+    opened = 0
+    local = np.zeros(len(verts), dtype=np.int64)
+    for _ in range(len(verts)):
+        v = int(key.argmax())
+        c = int(used[: opened + 1, v].argmin())
+        if c == opened:
+            opened += 1
+            if opened == len(used):
+                used = np.vstack((used, np.zeros_like(used)))
+        local[v] = c
+        key[v] -= closed
+        nbrs = indices[indptr[v] : indptr[v + 1]]
+        row = used[c]
+        fresh = nbrs[~row[nbrs]]
+        row[fresh] = True
+        key[fresh] += step
+    colors = np.zeros(g.n, dtype=np.int64)
+    colors[verts] = local
     return Coloring.from_array(colors)
 
 
 def _two_coloring(g: Graph) -> np.ndarray | None:
-    """BFS 2-coloring over all components, or None on an odd cycle."""
+    """A 2-coloring with each component's smallest vertex colored 0, or None
+    on an odd cycle.
+
+    Local vertex ``u`` has two copies in the bipartite double cover, ``u``
+    and ``u + k``, and edge ``(u, v)`` joins ``u`` to ``v + k`` and ``u + k``
+    to ``v``. Copies ``u`` and ``v`` share a double-cover component iff some
+    walk from ``u`` to ``v`` has even length, so an odd cycle puts ``u`` and
+    ``u + k`` together; otherwise the copy holding the component's smallest
+    vertex has the smaller label, and ``u`` is colored 1 iff that is ``u + k``.
+    """
+    verts = g.csr()[0]
+    k = len(verts)
+    u, v = _edges(g)
+    lab = _min_labels(np.concatenate((u, u + k)), np.concatenate((v + k, v)), 2 * k)
+    if (lab[:k] == lab[k:]).any():
+        return None
     colors = np.zeros(g.n, dtype=np.int64)
-    adj = g.adjacency()
-    assigned: dict[int, int] = {}
-    for comp_root in adj:
-        if comp_root in assigned:
-            continue
-        assigned[comp_root] = 0
-        stack = [comp_root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in assigned:
-                    assigned[w] = 1 - assigned[v]
-                    stack.append(w)
-                elif assigned[w] == assigned[v]:
-                    return None
-    for v, c in assigned.items():
-        colors[v] = c
+    colors[verts] = lab[:k] > lab[k:]
     return colors
 
 
@@ -114,40 +153,46 @@ def _search(g: Graph, k: int) -> Coloring | None:
     be k-colored then fails once, instead of once per coloring of the
     components searched before it. Each step colors the uncolored vertex whose
     neighbours use the most distinct colors (ties: higher degree, then lower
-    id), the order of `dsatur_coloring`. ``counts[v][c]`` is the number of v's
+    id), the order of `dsatur_coloring`. ``counts[c, v]`` is the number of v's
     neighbours colored c, so a step is undone by decrementing. A vertex may
     open at most one new color, since unused colors are interchangeable.
     """
-    adj = g.adjacency()
-    colors = [0] * g.n
-    counts = {v: [0] * k for v in adj}
-    sat = dict.fromkeys(adj, 0)
-    for comp in _components(adj):
-        uncolored = set(comp)
+    verts, indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    step = int(deg.max(initial=0)) + 1
+    closed = step * step  # above any saturation * step + degree
+    # key = saturation * step + degree, less `closed` unless the vertex is an
+    # uncolored one of the component being searched
+    key = deg - closed
+    counts = np.zeros((k, len(verts)), dtype=np.int64)
+    local = np.zeros(len(verts), dtype=np.int64)
+    for comp in _components(g):
+        key[comp] += closed
         opened = 0  # colors 0..opened-1 are in use in this component
         trail: list[tuple[int, list[int], int]] = []  # (vertex, colors left, opened before)
-        while uncolored:
-            v = max(uncolored, key=lambda u: (sat[u], len(adj[u]), -u))
-            tries = [c for c in range(min(k, opened + 1) - 1, -1, -1) if not counts[v][c]]
+        while len(trail) < len(comp):
+            v = int(key.argmax())
+            tries = np.flatnonzero(counts[: min(k, opened + 1), v] == 0)[::-1].tolist()
             while not tries:
                 if not trail:
                     return None
                 v, tries, opened = trail.pop()
-                c = colors[v]
-                for w in adj[v]:
-                    counts[w][c] -= 1
-                    if not counts[w][c]:
-                        sat[w] -= 1
-                uncolored.add(v)
+                nbrs = indices[indptr[v] : indptr[v + 1]]
+                row = counts[local[v]]
+                row[nbrs] -= 1
+                key[nbrs[row[nbrs] == 0]] -= step
+                key[v] += closed
             c = tries.pop()
-            colors[v] = c
-            for w in adj[v]:
-                if not counts[w][c]:
-                    sat[w] += 1
-                counts[w][c] += 1
-            uncolored.remove(v)
+            local[v] = c
+            nbrs = indices[indptr[v] : indptr[v + 1]]
+            row = counts[c]
+            key[nbrs[row[nbrs] == 0]] += step
+            row[nbrs] += 1
+            key[v] -= closed
             trail.append((v, tries, opened))
             opened = max(opened, c + 1)
+    colors = np.zeros(g.n, dtype=np.int64)
+    colors[verts] = local
     return Coloring.from_array(colors)
 
 

@@ -3,8 +3,9 @@
 Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
 read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
 and without repeats, built by deduplicating the 1-D keys ``u * n + v``. The
-frozenset of edge tuples and the dict-of-set adjacency are views derived
-from that array on first use. Graphs and colorings are immutable after
+frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
+are views derived from that array on first use; `has_edge`, `degree` and the
+exact solver read the CSR. Graphs and colorings are immutable after
 construction and safe to share across threads. Isolated vertices are
 implicit: a graph may have millions of vertices but only the edge set is
 materialized. The text formats `.graph`, `.stream` and `.cpg` share one
@@ -61,11 +62,11 @@ class Graph:
     The constructor takes an ``(m, 2)`` integer array or an iterable of
     ``(u, v)`` pairs in either endpoint order; repeated pairs collapse, and a
     self-loop or an endpoint outside ``[0, n)`` raises `ArgumentError`.
-    `edge_array` is the single stored form; `edges` and `adjacency` are
-    views derived from it on first use and cached.
+    `edge_array` is the single stored form; `edges` and `csr` are views
+    derived from it on first use and cached.
     """
 
-    __slots__ = ("n", "_edge_array", "_edges", "_adj")
+    __slots__ = ("n", "_edge_array", "_edges", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -88,7 +89,7 @@ class Graph:
         arr.flags.writeable = False
         self._edge_array = arr
         self._edges: frozenset[tuple[int, int]] | None = None
-        self._adj: dict[int, set[int]] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_edges(self) -> int:
@@ -107,34 +108,64 @@ class Graph:
             self._edges = frozenset(set(zip(*self._edge_array.T.tolist())))
         return self._edges
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbour lists in compressed sparse row form (derived, cached).
+
+        ``verts`` holds the vertices of degree >= 1 in ascending order; a
+        vertex's local id is its index there. Local vertex ``i`` has the
+        local ids ``indices[indptr[i]:indptr[i + 1]]`` as neighbours, in
+        ascending order. All three arrays are read-only int64.
+        """
+        if self._csr is None:
+            a, n = self._edge_array, self.n
+            # each edge in both directions, sorted by (source, target)
+            keys = np.sort(np.concatenate((a[:, 0] * n + a[:, 1], a[:, 1] * n + a[:, 0])))
+            src, dst = np.divmod(keys, max(n, 1))
+            first = np.diff(src, prepend=-1) != 0
+            verts = src[first]
+            indptr = np.append(np.flatnonzero(first), len(src))
+            if n <= len(src):  # a lookup table costs no more than the arcs
+                local = np.zeros(n, dtype=np.int64)
+                local[verts] = np.arange(len(verts))
+                indices = local[dst]
+            else:
+                indices = np.searchsorted(verts, dst)
+            for arr in (verts, indptr, indices):
+                arr.flags.writeable = False
+            self._csr = verts, indptr, indices
+        return self._csr
+
     def adjacency(self) -> Mapping[int, set[int]]:
         """Neighbour sets of the vertices with degree >= 1, keyed in
-        ascending vertex order (derived, cached)."""
-        if self._adj is None:
-            a = self._edge_array
-            src = np.concatenate((a[:, 0], a[:, 1]))
-            order = np.argsort(src, kind="stable")
-            src = src[order]
-            nbrs = np.concatenate((a[:, 1], a[:, 0]))[order].tolist()
-            starts = np.flatnonzero(np.diff(src, prepend=-1))
-            bounds = starts.tolist() + [len(nbrs)]
-            self._adj = {
-                v: set(nbrs[lo:hi]) for v, lo, hi in zip(src[starts].tolist(), bounds, bounds[1:])
-            }
-        return self._adj
+        ascending vertex order (built from `csr` on each call)."""
+        verts, indptr, indices = self.csr()
+        nbrs, bounds = verts[indices].tolist(), indptr.tolist()
+        return {v: set(nbrs[lo:hi]) for v, lo, hi in zip(verts.tolist(), bounds, bounds[1:])}
+
+    def _local(self, v: int) -> int | None:
+        """`v`'s local id in `csr`, or None if `v` has no neighbours."""
+        verts = self.csr()[0]
+        i = int(np.searchsorted(verts, v))
+        return i if i < len(verts) and verts[i] == v else None
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = normalize_edge(u, v)
         if u < 0 or v >= self.n:
             return False
-        a = self._edge_array
-        keys = a[:, 0] * self.n + a[:, 1]
-        key = u * self.n + v
-        i = np.searchsorted(keys, key)
-        return bool(i < len(keys) and keys[i] == key)
+        i, j = self._local(u), self._local(v)
+        if i is None or j is None:
+            return False
+        _, indptr, indices = self.csr()
+        row = indices[indptr[i] : indptr[i + 1]]
+        k = int(np.searchsorted(row, j))
+        return bool(k < len(row) and row[k] == j)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency().get(v, ()))
+        i = self._local(v)
+        if i is None:
+            return 0
+        indptr = self.csr()[1]
+        return int(indptr[i + 1] - indptr[i])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -266,11 +297,7 @@ def verify_clique(g: Graph, vertices: Iterable[int]) -> bool:
     vs = sorted(set(int(v) for v in vertices))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         raise ArgumentError(f"vertex set not contained in [0, {g.n})")
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if (u, v) not in g.edges:
-                return False
-    return True
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -397,10 +424,9 @@ def repeats(keys: np.ndarray) -> np.ndarray:
 
 def write_graph(g: Graph, path: str) -> None:
     """Graph text format: header ``#graph v1 n=<N>``, then ``u v`` lines."""
+    lines = [f"{u} {v}\n" for u, v in g.edge_array().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{GRAPH_HEADER} n={g.n}\n")
-        for u, v in g.edge_array().tolist():
-            f.write(f"{u} {v}\n")
+        f.write("".join([f"{GRAPH_HEADER} n={g.n}\n", *lines]))
 
 
 def read_graph(path: str) -> Graph:

@@ -195,10 +195,9 @@ STREAM_HEADER = "#stream v1"
 
 def write_stream(stream: Stream, path: str) -> None:
     """Stream text format: header, then ``<u> <v> <+1|-1>`` per event (u < v)."""
+    lines = [f"{u} {v} {'+1' if delta > 0 else '-1'}\n" for u, v, delta in stream.events.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{STREAM_HEADER} n={stream.n} model={stream.model}\n")
-        for u, v, delta in stream.events.tolist():
-            f.write(f"{u} {v} {'+1' if delta > 0 else '-1'}\n")
+        f.write("".join([f"{STREAM_HEADER} n={stream.n} model={stream.model}\n", *lines]))
 
 
 def read_stream(path: str) -> Stream:

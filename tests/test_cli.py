@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import streamcolor.cli
 from streamcolor import StreamSource
 from streamcolor.cli import main
@@ -62,6 +64,31 @@ class TestGen:
     def test_dense_needs_family_or_fano(self, tmp_path):
         assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", "5",
                     "-o", str(tmp_path / "x.cpg")]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{}",
+            b"[]",
+            b'{"d": 7, "w": 3, "theta": 1}',
+            b'{"d": "7", "w": 3, "theta": 1, "sets": [[0, 1, 2]]}',
+            b'{"d": 7, "w": 3, "theta": 1, "sets": [[0, 1, "2"]]}',
+            b'{"d": 7, "w": 3, "theta": 1, "sets": 5}',
+            b'{"d": 7, "w": 3, "theta": 1, "sets": [[0, 1, 2\xff]]}',
+            b"{",
+        ],
+    )
+    def test_malformed_family_file_exits_3(self, tmp_path, content):
+        fam = tmp_path / "fam.json"
+        fam.write_bytes(content)
+        assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", "5",
+                    "--family", str(fam), "-o", str(tmp_path / "x.cpg")]) == 3
+
+    def test_family_breaking_its_own_bounds_exits_2(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"d": 7, "w": 3, "theta": 0, "sets": [[0, 1, 2], [0, 3, 4]]}')
+        assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", "5",
+                    "--family", str(fam), "-o", str(tmp_path / "x.cpg")]) == 2
 
     def test_family_seeded_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from streamcolor import (
     to_insertion_stream,
 )
 from streamcolor.errors import ArgumentError
-from streamcolor.exact import _two_coloring, greedy_clique_lower_bound
+from streamcolor.exact import _search, _two_coloring, greedy_clique_lower_bound
+from streamcolor.graph import Coloring
 from streamcolor.seeds import rng_for
 
 from oracles import brute_chromatic, brute_k_colorable
@@ -101,6 +104,181 @@ def reference_k_coloring(n: int, edges, k: int) -> list[int] | None:
         for v, c in zip(order, assignment):
             colors[v] = c
     return colors
+
+
+# ---------------------------------------------------------------------------
+# dict-of-sets references: the solver as it was before it moved onto the CSR
+# ---------------------------------------------------------------------------
+
+
+def dict_adjacency(g: Graph) -> dict[int, set[int]]:
+    """Neighbour sets of the vertices with degree >= 1, in ascending order."""
+    adj: dict[int, set[int]] = {}
+    for u, v in g.edge_array().tolist():
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return dict(sorted(adj.items()))
+
+
+def reference_components(adj: dict[int, set[int]]) -> list[list[int]]:
+    seen: set[int] = set()
+    comps = []
+    for start in adj:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def reference_clique(g: Graph) -> list[int]:
+    """Greedy clique; neighbours in descending degree, ties by ascending id."""
+    adj = dict_adjacency(g)
+    best: list[int] = []
+    for v in sorted(adj, key=lambda v: -len(adj[v])):
+        if len(adj[v]) + 1 <= len(best):
+            break
+        clique = [v]
+        for u in sorted(adj[v], key=lambda u: (-len(adj[u]), u)):
+            if all(u in adj[c] for c in clique):
+                clique.append(u)
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def reference_dsatur(g: Graph) -> Coloring:
+    adj = dict_adjacency(g)
+    colors = np.zeros(g.n, dtype=np.int64)
+    sat: dict[int, set[int]] = {v: set() for v in adj}
+    uncolored = set(adj)
+    while uncolored:
+        v = max(uncolored, key=lambda u: (len(sat[u]), len(adj[u]), -u))
+        c = 0
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        uncolored.remove(v)
+        for w in adj[v]:
+            if w in uncolored:
+                sat[w].add(c)
+    return Coloring.from_array(colors)
+
+
+def reference_two_coloring(g: Graph) -> np.ndarray | None:
+    """BFS 2-coloring rooted at each component's smallest vertex."""
+    adj = dict_adjacency(g)
+    colors = np.zeros(g.n, dtype=np.int64)
+    assigned: dict[int, int] = {}
+    for root in adj:
+        if root in assigned:
+            continue
+        assigned[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in assigned:
+                    assigned[w] = 1 - assigned[v]
+                    stack.append(w)
+                elif assigned[w] == assigned[v]:
+                    return None
+    for v, c in assigned.items():
+        colors[v] = c
+    return colors
+
+
+def reference_search(g: Graph, k: int) -> Coloring | None:
+    """Per-component backtracking in DSATUR order over dicts."""
+    adj = dict_adjacency(g)
+    colors = [0] * g.n
+    counts = {v: [0] * k for v in adj}
+    sat = dict.fromkeys(adj, 0)
+    for comp in reference_components(adj):
+        uncolored = set(comp)
+        opened = 0
+        trail: list[tuple[int, list[int], int]] = []
+        while uncolored:
+            v = max(uncolored, key=lambda u: (sat[u], len(adj[u]), -u))
+            tries = [c for c in range(min(k, opened + 1) - 1, -1, -1) if not counts[v][c]]
+            while not tries:
+                if not trail:
+                    return None
+                v, tries, opened = trail.pop()
+                c = colors[v]
+                for w in adj[v]:
+                    counts[w][c] -= 1
+                    if not counts[w][c]:
+                        sat[w] -= 1
+                uncolored.add(v)
+            c = tries.pop()
+            colors[v] = c
+            for w in adj[v]:
+                if not counts[w][c]:
+                    sat[w] += 1
+                counts[w][c] += 1
+            uncolored.remove(v)
+            trail.append((v, tries, opened))
+            opened = max(opened, c + 1)
+    return Coloring.from_array(colors)
+
+
+def reference_find_k_coloring(g: Graph, k: int) -> Coloring | None:
+    if g.num_edges == 0:
+        return Coloring.from_array(np.zeros(g.n, dtype=np.int64))
+    if k == 1:
+        return None
+    if k == 2:
+        two = reference_two_coloring(g)
+        return None if two is None else Coloring.from_array(two)
+    greedy = reference_dsatur(g)
+    return greedy if greedy.num_colors <= k else reference_search(g, k)
+
+
+def reference_color_with_cap(g: Graph, cap: int | None) -> Coloring | None:
+    small = reference_find_k_coloring(g, 2 if cap is None else min(cap, 2))
+    if small is not None or (cap is not None and cap <= 2):
+        return small
+    lb = max(3, len(reference_clique(g)))
+    greedy = reference_dsatur(g)
+    hi = greedy.num_colors if cap is None else min(greedy.num_colors, cap + 1)
+    for k in range(lb, hi):
+        found = reference_search(g, k)
+        if found is not None:
+            return found
+    return greedy if cap is None or greedy.num_colors <= cap else None
+
+
+def same_coloring(got: Coloring | None, want: Coloring | None) -> bool:
+    if got is None or want is None:
+        return got is None and want is None
+    return (got.num_colors, got.colors.tobytes()) == (want.num_colors, want.colors.tobytes())
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 40) -> Graph:
+    """Random graphs of up to `max_n` vertices, half of them bipartite."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.35]))
+    bipartite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < density
+    if bipartite:
+        side = rng.integers(0, 2, n)
+        keep &= side[u] != side[v]
+    # isolated low ids: the CSR's local ids must not coincide with vertex ids
+    offset = draw(st.integers(0, 3))
+    return Graph(n + offset, np.stack((u[keep], v[keep]), axis=1) + offset)
 
 
 class TestChromaticNumber:
@@ -275,3 +453,59 @@ class TestHelpers:
         colors = _two_coloring(g)
         assert colors[1] == 0 and colors[4] == 0
         assert colors.tolist() == [0, 0, 0, 1, 0, 0, 1]
+
+
+class TestAgreesWithDictReferences:
+    """The CSR solver against the dict-of-sets references, byte for byte."""
+
+    @given(small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_colorings_and_clique(self, g):
+        assert same_coloring(dsatur_coloring(g), reference_dsatur(g))
+        two, expected = _two_coloring(g), reference_two_coloring(g)
+        assert (two is None) == (expected is None)
+        if two is not None:
+            assert two.tobytes() == expected.tobytes()
+        assert greedy_clique_lower_bound(g) == reference_clique(g)
+        for k in range(1, 6):
+            assert same_coloring(find_k_coloring(g, k), reference_find_k_coloring(g, k))
+        for cap in (None, 1, 2, 3, 4, 5):
+            assert same_coloring(color_with_cap(g, cap), reference_color_with_cap(g, cap))
+
+    @given(small_graphs(max_n=24), st.integers(3, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_search(self, g, k):
+        if g.num_edges:
+            assert same_coloring(_search(g, k), reference_search(g, k))
+
+
+class TestStarWithManyLeaves:
+    def test_dsatur_memory_does_not_grow_with_the_degree(self):
+        # a color row per possible color, Δ + 1 of them, would take 10^8
+        # bytes here (10^10 at 10^5 leaves); tracing 10^5 DSATUR steps
+        # takes seconds, so the star has 10^4 leaves
+        star = Graph(10_001, [(0, leaf) for leaf in range(1, 10_001)])
+        tracemalloc.start()
+        try:
+            got = find_k_coloring(star, 3)  # DSATUR's coloring fits in 3 colors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.num_colors == 2 and is_proper_coloring(star, got)
+        assert peak < 16 * 2**20
+
+
+class TestNoDictAdjacency:
+    def test_solver_never_builds_the_dict_adjacency(self, monkeypatch, petersen, k4):
+        def forbidden(self):
+            raise AssertionError("the exact layer must read the CSR, not adjacency()")
+
+        monkeypatch.setattr(Graph, "adjacency", forbidden)
+        bipartite = Graph(8, [(0, 5), (1, 5), (2, 6), (3, 7), (0, 7)])
+        for g in (petersen, k4, bipartite, Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])):
+            for cap in (None, 1, 2, 3, 4):
+                color_with_cap(g, cap)
+            for k in (1, 2, 3, 4):
+                find_k_coloring(g, k)
+            dsatur_coloring(g)
+            chromatic_number(g)

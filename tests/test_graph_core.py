@@ -118,6 +118,40 @@ class TestGraph:
         assert adj == expected
         assert list(adj) == sorted(expected)
 
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 50),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_csr_has_edge_and_degree_match_neighbour_sets(self, offset, extra, pairs):
+        # `offset` isolated low vertices and `extra` high ones: both the
+        # lookup-table and the binary-search paths of `csr` are drawn
+        pairs = [(u + offset, v + offset) for u, v in pairs if u != v]
+        n = 12 + offset + extra
+        nbrs: dict[int, set[int]] = {}
+        for u, v in pairs:
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+        g = Graph(n, pairs)
+        verts, indptr, indices = g.csr()
+        assert verts.tolist() == sorted(nbrs)
+        for i, v in enumerate(verts.tolist()):
+            row = verts[indices[indptr[i] : indptr[i + 1]]].tolist()
+            assert row == sorted(nbrs[v])
+        probes = [-1, *range(offset, offset + 12), n - 1, n]
+        for u in probes:
+            assert g.degree(u) == len(nbrs.get(u, ()))
+            for v in probes:
+                if u != v:
+                    assert g.has_edge(u, v) == (v in nbrs.get(u, ()))
+
+    def test_csr_is_read_only_and_cached(self, c5):
+        verts, indptr, indices = c5.csr()
+        assert c5.csr()[2] is indices
+        with pytest.raises(ValueError):
+            indices[0] = 3
+
     def test_has_edge(self, c5):
         assert c5.has_edge(0, 1) and c5.has_edge(4, 0)
         assert not c5.has_edge(0, 2)
@@ -176,6 +210,10 @@ class TestVerifyClique:
     def test_small_sets_trivially_cliques(self, c5):
         assert verify_clique(c5, set())
         assert verify_clique(c5, {3})
+
+    def test_reads_no_edge_frozenset(self, k4):
+        assert verify_clique(k4, [3, 1, 2, 0, 1])
+        assert k4._edges is None
 
 
 class TestProductColoring:

@@ -11,6 +11,7 @@ objects. Byte-mutated files of every format may raise only `FormatError`
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -269,6 +270,60 @@ class TestCpgReader:
         path.write_text(cpg_text("n=4 k=2 r=1 t=2 layout=basic", "C 1 0 2 3\n"))
         with pytest.raises(FormatError):
             sc.read_cpg(str(path))
+
+    @pytest.fixture
+    def no_pairs(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("pairs built before the header's edge count was checked")
+
+        monkeypatch.setattr(sc.clusterpack, "_clique_pairs", forbidden)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "n=4 k=3 r=1 t=3 layout=basic",  # 9 edges, 6 pairs
+            "n=4 k=2 r=1 t=7 layout=basic",  # 7 edges, 6 pairs
+            "n=100 k=100 r=1 t=2 layout=basic",  # 2 * 4950 edges, 4950 pairs
+        ],
+    )
+    def test_more_edges_than_pairs_is_format_error(self, tmp_path, header, no_pairs):
+        path = tmp_path / "bad.cpg"
+        path.write_text(cpg_text(header, "C 0 0 0 1 2\n"))
+        with pytest.raises(FormatError) as err:
+            sc.read_cpg(str(path))
+        assert err.value.line == 1
+        assert main(["verify", "cpg", "--file", str(path)]) == 3
+
+    def test_as_many_edges_as_pairs_is_read(self, tmp_path):
+        path = tmp_path / "k4.cpg"
+        pairs = itertools.combinations(range(4), 2)
+        rows = "".join(f"C {i} 0 {u} {v}\n" for i, (u, v) in enumerate(pairs))
+        path.write_text(cpg_text("n=4 k=2 r=1 t=6 layout=basic", rows))
+        assert sc.read_cpg(str(path)).graph.num_edges == 6
+
+    def test_edges_above_the_guard_are_refused_before_any_pair(self, tmp_path, no_pairs):
+        # one clique of 10^5 vertices implies about 5 * 10^9 edges, 80 GB of pairs
+        k = 100_000
+        path = tmp_path / "huge.cpg"
+        row = f"C 0 0 {' '.join(map(str, range(k)))}\n"
+        path.write_text(cpg_text(f"n={k} k={k} r=1 t=1 layout=basic", row))
+        with pytest.raises(sc.errors.ResourceLimitError):
+            sc.read_cpg(str(path))
+        assert main(["gen", "lift", "-i", str(path), "-o", str(tmp_path / "out.cpg")]) == 2
+        assert not (tmp_path / "out.cpg").exists()
+
+    def test_rows_past_the_header_count_build_no_pairs_for_them(self, tmp_path, monkeypatch):
+        built = []
+        clique_pairs = sc.clusterpack._clique_pairs
+        monkeypatch.setattr(
+            sc.clusterpack, "_clique_pairs", lambda c, n: built.append(len(c)) or clique_pairs(c, n)
+        )
+        path = tmp_path / "long.cpg"
+        rows = "C 0 0 0 1\nC 0 0 2 3\nC 0 0 4 5\n"
+        path.write_text(cpg_text("n=6 k=2 r=1 t=1 layout=basic", rows))
+        with pytest.raises(FormatError):
+            sc.read_cpg(str(path))
+        assert built == [1]
 
     def test_rows_in_any_order(self, tmp_path):
         cpg = sc.construct_lines_grouped(36, 2, 3)
