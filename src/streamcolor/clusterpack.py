@@ -35,6 +35,10 @@ from .seeds import rng_for
 
 MAX_VERTICES = 1 << 40
 MAX_CLIQUES = 5_000_000
+# the edges a packing may imply, checked before its pairs are built, by every
+# construction and by `read_cpg` alike, so whatever a construction writes can
+# be read back; a read peaks at about 200 (k = 3) to 550 (k = 2) bytes per
+# edge under tracemalloc
 MAX_EDGES = 10_000_000
 
 
@@ -390,7 +394,17 @@ def _assemble(n: int, k: int, r: int, clusters: list, layout: str) -> ClusterPac
     return ClusterPackingGraph(Graph(n, pairs), k, r, len(clusters), clusters, layout)
 
 
+def _check_edges(t: int, r: int, k: int) -> None:
+    """Refuse t clusters of r k-cliques when they imply more than `MAX_EDGES` edges."""
+    edges = t * r * k * (k - 1) // 2
+    if edges > MAX_EDGES:
+        raise ResourceLimitError(
+            f"t={t} clusters of r={r} cliques of k={k} imply {edges} edges (guard {MAX_EDGES})"
+        )
+
+
 def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGraph:
+    _check_edges(layout_obj.t_max, r, k)
     clusters = [layout_obj.cluster_cliques(i) for i in range(layout_obj.t_max)]
     return _assemble(layout_obj.n, k, r, clusters, layout_name)
 
@@ -426,6 +440,7 @@ def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:
     n, k = cpg.graph.n, cpg.k
     if n * k > MAX_VERTICES:
         raise ResourceLimitError(f"lifted n = {n * k} exceeds guard {MAX_VERTICES}")
+    _check_edges(cpg.t, cpg.r * k, k)
     new_clusters: list[list[tuple[int, ...]]] = []
     for cluster in cpg.clusters:
         lifted: list[tuple[int, ...]] = []
@@ -660,8 +675,7 @@ def read_cpg(path: str) -> ClusterPackingGraph:
         raise FormatError(
             f"t * r cliques of k vertices imply {edges} edges; n={n} has {pairs} pairs", line=1
         )
-    if edges > MAX_EDGES:
-        raise ResourceLimitError(f"header implies {edges} edges (guard {MAX_EDGES})")
+    _check_edges(t, r, k)
     rows = Rows(body, 3 + k, {0: ("C",)})
     _, ci, ji = rows.data[:, :3].T
     cliques = rows.data[:, 3:]

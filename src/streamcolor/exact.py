@@ -65,21 +65,25 @@ def greedy_clique_lower_bound(g: Graph) -> list[int]:
     """
     verts, indptr, indices = g.csr()
     deg = np.diff(indptr)
+    src = np.repeat(np.arange(len(verts)), deg)
+    # each row in joining order: descending degree, ties by ascending id
+    joining = indices[np.lexsort((indices, -deg[indices], src))]
+    mark = np.zeros(len(verts), dtype=bool)  # all False between joins
     best: list[int] = []
     for v in np.argsort(-deg, kind="stable").tolist():
         if deg[v] + 1 <= len(best):
             break  # no vertex of this degree can beat the incumbent
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        cand = np.zeros(len(verts), dtype=bool)  # adjacent to the whole clique
-        cand[nbrs] = True
+        # the neighbours adjacent to the whole clique, in joining order: the
+        # first joins, and the rest keep only those in its row
+        cand = joining[indptr[v] : indptr[v + 1]]
         clique = [v]
-        for u in nbrs[np.argsort(-deg[nbrs], kind="stable")].tolist():
-            if cand[u]:
-                clique.append(u)
-                row = indices[indptr[u] : indptr[u + 1]]
-                keep = cand[row]
-                cand[:] = False
-                cand[row] = keep
+        while len(cand):
+            u, cand = int(cand[0]), cand[1:]
+            clique.append(u)
+            row = indices[indptr[u] : indptr[u + 1]]
+            mark[row] = True
+            cand = cand[mark[cand]]
+            mark[row] = False
         if len(clique) > len(best):
             best = clique
     return verts[best].tolist()
@@ -161,17 +165,17 @@ def _search(g: Graph, k: int) -> Coloring | None:
     deg = np.diff(indptr)
     step = int(deg.max(initial=0)) + 1
     closed = step * step  # above any saturation * step + degree
-    # key = saturation * step + degree, less `closed` unless the vertex is an
-    # uncolored one of the component being searched
-    key = deg - closed
+    # key = saturation * step + degree, less `closed` once the vertex is
+    # colored; an argmax over the component picks its first (lowest) vertex
+    # on ties, as the component's local ids ascend
+    key = deg.copy()
     counts = np.zeros((k, len(verts)), dtype=np.int64)
     local = np.zeros(len(verts), dtype=np.int64)
     for comp in _components(g):
-        key[comp] += closed
         opened = 0  # colors 0..opened-1 are in use in this component
         trail: list[tuple[int, list[int], int]] = []  # (vertex, colors left, opened before)
         while len(trail) < len(comp):
-            v = int(key.argmax())
+            v = int(comp[key[comp].argmax()])
             tries = np.flatnonzero(counts[: min(k, opened + 1), v] == 0)[::-1].tolist()
             while not tries:
                 if not trail:

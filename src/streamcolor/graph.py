@@ -124,12 +124,7 @@ class Graph:
             first = np.diff(src, prepend=-1) != 0
             verts = src[first]
             indptr = np.append(np.flatnonzero(first), len(src))
-            if n <= len(src):  # a lookup table costs no more than the arcs
-                local = np.zeros(n, dtype=np.int64)
-                local[verts] = np.arange(len(verts))
-                indices = local[dst]
-            else:
-                indices = np.searchsorted(verts, dst)
+            indices = np.searchsorted(verts, dst)
             for arr in (verts, indptr, indices):
                 arr.flags.writeable = False
             self._csr = verts, indptr, indices

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import signal
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -493,6 +494,29 @@ class TestStarWithManyLeaves:
             tracemalloc.stop()
         assert got.num_colors == 2 and is_proper_coloring(star, got)
         assert peak < 16 * 2**20
+
+
+class TestGreedyCliqueCost:
+    def test_a_start_vertex_costs_its_rows_not_the_whole_graph(self):
+        # every vertex of a triangle-free odd cycle is a start vertex; 10^6
+        # padding vertices of degree 1 add no start, so they may add only
+        # the upfront sorts, not a pass over every vertex per start (which
+        # made the padded run about 8 times slower than the bare cycle)
+        cycle = np.stack((np.arange(20_001), (np.arange(20_001) + 1) % 20_001), axis=1)
+        padding = np.arange(20_001, 1_020_001).reshape(-1, 2)
+        alone = Graph(20_001, cycle)
+        padded = Graph(1_020_001, np.concatenate((cycle, padding)))
+
+        def seconds(g: Graph) -> float:
+            g.csr()  # built once, outside the timing
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                assert len(greedy_clique_lower_bound(g)) == 2
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(padded) < 4 * seconds(alone)
 
 
 class TestNoDictAdjacency:

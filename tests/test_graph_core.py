@@ -125,8 +125,8 @@ class TestGraph:
     )
     @settings(max_examples=100, deadline=None)
     def test_csr_has_edge_and_degree_match_neighbour_sets(self, offset, extra, pairs):
-        # `offset` isolated low vertices and `extra` high ones: both the
-        # lookup-table and the binary-search paths of `csr` are drawn
+        # `offset` isolated low vertices and `extra` high ones, so local ids
+        # and vertex ids differ
         pairs = [(u + offset, v + offset) for u, v in pairs if u != v]
         n = 12 + offset + extra
         nbrs: dict[int, set[int]] = {}

@@ -312,6 +312,38 @@ class TestCpgReader:
         assert main(["gen", "lift", "-i", str(path), "-o", str(tmp_path / "out.cpg")]) == 2
         assert not (tmp_path / "out.cpg").exists()
 
+    def test_edge_guard_is_one_rule_for_constructions_and_the_reader(self, tmp_path, monkeypatch):
+        # dense k=2 on fano(3) implies 1875 edges; its lift, k = 2 times as many
+        params = sc.DenseParams(k=2, d=7, p=5, family=sc.fano_family(3))
+        dense = sc.construct_dense(params)
+        assert dense.graph.num_edges == 1875
+        path, lifted = tmp_path / "dense.cpg", tmp_path / "lifted.cpg"
+        sc.write_cpg(dense, str(path))
+        lift = ["gen", "lift", "-i", str(path), "-o", str(lifted)]
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 1875 * 2 - 1)
+        assert sc.read_cpg(str(path)) == dense
+        assert main(lift) == 2 and not lifted.exists()
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 1875 * 2)  # exactly at the guard
+        assert main(lift) == 0
+        assert sc.read_cpg(str(lifted)).graph.num_edges == 1875 * 2
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 1875)
+        assert sc.construct_dense(params) == dense
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 1874)
+        with pytest.raises(sc.errors.ResourceLimitError):
+            sc.construct_dense(params)
+        with pytest.raises(sc.errors.ResourceLimitError):
+            sc.read_cpg(str(path))
+        again = tmp_path / "again.cpg"
+        gen = ["gen", "dense", "--k", "2", "--d", "7", "--p", "5", "--fano", "3"]
+        assert main([*gen, "-o", str(again)]) == 2 and not again.exists()
+        assert main(["verify", "cpg", "--file", str(path)]) == 2
+        # the line constructions share it: basic n=64 k=2 implies 64 edges
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 64)
+        assert sc.construct_lines_basic(64, 2).graph.num_edges == 64
+        monkeypatch.setattr(sc.clusterpack, "MAX_EDGES", 63)
+        with pytest.raises(sc.errors.ResourceLimitError):
+            sc.construct_lines_basic(64, 2)
+
     def test_rows_past_the_header_count_build_no_pairs_for_them(self, tmp_path, monkeypatch):
         built = []
         clique_pairs = sc.clusterpack._clique_pairs
