@@ -59,6 +59,13 @@ COMMANDS = [
     ("vertex-sampling.json", ["experiment", "vertex-sampling", "--graph-spec",
                               "planted:n=80,clique=10", "--p", "0.5", "--trials", "4",
                               "--seed", "10"]),
+    ("basic.cpg", ["gen", "basic", "--n", "64", "--k", "2"]),
+    ("grouped.cpg", ["gen", "grouped", "--n", "256", "--r", "4", "--k", "2"]),
+    ("dense.cpg", ["gen", "dense", "--k", "2", "--d", "7", "--p", "5", "--fano", "3"]),
+    ("lift.cpg", ["gen", "lift", "-i", "{basic.cpg}"]),
+    ("two-player.json", ["gen", "two-player", "--n", "64", "--k", "2", "--seed", "5"]),
+    ("recursive.json", ["gen", "recursive", "--p", "3", "--k", "2", "--seed", "5"]),
+    ("simultaneous.json", ["gen", "simultaneous", "--k", "4", "--n-base", "6", "--seed", "5"]),
 ]
 
 GOLDEN = {
@@ -83,6 +90,13 @@ GOLDEN = {
     "shrinkage.json": "270047460c2f0de04591de553a94a0ed6a0aeced32e1e511372e24742e7cd910",
     "shrinkage.csv": "31d6f0d7287ff49f61a7a431154e8a518d71d42d0ff83400312fa1ee70bd98a1",
     "vertex-sampling.json": "72f0addf34ec1e9cc1e5439638f42b6e5a4b7c504f83ce97cdf9389ae43b7d63",
+    "basic.cpg": "ca37ef0235e822c43a43f9b40ad44266054af355066963c46619dd968a3bc6d7",
+    "grouped.cpg": "4f8bde6065d79ceca489cf3764b9281699fcdf85d73b88c6c89a8ca79cd1df1c",
+    "dense.cpg": "a1dd017921919122ea286db00439c4b3f9a1499c0e9c6695e3166fa11c5fe08e",
+    "lift.cpg": "330a5b0954a5731124fea98d619a846746932cb7ae71053c957fe4ef7d9e440e",
+    "two-player.json": "0bd52c05fd46a07db14554c87a62a03c27a606c1eeda2eb1d8e582993c4d172d",
+    "recursive.json": "be04dc74c53d5f01ac48855d2f88614c6b25fb778d45512ad053c096d4bc20f4",
+    "simultaneous.json": "60e79a82e70f347a8bcf20ed2123035d9cce1cff2e03f4a5dde195a32590e2fd",
 }
 
 
