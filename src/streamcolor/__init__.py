@@ -12,9 +12,7 @@ The package is organized around six areas:
 
 from .graph import (
     Coloring,
-    DynamicMultigraph,
     Graph,
-    finalize_multigraph,
     induced_subgraph,
     is_proper_coloring,
     product_coloring,

@@ -38,7 +38,8 @@ MAX_CLIQUES = 5_000_000
 # the edges a packing may imply, checked before its pairs are built, by every
 # construction and by `read_cpg` alike, so whatever a construction writes can
 # be read back; a read peaks at about 200 (k = 3) to 550 (k = 2) bytes per
-# edge under tracemalloc
+# edge under tracemalloc, nearly all of it in `graph.Rows`, which holds each
+# row's fields as Python strings before they become one array
 MAX_EDGES = 10_000_000
 
 
@@ -353,8 +354,10 @@ class DenseLayout:
 class ClusterPackingGraph:
     """Graph plus its explicit partition into t induced k-clusters of size r.
 
-    ``clusters[i][j]`` is the ordered vertex tuple of the j-th k-clique of
-    cluster i. ``layout`` names the construction ("basic", "grouped",
+    ``clusters`` is a read-only ``(t, r, k)`` int64 array: ``clusters[i, j]``
+    holds the ordered vertices of the j-th k-clique of cluster i. Any other
+    shape, a ragged nesting, or a vertex outside the graph raises
+    `ArgumentError`. ``layout`` names the construction ("basic", "grouped",
     "dense", "lifted"); all four place layer/copy a at vertex range
     ``[a*n/k, (a+1)*n/k)``, which is what `canonical_coloring` relies on.
     """
@@ -363,35 +366,59 @@ class ClusterPackingGraph:
     k: int
     r: int
     t: int
-    clusters: tuple[tuple[tuple[int, ...], ...], ...]
+    clusters: np.ndarray
     layout: str | None = None
 
+    def __post_init__(self):
+        shape = (self.t, self.r, self.k)
+        try:
+            arr = np.array(self.clusters)
+        except ValueError:
+            raise ArgumentError(f"clusters must be a {shape} integer array, not a ragged nesting")
+        if arr.shape != shape or (arr.size and arr.dtype.kind not in "iu"):
+            raise ArgumentError(f"clusters must be a {shape} integer array, got {arr.dtype} {arr.shape}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.graph.n):
+            raise ArgumentError(f"clusters hold a vertex outside [0, {self.graph.n})")
+        arr = arr.astype(np.int64, copy=False)
+        arr.flags.writeable = False
+        object.__setattr__(self, "clusters", arr)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ClusterPackingGraph)
+            and (self.graph, self.k, self.r, self.t, self.layout)
+            == (other.graph, other.k, other.r, other.t, other.layout)
+            and np.array_equal(self.clusters, other.clusters)
+        )
+
     def cluster_vertices(self, i: int) -> set[int]:
-        out: set[int] = set()
-        for clique in self.clusters[i]:
-            out.update(clique)
-        return out
+        return set(self.clusters[i].ravel().tolist())
 
 
 def _clique_pairs(cliques: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(u, v)`` pairs the rows of a ``(rows, k)`` clique array imply, and
-    for each row whether it implies a pair an earlier row implies."""
+    """The ``(u, v)`` pairs, ``u <= v``, that the rows of a ``(rows, k)``
+    clique array imply, as a ``(rows, k(k-1)/2, 2)`` array, and their keys
+    ``u * n + v``."""
     ordered = np.sort(cliques, axis=1)
     # with no rows, a header's k alone must not size the index grid
     a, b = np.triu_indices(cliques.shape[1] if len(cliques) else 0, 1)
     pairs = np.stack((ordered[:, a], ordered[:, b]), axis=-1)
-    keys = pairs[..., 0] * n + pairs[..., 1]
-    again = repeats(keys.ravel()).reshape(keys.shape).any(1)
-    return pairs.reshape(-1, 2), again
+    return pairs, pairs[..., 0] * n + pairs[..., 1]
 
 
-def _assemble(n: int, k: int, r: int, clusters: list, layout: str) -> ClusterPackingGraph:
-    """The graph the clusters' cliques imply; raises if two imply one edge."""
-    pairs, again = _clique_pairs(np.array(clusters, np.int64).reshape(-1, k), n)
+def _implied_again(keys: np.ndarray) -> np.ndarray:
+    """For each row of clique pair keys, whether it implies a pair an earlier row implies."""
+    return repeats(keys.ravel()).reshape(keys.shape).any(1)
+
+
+def _assemble(n: int, clusters: np.ndarray, layout: str) -> ClusterPackingGraph:
+    """The graph a ``(t, r, k)`` clusters array implies; raises if two cliques imply one edge."""
+    t, r, k = clusters.shape
+    pairs, keys = _clique_pairs(clusters.reshape(t * r, k), n)
+    again = _implied_again(keys)
     if again.any():
         raise GenerationError(f"clique {np.argmax(again)} implies an edge implied before")
-    clusters = tuple(tuple(map(tuple, c)) for c in clusters)
-    return ClusterPackingGraph(Graph(n, pairs), k, r, len(clusters), clusters, layout)
+    return ClusterPackingGraph(Graph(n, pairs.reshape(-1, 2)), k, r, t, clusters, layout)
 
 
 def _check_edges(t: int, r: int, k: int) -> None:
@@ -404,9 +431,10 @@ def _check_edges(t: int, r: int, k: int) -> None:
 
 
 def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGraph:
-    _check_edges(layout_obj.t_max, r, k)
-    clusters = [layout_obj.cluster_cliques(i) for i in range(layout_obj.t_max)]
-    return _assemble(layout_obj.n, k, r, clusters, layout_name)
+    t = layout_obj.t_max
+    _check_edges(t, r, k)
+    clusters = np.array([layout_obj.cluster_cliques(i) for i in range(t)], np.int64)
+    return _assemble(layout_obj.n, clusters.reshape(t, r, k), layout_name)
 
 
 def construct_lines_basic(n: int, k: int) -> ClusterPackingGraph:
@@ -434,25 +462,19 @@ def construct_dense(params: DenseParams) -> ClusterPackingGraph:
 def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:
     """k copies of the vertex set, cliques spread over cyclically-permuted copies.
 
-    Output parameters: n' = n*k, r' = r*k, t' = t; the output is k-colorable
-    by coloring each copy with one color.
+    Clique j of a cluster spawns cliques ``j*k + ell`` for ``ell < k``, whose
+    vertex in copy a is ``a*n + clique[(a + ell) % k]``. Output parameters:
+    n' = n*k, r' = r*k, t' = t; the output is k-colorable by coloring each
+    copy with one color.
     """
-    n, k = cpg.graph.n, cpg.k
+    n, k, t, r = cpg.graph.n, cpg.k, cpg.t, cpg.r
     if n * k > MAX_VERTICES:
         raise ResourceLimitError(f"lifted n = {n * k} exceeds guard {MAX_VERTICES}")
-    _check_edges(cpg.t, cpg.r * k, k)
-    new_clusters: list[list[tuple[int, ...]]] = []
-    for cluster in cpg.clusters:
-        lifted: list[tuple[int, ...]] = []
-        for clique in cluster:
-            if len(clique) != k:
-                raise ArgumentError("every clique must have exactly k vertices")
-            for ell in range(k):
-                lifted.append(
-                    tuple(a * n + clique[(a + ell) % k] for a in range(k))
-                )
-        new_clusters.append(lifted)
-    return _assemble(n * k, k, cpg.r * k, new_clusters, "lifted")
+    _check_edges(t, r * k, k)
+    copy = np.arange(k)
+    slot = (copy + copy[:, None]) % k  # slot[ell, a] = (a + ell) % k
+    lifted = cpg.clusters[:, :, slot] + copy * n
+    return _assemble(n * k, lifted.reshape(t, r * k, k), "lifted")
 
 
 def canonical_coloring(cpg: ClusterPackingGraph) -> Coloring:
@@ -501,125 +523,156 @@ class VerificationReport:
 EXACT_FALLBACK_LIMIT = 2000
 
 
+def _spread(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``[start, start + count)``, range after range."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _find(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each entry of `x`'s index in the sorted, distinct `keys`, or -1 where it is absent."""
+    if not len(keys):
+        return np.full(len(x), -1)
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[i] == x, i, -1)
+
+
+def _edges_inside(q: Graph, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The keys ``e * t + c``, sorted, of each edge e of `q` with both ends in cluster c.
+
+    `members` holds the sorted keys ``c * n + v`` of each cluster c's distinct
+    vertices v, and ``rows[c]`` lists c's vertices. From each member v of c,
+    the shorter of two lists is searched for the edges (v, w) with w in c:
+    v's neighbours in `q`, each looked up among c's members, or ``rows[c]``,
+    each (v, w) looked up among the edges of `q`. The second search takes
+    only w > v: a pair of members that both search ``rows[c]`` is then
+    found once, and a pair with a member that searches its neighbours is
+    found by that member.
+    """
+    n, (t, size) = q.n, rows.shape
+    verts, indptr, indices = q.csr()
+    if not len(verts):
+        return np.empty(0, np.int64)
+    c, v = np.divmod(members, n)
+    i = np.minimum(np.searchsorted(verts, v), len(verts) - 1)
+    degree = np.where(verts[i] == v, indptr[i + 1] - indptr[i], 0)
+    walk = degree < size
+    src = np.repeat(np.flatnonzero(walk), degree[walk])
+    w = verts[indices[_spread(indptr[i[walk]], degree[walk])]]
+    held = _find(members, c[src] * n + w) >= 0
+    w_row = rows[c[~walk]]
+    later = w_row > v[~walk, None]
+    src = np.concatenate((src[held], np.flatnonzero(~walk).repeat(later.sum(1))))
+    w = np.concatenate((w[held], w_row[later]))
+    a = q.edge_array()
+    e = _find(a[:, 0] * n + a[:, 1], np.minimum(v[src], w) * n + np.maximum(v[src], w))
+    return np.unique((e * t + c[src])[e >= 0])
+
+
+def _pair(key, n: int) -> tuple[int, int]:
+    return tuple(map(int, divmod(key, n)))
+
+
 def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
     """Check the five defining properties; failures carry counterexamples.
 
     Checks: (1) the cliques' edges exactly partition the graph's edges,
     (2) each cluster is r vertex-disjoint k-cliques, (3) every cluster is
     induced, (4) pairwise cluster vertex intersections are <= r, and
-    (5) the graph is k-colorable.
+    (5) the graph is k-colorable. Checks 1-4 are array passes over the
+    clique pair keys ``u * n + v`` and the member keys ``c * n + v``.
     """
     checks: list[CheckResult] = []
-    g = cpg.graph
+    g, (t, r, k) = cpg.graph, cpg.clusters.shape
+    n, edges = g.n, g.edge_array()
+    graph_keys = edges[:, 0] * n + edges[:, 1]
+    cliques = cpg.clusters.reshape(t * r, k)
+    pairs, keys = _clique_pairs(cliques, n)
 
-    # per-cluster edge sets (shared by checks 1 and 3)
-    cluster_edges: list[set[tuple[int, int]]] = []
-    for cluster in cpg.clusters:
-        own: set[tuple[int, int]] = set()
-        for clique in cluster:
-            for a in range(len(clique)):
-                for b in range(a + 1, len(clique)):
-                    u, v = clique[a], clique[b]
-                    own.add((u, v) if u < v else (v, u))
-        cluster_edges.append(own)
+    # each cluster's distinct pair keys, ordered by key and then cluster
+    key, owner = keys.ravel(), np.repeat(np.arange(t), r * keys.shape[1])
+    order = np.lexsort((owner, key))
+    key, owner = key[order], owner[order]
+    fresh = (np.diff(key, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0)
+    key, owner = key[fresh], owner[fresh]
+    later = np.diff(key, prepend=-1) == 0  # a pair an earlier cluster implies
 
     # (1) edge partition exactness
-    partition_ok = True
     detail = ""
-    implied: set[tuple[int, int]] = set()
-    owner: dict[tuple[int, int], int] = {}
-    for ci, own in enumerate(cluster_edges):
-        collision = {e for e in own if e in implied}
-        if collision and partition_ok:
-            e = min(collision)
-            partition_ok = False
-            detail = f"edge {e} implied by clusters {owner[e]} and {ci}"
-        implied.update(own)
-        for e in own:
-            owner.setdefault(e, ci)
-    if partition_ok and implied != g.edges:
-        partition_ok = False
-        missing = g.edges - implied
-        extra = implied - g.edges
-        if missing:
-            detail = f"graph edge {min(missing)} not covered by any cluster"
+    implied = key[~later]
+    if later.any():
+        ci = owner[later].min()
+        e = key[later & (owner == ci)].min()
+        first = owner[np.searchsorted(key, e)]
+        detail = f"edge {_pair(e, n)} implied by clusters {first} and {ci}"
+    elif not np.array_equal(implied, graph_keys):
+        missing = np.setdiff1d(graph_keys, implied, assume_unique=True)
+        extra = np.setdiff1d(implied, graph_keys, assume_unique=True)
+        if len(missing):
+            detail = f"graph edge {_pair(missing[0], n)} not covered by any cluster"
         else:
-            detail = f"implied edge {min(extra)} absent from the graph"
-    checks.append(CheckResult("edge-partition", partition_ok, detail))
+            detail = f"implied edge {_pair(extra[0], n)} absent from the graph"
+    checks.append(CheckResult("edge-partition", not detail, detail))
 
-    # (2) cluster structure: r vertex-disjoint k-cliques each
-    structure_ok = True
+    # (2) cluster structure: r vertex-disjoint k-cliques each. The member
+    # keys c * n + v, sorted stably, put each vertex's cliques in ascending
+    # order; a repeat in its own clique fails that clique first.
     detail = ""
-    if len(cpg.clusters) != cpg.t:
-        structure_ok = False
-        detail = f"expected t={cpg.t} clusters, found {len(cpg.clusters)}"
-    else:
-        for ci, cluster in enumerate(cpg.clusters):
-            if len(cluster) != cpg.r:
-                structure_ok = False
-                detail = f"cluster {ci} has {len(cluster)} cliques, expected r={cpg.r}"
-                break
-            seen: set[int] = set()
-            for clique in cluster:
-                if len(set(clique)) != cpg.k:
-                    structure_ok = False
-                    detail = f"cluster {ci} clique {clique} is not {cpg.k} distinct vertices"
-                    break
-                overlap = seen.intersection(clique)
-                if overlap:
-                    structure_ok = False
-                    detail = f"cluster {ci} reuses vertex {min(overlap)}"
-                    break
-                seen.update(clique)
-            if not structure_ok:
-                break
-    checks.append(CheckResult("cluster-structure", structure_ok, detail))
+    member = np.repeat(np.arange(t), r * k) * n + cpg.clusters.ravel()
+    order = np.argsort(member, kind="stable")
+    member, row = member[order], order // k
+    reuse = np.diff(member, prepend=-1) == 0  # the vertex is in an earlier clique of its cluster
+    repeated = (pairs[..., 0] == pairs[..., 1]).any(1)
+    fails = np.concatenate((np.flatnonzero(repeated), row[reuse]))
+    if len(fails):
+        first = fails.min()
+        ci = first // r
+        if repeated[first]:
+            clique = tuple(cliques[first].tolist())
+            detail = f"cluster {ci} clique {clique} is not {k} distinct vertices"
+        else:
+            detail = f"cluster {ci} reuses vertex {(member[reuse] % n)[row[reuse] == first].min()}"
+    checks.append(CheckResult("cluster-structure", not detail, detail))
+    members = member[~reuse]
 
-    # vertex -> clusters membership (used by checks 3 and 4)
-    membership: dict[int, list[int]] = {}
-    for ci, cluster in enumerate(cpg.clusters):
-        for clique in cluster:
-            for v in clique:
-                membership.setdefault(v, []).append(ci)
+    # the graph's edges and the cliques' own pairs, each found in every
+    # cluster that holds both of its ends
+    own = key // n != key % n
+    q = Graph(n, np.concatenate((edges, np.column_stack(np.divmod(key[own], n)))))
+    a = q.edge_array()
+    q_keys = a[:, 0] * n + a[:, 1]
+    inside = _edges_inside(q, members, cpg.clusters.reshape(t, r * k))
+    e_in, c_in = np.divmod(inside, t)
+    own_e, own_c = _find(q_keys, key[own]), owner[own]
 
     # (3) inducedness: an edge with both endpoints inside a cluster's vertex
     # set must be one of that cluster's own edges
-    induced_ok = True
     detail = ""
-    for e in sorted(g.edges):
-        mu = membership.get(e[0], ())
-        mv = membership.get(e[1], ())
-        common = set(mu) & set(mv)
-        bad = [ci for ci in common if e not in cluster_edges[ci]]
-        if bad:
-            ci = min(bad)
-            induced_ok = False
-            detail = (
-                f"edge {e} lies inside cluster {ci}'s vertex set "
-                f"but is not one of its edges"
-            )
-            break
-    checks.append(CheckResult("inducedness", induced_ok, detail))
+    bad = np.flatnonzero((_find(graph_keys, q_keys[e_in]) >= 0) & (_find(own_e * t + own_c, inside) < 0))
+    if len(bad):
+        detail = (
+            f"edge {_pair(q_keys[e_in[bad[0]]], n)} lies inside cluster {c_in[bad[0]]}'s "
+            f"vertex set but is not one of its edges"
+        )
+    checks.append(CheckResult("inducedness", not detail, detail))
 
-    # (4) pairwise cluster vertex intersections <= r
-    overlap_ok = True
+    # (4) pairwise cluster vertex intersections <= r. Clusters sharing more
+    # than r vertices share two of one clique (r cliques cover a cluster), so
+    # only cluster pairs that hold both ends of one clique pair are counted.
     detail = ""
-    pair_counts: dict[tuple[int, int], int] = {}
-    for v, mem in membership.items():
-        mem_sorted = sorted(set(mem))
-        for a in range(len(mem_sorted)):
-            for b in range(a + 1, len(mem_sorted)):
-                key = (mem_sorted[a], mem_sorted[b])
-                pair_counts[key] = pair_counts.get(key, 0) + 1
-    for key in sorted(pair_counts):
-        if pair_counts[key] > cpg.r:
-            overlap_ok = False
-            detail = (
-                f"clusters {key[0]} and {key[1]} share {pair_counts[key]} "
-                f"vertices > r = {cpg.r}"
-            )
-            break
-    checks.append(CheckResult("cluster-overlap", overlap_ok, detail))
+    lo, hi = np.searchsorted(own_e, e_in), np.searchsorted(own_e, e_in, "right")
+    c1, c2 = own_c[_spread(lo, hi - lo)], np.repeat(c_in, hi - lo)
+    cand = np.unique((np.minimum(c1, c2) * t + np.maximum(c1, c2))[c1 != c2])
+    c1, c2 = np.divmod(cand, t)
+    start = np.searchsorted(members, np.arange(t + 1) * n)
+    size = np.diff(start)[c1]
+    pair = np.repeat(np.arange(len(cand)), size)
+    vertex = members[_spread(start[c1], size)] % n
+    shared = np.bincount(pair[_find(members, c2[pair] * n + vertex) >= 0], minlength=len(cand))
+    over = np.flatnonzero(shared > r)
+    if len(over):
+        i = over[0]
+        detail = f"clusters {c1[i]} and {c2[i]} share {shared[i]} vertices > r = {r}"
+    checks.append(CheckResult("cluster-overlap", not detail, detail))
 
     # (5) k-colorability
     color_ok = True
@@ -653,13 +706,11 @@ def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
     """CPG text format: header, then one ``C <cluster> <clique> v...`` per clique."""
     layout = cpg.layout if cpg.layout in _LAYOUTS else "basic"
     header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
-    lines = [
-        f"C {ci} {ji} {' '.join(map(str, clique))}\n"
-        for ci, cluster in enumerate(cpg.clusters)
-        for ji, clique in enumerate(cluster)
-    ]
+    t, r, k = cpg.clusters.shape
+    ci, ji = np.divmod(np.arange(t * r), r)
+    rows = np.column_stack((ci, ji, cpg.clusters.reshape(t * r, k))).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join([header, *lines]))
+        f.write("".join([header, *(f"C {' '.join(map(str, row))}\n" for row in rows)]))
 
 
 def read_cpg(path: str) -> ClusterPackingGraph:
@@ -685,8 +736,8 @@ def read_cpg(path: str) -> ClusterPackingGraph:
         (repeats(ci * r + ji), "duplicate clique"),
         ((cliques.min(1) < 0) | (cliques.max(1) >= n), f"vertex out of range for n={n}"),
         ((np.diff(np.sort(cliques, axis=1), axis=1) == 0).any(1), "clique repeats a vertex"),
-        (_clique_pairs(cliques[: t * r], n)[1], "edge implied twice"),
+        (_implied_again(_clique_pairs(cliques[: t * r], n)[1]), "edge implied twice"),
     )
     if len(cliques) != t * r:
         raise FormatError(f"header promises t * r = {t * r} cliques, not {len(cliques)}", line=1)
-    return _assemble(n, k, r, cliques[np.argsort(ci * r + ji)].reshape(t, r, k).tolist(), layout)
+    return _assemble(n, cliques[np.argsort(ci * r + ji)].reshape(t, r, k), layout)

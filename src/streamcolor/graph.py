@@ -1,4 +1,4 @@
-"""Graph, coloring, and multigraph data model.
+"""Graph and coloring data model, and the shared text-format readers.
 
 Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
 read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
@@ -174,41 +174,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-class DynamicMultigraph:
-    """Multigraph under a single writer; multiplicities must stay >= 0."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ArgumentError("vertex count must be non-negative")
-        self.n = int(n)
-        self.counts: dict[tuple[int, int], int] = {}
-
-    def apply(self, u: int, v: int, delta: int) -> None:
-        if delta not in (1, -1):
-            raise ArgumentError(f"delta must be +1 or -1, got {delta}")
-        e = normalize_edge(u, v)
-        if e[0] < 0 or e[1] >= self.n:
-            raise ArgumentError(f"edge {e} out of range for n={self.n}")
-        new = self.counts.get(e, 0) + delta
-        if new < 0:
-            raise ArgumentError(f"multiplicity of {e} would become negative")
-        if new == 0:
-            self.counts.pop(e, None)
-        else:
-            self.counts[e] = new
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.counts.get(normalize_edge(u, v), 0)
-
-    def __repr__(self) -> str:
-        return f"DynamicMultigraph(n={self.n}, pairs={len(self.counts)})"
-
-
-def finalize_multigraph(m: DynamicMultigraph) -> Graph:
-    """Simple graph with one edge per pair of positive multiplicity."""
-    return Graph(m.n, (e for e, c in m.counts.items() if c > 0))
 
 
 def _canonicalize(colors: np.ndarray) -> tuple[np.ndarray, int]:

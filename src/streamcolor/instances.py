@@ -25,18 +25,19 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import clusterpack
 from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
-from .clusterpack import CheckResult, ClusterPackingGraph, LineLayout, VerificationReport, construct_lines_basic
-from .exact import find_k_coloring
-from .graph import (
-    Coloring,
-    DynamicMultigraph,
-    Graph,
-    finalize_multigraph,
-    induced_subgraph,
-    is_proper_coloring,
-    read_json,
+from .clusterpack import (
+    CheckResult,
+    ClusterPackingGraph,
+    LineLayout,
+    VerificationReport,
+    _clique_pairs,
+    _pair,
+    construct_lines_basic,
 )
+from .exact import find_k_coloring
+from .graph import Coloring, Graph, induced_subgraph, int_rows, is_proper_coloring, read_json
 from .seeds import rng_for
 
 WITNESS_VERTEX_LIMIT = 50_000_000
@@ -44,18 +45,35 @@ WITNESS_VERTEX_LIMIT = 50_000_000
 Edge = tuple[int, int]
 
 
-def join_cliques(
-    edges_accumulator: list[Edge], clique_a, clique_b
-) -> list[Edge]:
-    """Append the complete biclique between two disjoint vertex sets."""
-    a = set(clique_a)
-    b = set(clique_b)
-    if a & b:
-        raise ArgumentError(f"cliques overlap on vertices {sorted(a & b)}")
-    for u in sorted(a):
-        for v in sorted(b):
-            edges_accumulator.append((u, v) if u < v else (v, u))
-    return edges_accumulator
+def join_cliques(clique_a, clique_b) -> np.ndarray:
+    """The complete biclique between two disjoint vertex sets, as ``(u, v)``
+    rows with ``u < v``, taking the vertices of each set in ascending order."""
+    a = np.unique(np.fromiter(clique_a, np.int64))
+    b = np.unique(np.fromiter(clique_b, np.int64))
+    both = np.intersect1d(a, b)
+    if both.size:
+        raise ArgumentError(f"cliques overlap on vertices {both.tolist()}")
+    u, v = np.repeat(a, len(b)), np.tile(b, len(a))
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
+
+
+def _edges(n: int, pairs: np.ndarray) -> np.ndarray:
+    """`pairs` as a player part: the read-only, sorted, distinct ``(u, v)`` rows."""
+    return Graph(n, pairs.reshape(-1, 2)).edge_array()
+
+
+def _clique_edges(n: int, cliques: np.ndarray) -> np.ndarray:
+    """The part holding every pair inside each row of a ``(rows, k)`` clique array."""
+    return _edges(n, _clique_pairs(cliques, n)[0])
+
+
+def _bicliques(n: int, cliques: np.ndarray, joins: np.ndarray) -> np.ndarray:
+    """The part holding the biclique between ``cliques[a]`` and ``cliques[b]``
+    for each row ``(a, b)`` of `joins`; the cliques must be disjoint."""
+    k = cliques.shape[1]
+    u = np.repeat(cliques[joins[:, 0]], k, axis=1)
+    v = np.tile(cliques[joins[:, 1]], (1, k))
+    return _edges(n, np.stack((u, v), axis=-1))
 
 
 @lru_cache(maxsize=8)
@@ -78,19 +96,29 @@ class TwoPlayerInstance:
     i_star: int
     x: np.ndarray  # shape (t,), 0/1
     ans: int
-    e1: tuple[Edge, ...]
-    e2: tuple[Edge, ...]
+    e1: np.ndarray  # read-only (m, 2) int64 rows, sorted
+    e2: np.ndarray
     spec: tuple[int, ...]
 
     @property
     def t(self) -> int:
         return self.host.t
 
-    def edge_parts(self) -> tuple[tuple[Edge, ...], ...]:
+    def edge_parts(self) -> tuple[np.ndarray, ...]:
         return (self.e1, self.e2)
 
     def union_graph(self) -> Graph:
-        return Graph(self.n, set(self.e1) | set(self.e2))
+        return Graph(self.n, np.concatenate(self.edge_parts()))
+
+
+def _two_player_parts(
+    host: ClusterPackingGraph, x: np.ndarray, i_star: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Player 1 holds the cliques of every cluster whose bit is one; player 2
+    the join of every two cliques of the hidden cluster."""
+    n, joins = host.graph.n, np.column_stack(np.triu_indices(host.r, 1))
+    e1 = _clique_edges(n, host.clusters[x != 0].reshape(-1, host.k))
+    return e1, _bicliques(n, host.clusters[i_star], joins)
 
 
 def gen_two_player(
@@ -112,21 +140,8 @@ def gen_two_player(
     if ans_override is not None:
         x[i_star] = ans_override
     ans = int(x[i_star])
-
-    e1: list[Edge] = []
-    for i in range(host.t):
-        if x[i]:
-            for clique in host.clusters[i]:
-                for a in range(len(clique)):
-                    for b in range(a + 1, len(clique)):
-                        u, v = clique[a], clique[b]
-                        e1.append((u, v) if u < v else (v, u))
-    e2: list[Edge] = []
-    cliques = host.clusters[i_star]
-    for a in range(len(cliques)):
-        for b in range(a + 1, len(cliques)):
-            join_cliques(e2, cliques[a], cliques[b])
-    spec = tuple(sorted(v for clique in cliques for v in clique))
+    e1, e2 = _two_player_parts(host, x, i_star)
+    spec = tuple(np.sort(host.clusters[i_star], axis=None).tolist())
     return TwoPlayerInstance(
         n=n,
         k=k,
@@ -136,8 +151,8 @@ def gen_two_player(
         i_star=i_star,
         x=x,
         ans=ans,
-        e1=tuple(sorted(set(e1))),
-        e2=tuple(sorted(set(e2))),
+        e1=e1,
+        e2=e2,
         spec=spec,
     )
 
@@ -232,8 +247,8 @@ class RecursiveLevel:
     intersection: tuple[int, ...]  # S_{i*} intersect T
     x: np.ndarray  # shape (t, r)
     sigma: tuple[int, ...]  # inner vertex -> clique index in T
-    e1: tuple[Edge, ...]
-    join_parts: tuple[tuple[Edge, ...], ...]  # players 2..a in outer ids
+    e1: np.ndarray  # read-only (m, 2) int64 rows, sorted
+    join_parts: tuple[np.ndarray, ...]  # players 2..a in outer ids
     spec: tuple[int, ...]
 
     def istar_cliques(self) -> list[tuple[int, ...]]:
@@ -256,14 +271,11 @@ class RecursiveInstance:
     def n(self) -> int:
         return self.level.n
 
-    def edge_parts(self) -> tuple[tuple[Edge, ...], ...]:
+    def edge_parts(self) -> tuple[np.ndarray, ...]:
         return (self.level.e1,) + self.level.join_parts
 
     def union_graph(self) -> Graph:
-        edges: set[Edge] = set()
-        for part in self.edge_parts():
-            edges.update(part)
-        return Graph(self.n, edges)
+        return Graph(self.n, np.concatenate(self.edge_parts()))
 
 
 def _validate_level(a: int, k: int, n: int, r: int, t_override: int) -> LineLayout:
@@ -356,15 +368,8 @@ def gen_recursive(
         x[i, out_cols] = rng.integers(0, 2, size=len(out_cols)).astype(np.uint8)
 
     # player 1's edges: cliques j in S_i with bit one, over materialized clusters
-    e1: list[Edge] = []
-    for i in range(t):
-        for j in sets[i]:
-            if x[i, j]:
-                clique = layout.clique(cluster_ids[i], j)
-                for a_ in range(len(clique)):
-                    for b_ in range(a_ + 1, len(clique)):
-                        u, v = clique[a_], clique[b_]
-                        e1.append((u, v) if u < v else (v, u))
+    chosen = [(cluster_ids[i], j) for i in range(t) for j in sets[i] if x[i, j]]
+    e1 = _clique_edges(layout.n, np.array([layout.clique(c, j) for c, j in chosen]).reshape(-1, k))
 
     # the embedded smaller instance, sampled forward with the same answer bit
     inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
@@ -387,12 +392,8 @@ def gen_recursive(
     # join operations: inner edge (u, v) -> biclique between cliques
     # sigma(u), sigma(v) of the hidden cluster, kept with the inner holder
     istar_cliques = layout.cluster_cliques(cluster_ids[i_star])
-    join_parts: list[tuple[Edge, ...]] = []
-    for part in inner.edge_parts():
-        acc: list[Edge] = []
-        for u, v in part:
-            join_cliques(acc, istar_cliques[sigma[u]], istar_cliques[sigma[v]])
-        join_parts.append(tuple(sorted(set(acc))))
+    cliques, to_clique = np.array(istar_cliques), np.array(sigma)
+    join_parts = tuple(_bicliques(layout.n, cliques, to_clique[part]) for part in inner.edge_parts())
 
     spec = tuple(sorted(v for j in intersection for v in istar_cliques[j]))
     level = RecursiveLevel(
@@ -408,8 +409,8 @@ def gen_recursive(
         intersection=intersection,
         x=x,
         sigma=sigma,
-        e1=tuple(sorted(set(e1))),
-        join_parts=tuple(join_parts),
+        e1=e1,
+        join_parts=join_parts,
         spec=spec,
     )
     return RecursiveInstance(
@@ -473,33 +474,41 @@ class SimultaneousInstance:
     j_star: int
     x: np.ndarray  # shape (p, t)
     sigma: tuple[int, ...]  # permutation of [n]
-    local_edges: tuple[tuple[tuple[int, int], ...], ...]  # per player, in [n_base]^2
-    player_edges: tuple[tuple[Edge, ...], ...]  # per player, relabeled to [n]
+    player_edges: tuple[np.ndarray, ...]  # per player, relabeled to [n], in pair order
     v_bipartite: tuple[int, ...]
     v_clique: tuple[int, ...]
 
-    def edge_parts(self) -> tuple[tuple[Edge, ...], ...]:
+    def edge_parts(self) -> tuple[np.ndarray, ...]:
         return self.player_edges
 
-    def union_multigraph(self) -> DynamicMultigraph:
-        m = DynamicMultigraph(self.n)
-        for part in self.player_edges:
-            for u, v in part:
-                m.apply(u, v, 1)
-        return m
-
     def final_graph(self) -> Graph:
-        return finalize_multigraph(self.union_multigraph())
+        """The simple union of the players' parts; a pair two players hold is one edge."""
+        return Graph(self.n, np.concatenate(self.player_edges))
 
 
-def _pair_of(j: int, n_base: int) -> tuple[int, int]:
-    """j-th pair of [n_base] x [n_base] in lexicographic order."""
-    return j // n_base, j % n_base
+def _player_edges(
+    k: int, n_base: int, j_star: int, sigma: tuple[int, ...], x: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Each player's pairs j of [n_base] x [n_base] with bit one, relabeled.
 
-
-def _clique_pairs(k: int) -> list[tuple[int, int]]:
-    """Lexicographic pairs of distinct indices in [k]; one per player."""
-    return [(a, b) for a in range(k) for b in range(a + 1, k)]
+    Pair j is ``(a, b) = divmod(j, n_base)``. Left vertex a maps to the next
+    unused id of ``sigma[:n_base - 1]`` and right vertex b to the next of
+    ``sigma[n_base - 1 : 2(n_base - 1)]``, except that the hidden pair's
+    ends map to the two clique vertices of player i's own index pair.
+    """
+    u_star, v_star = divmod(j_star, n_base)
+    ids = np.array(sigma, np.int64)
+    clique_ids = ids[2 * (n_base - 1) : 2 * (n_base - 1) + k]
+    a_idx, b_idx = np.triu_indices(k, 1)  # player i joins clique vertices a_idx[i], b_idx[i]
+    parts = []
+    for i, row in enumerate(x):
+        a, b = np.divmod(np.flatnonzero(row), n_base)
+        gu = np.insert(ids[: n_base - 1], u_star, clique_ids[a_idx[i]])[a]
+        gv = np.insert(ids[n_base - 1 : 2 * (n_base - 1)], v_star, clique_ids[b_idx[i]])[b]
+        part = np.column_stack((np.minimum(gu, gv), np.maximum(gu, gv)))
+        part.flags.writeable = False
+        parts.append(part)
+    return tuple(parts)
 
 
 def gen_simultaneous(
@@ -521,6 +530,11 @@ def gen_simultaneous(
         raise ArgumentError(f"need k <= n/2; k = {k}, n = {n}")
     p = k * (k - 1) // 2
     t = n_base * n_base
+    if p * t > clusterpack.MAX_EDGES:
+        raise ResourceLimitError(
+            f"p={p} players over {n_base}^2 pairs may hold {p * t} edges "
+            f"(guard {clusterpack.MAX_EDGES})"
+        )
 
     rng = rng_for(seed, 30)
     j_star = int(rng.integers(t))
@@ -528,35 +542,9 @@ def gen_simultaneous(
     x = rng.integers(0, 2, size=(p, t)).astype(np.uint8)
     x[:, j_star] = theta
 
-    u_star, v_star = _pair_of(j_star, n_base)
     sigma = tuple(int(v) for v in rng.permutation(n))
-    left_others = [a for a in range(n_base) if a != u_star]
-    right_others = [b for b in range(n_base) if b != v_star]
-    left_id = {a: sigma[idx] for idx, a in enumerate(left_others)}
-    right_id = {b: sigma[(n_base - 1) + idx] for idx, b in enumerate(right_others)}
-    clique_ids = [sigma[2 * (n_base - 1) + i] for i in range(k)]
-    pairs = _clique_pairs(k)
-
-    local_edges: list[tuple[tuple[int, int], ...]] = []
-    player_edges: list[tuple[Edge, ...]] = []
-    for i in range(p):
-        special_u = clique_ids[pairs[i][0]]
-        special_v = clique_ids[pairs[i][1]]
-        local: list[tuple[int, int]] = []
-        global_: list[Edge] = []
-        for j in range(t):
-            if not x[i, j]:
-                continue
-            a, b = _pair_of(j, n_base)
-            local.append((a, b))
-            gu = special_u if a == u_star else left_id[a]
-            gv = special_v if b == v_star else right_id[b]
-            global_.append((gu, gv) if gu < gv else (gv, gu))
-        local_edges.append(tuple(local))
-        player_edges.append(tuple(global_))
-
     v_bipartite = tuple(sorted(sigma[: 2 * (n_base - 1)]))
-    v_clique = tuple(sorted(clique_ids))
+    v_clique = tuple(sorted(sigma[2 * (n_base - 1) : 2 * (n_base - 1) + k]))
     return SimultaneousInstance(
         k=k,
         n_base=n_base,
@@ -569,8 +557,7 @@ def gen_simultaneous(
         j_star=j_star,
         x=x,
         sigma=sigma,
-        local_edges=tuple(local_edges),
-        player_edges=tuple(player_edges),
+        player_edges=_player_edges(k, n_base, j_star, sigma, x),
         v_bipartite=v_bipartite,
         v_clique=v_clique,
     )
@@ -606,44 +593,30 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, passed, detail if not passed else "")
 
 
+def _keys(part: np.ndarray, n: int) -> np.ndarray:
+    return part[:, 0] * n + part[:, 1]
+
+
 def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
     checks = []
     union = inst.union_graph()
-    host = inst.host
-
-    expected_e1: set[Edge] = set()
-    for i in range(host.t):
-        if inst.x[i]:
-            for clique in host.clusters[i]:
-                for a in range(len(clique)):
-                    for b in range(a + 1, len(clique)):
-                        u, v = clique[a], clique[b]
-                        expected_e1.add((u, v) if u < v else (v, u))
-    checks.append(
-        _check(
-            "player1-edges",
-            set(inst.e1) == expected_e1,
-            f"e1 mismatch, e.g. {sorted(set(inst.e1) ^ expected_e1)[:1]}",
+    n = inst.n
+    expected = _two_player_parts(inst.host, inst.x, inst.i_star)
+    for i, (got, want) in enumerate(zip(inst.edge_parts(), expected), 1):
+        diff = np.setxor1d(_keys(got, n), _keys(want, n))
+        checks.append(
+            _check(
+                f"player{i}-edges",
+                np.array_equal(got, want),
+                f"e{i} mismatch, e.g. {[_pair(key, n) for key in diff[:1]]}",
+            )
         )
-    )
-    expected_e2: list[Edge] = []
-    cliques = host.clusters[inst.i_star]
-    for a in range(len(cliques)):
-        for b in range(a + 1, len(cliques)):
-            join_cliques(expected_e2, cliques[a], cliques[b])
+    shared = np.intersect1d(_keys(inst.e1, n), _keys(inst.e2, n))
     checks.append(
-        _check(
-            "player2-edges",
-            set(inst.e2) == set(expected_e2),
-            f"e2 mismatch, e.g. {sorted(set(inst.e2) ^ set(expected_e2))[:1]}",
-        )
-    )
-    checks.append(
-        _check("edge-disjoint", not set(inst.e1) & set(inst.e2),
-               f"shared edge {sorted(set(inst.e1) & set(inst.e2))[:1]}")
+        _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}")
     )
     checks.append(_check("ans-bit", inst.ans == int(inst.x[inst.i_star])))
-    expected_spec = tuple(sorted(v for c in cliques for v in c))
+    expected_spec = tuple(np.sort(inst.host.clusters[inst.i_star], axis=None).tolist())
     checks.append(_check("special-set", inst.spec == expected_spec))
     if inst.ans == 1:
         missing = _missing_clique_pair(union, inst.spec)
@@ -669,11 +642,8 @@ def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
 
 def _missing_clique_pair(g: Graph, vertices) -> Edge | None:
     vs = sorted(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if (u, v) not in g.edges:
-                return (u, v)
-    return None
+    pairs = ((u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    return next(((u, v) for u, v in pairs if not g.has_edge(u, v)), None)
 
 
 def _verify_recursive(inst: RecursiveInstance) -> list[CheckResult]:
@@ -761,8 +731,10 @@ def _verify_simultaneous(inst: SimultaneousInstance) -> list[CheckResult]:
     checks.append(_check("theta-anchoring", anchored, "some x[i, j*] != theta"))
 
     # recompute the relabeled edges from (x, sigma, j*)
-    regen = gen_relabel_edges(inst)
-    relabel_ok = regen == inst.player_edges
+    regen = _player_edges(inst.k, inst.n_base, inst.j_star, inst.sigma, inst.x)
+    relabel_ok = len(regen) == len(inst.player_edges) and all(
+        np.array_equal(a, b) for a, b in zip(regen, inst.player_edges)
+    )
     checks.append(_check("relabel-consistency", relabel_ok, "player edges do not match x/sigma"))
 
     bip_ok = True
@@ -792,33 +764,6 @@ def _verify_simultaneous(inst: SimultaneousInstance) -> list[CheckResult]:
     return checks
 
 
-def gen_relabel_edges(inst: SimultaneousInstance) -> tuple[tuple[Edge, ...], ...]:
-    """Player edge lists recomputed from the stored matrix and labels."""
-    u_star, v_star = _pair_of(inst.j_star, inst.n_base)
-    left_others = [a for a in range(inst.n_base) if a != u_star]
-    right_others = [b for b in range(inst.n_base) if b != v_star]
-    left_id = {a: inst.sigma[idx] for idx, a in enumerate(left_others)}
-    right_id = {
-        b: inst.sigma[(inst.n_base - 1) + idx] for idx, b in enumerate(right_others)
-    }
-    clique_ids = [inst.sigma[2 * (inst.n_base - 1) + i] for i in range(inst.k)]
-    pairs = _clique_pairs(inst.k)
-    out = []
-    for i in range(inst.p):
-        su = clique_ids[pairs[i][0]]
-        sv = clique_ids[pairs[i][1]]
-        part: list[Edge] = []
-        for j in range(inst.t):
-            if not inst.x[i, j]:
-                continue
-            a, b = _pair_of(j, inst.n_base)
-            gu = su if a == u_star else left_id[a]
-            gv = sv if b == v_star else right_id[b]
-            part.append((gu, gv) if gu < gv else (gv, gu))
-        out.append(tuple(part))
-    return tuple(out)
-
-
 def verify_instance(inst) -> VerificationReport:
     """Structural invariants plus the chromatic-gap check for any variant."""
     if isinstance(inst, TwoPlayerInstance):
@@ -846,7 +791,7 @@ def instance_to_dict(inst) -> dict:
             "ans_override": inst.ans_override,
             "ans": inst.ans,
             "spec": list(inst.spec),
-            "players": [[list(e) for e in part] for part in inst.edge_parts()],
+            "players": [part.tolist() for part in inst.edge_parts()],
         }
     if isinstance(inst, RecursiveInstance):
         return {
@@ -861,7 +806,7 @@ def instance_to_dict(inst) -> dict:
             "ans_override": inst.ans_override,
             "ans": inst.ans,
             "spec": list(inst.spec),
-            "players": [[list(e) for e in part] for part in inst.edge_parts()],
+            "players": [part.tolist() for part in inst.edge_parts()],
         }
     if isinstance(inst, SimultaneousInstance):
         return {
@@ -871,7 +816,7 @@ def instance_to_dict(inst) -> dict:
             "theta_override": inst.theta_override,
             "theta": inst.theta,
             "v_clique": list(inst.v_clique),
-            "players": [[list(e) for e in part] for part in inst.edge_parts()],
+            "players": [part.tolist() for part in inst.edge_parts()],
         }
     raise ArgumentError(f"not a hard instance: {type(inst).__name__}")
 
@@ -914,10 +859,11 @@ def read_instance(path: str):
     payload = read_json(path)
     try:
         inst = regenerate_instance(payload)
-        stored = tuple(tuple(tuple(map(int, e)) for e in part) for part in payload["players"])
+        stored = [int_rows(part, 2, "a player's edges") for part in payload["players"]]
     except (LookupError, TypeError, ValueError, ArithmeticError,
             GenerationError, ResourceLimitError) as exc:
         raise FormatError(f"fields do not describe an instance: {exc!r}") from None
-    if stored != inst.edge_parts():
+    parts = inst.edge_parts()
+    if len(stored) != len(parts) or not all(map(np.array_equal, stored, parts)):
         raise FormatError("stored edge lists do not match the regenerated instance")
     return inst

@@ -47,3 +47,28 @@ def refine_partition(colors1, colors2):
             labels[pair] = len(labels)
         out.append(labels[pair])
     return out
+
+
+class ReplayMultigraph:
+    """Reference multigraph: replays ``(u, v, delta)`` events one at a time.
+
+    `apply` raises `ValueError` on a self-loop, an endpoint outside
+    ``[0, n)``, a delta other than +1 or -1, or a multiplicity that would go
+    negative. `final_edges` is the set of pairs of positive multiplicity.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.counts: dict[tuple[int, int], int] = {}
+
+    def apply(self, u: int, v: int, delta: int) -> None:
+        e = (min(u, v), max(u, v))
+        if delta not in (1, -1) or u == v or e[0] < 0 or e[1] >= self.n:
+            raise ValueError(f"bad event {(u, v, delta)} for n={self.n}")
+        count = self.counts.get(e, 0) + delta
+        if count < 0:
+            raise ValueError(f"multiplicity of {e} would become negative")
+        self.counts[e] = count
+
+    def final_edges(self) -> set[tuple[int, int]]:
+        return {e for e, count in self.counts.items() if count > 0}

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
     ClusterPackingGraph,
@@ -21,7 +25,13 @@ from streamcolor import (
     verify_cluster_packing,
     write_cpg,
 )
-from streamcolor.clusterpack import DenseLayout, SetFamily
+from streamcolor.clusterpack import (
+    EXACT_FALLBACK_LIMIT,
+    CheckResult,
+    DenseLayout,
+    SetFamily,
+)
+from streamcolor.exact import find_k_coloring
 from streamcolor.errors import (
     ArgumentError,
     FormatError,
@@ -247,7 +257,8 @@ class TestLift:
         lifted = lift_to_k_colorable(base)
         assert lifted.graph.n == 9
         assert (lifted.r, lifted.t) == (3, 1)
-        assert set(lifted.clusters[0]) == {(0, 4, 8), (1, 5, 6), (2, 3, 7)}
+        # clique j * k + ell takes copy a's vertex from slot (a + ell) % k
+        assert lifted.clusters[0].tolist() == [[0, 4, 8], [1, 5, 6], [2, 3, 7]]
         assert verify_cluster_packing(lifted).ok
 
     def test_r2_t3_k3_parameters(self):
@@ -268,7 +279,7 @@ class TestLift:
         )
         lifted = lift_to_k_colorable(base)
         assert lifted.graph.n == 3
-        assert lifted.clusters == base.clusters
+        assert np.array_equal(lifted.clusters, base.clusters)
         assert lifted.graph.num_edges == 0
 
     def test_lift_preserves_verification(self):
@@ -339,18 +350,32 @@ class TestVerifyClusterPacking:
         assert not induced.passed
         assert str(extra) in induced.detail or str(extra[0]) in induced.detail
 
+    @pytest.mark.parametrize(
+        "clusters",
+        [
+            (((0, 1), (2, 3)), ((0, 2),)),  # ragged
+            [[[0, 1, 2]]],  # k = 3
+            [[[0, 1]], [[2, 3]]],  # t = 2
+            [[[0.0, 1.0]]],  # not integers
+            [[[0, 4]]],  # a vertex outside [0, 4)
+            [[[-1, 1]]],
+        ],
+    )
+    def test_clusters_must_be_a_t_r_k_array_of_vertices(self, clusters):
+        fine = ClusterPackingGraph(Graph(4), k=2, r=1, t=1, clusters=[[[0, 1]]])
+        assert fine.clusters.shape == (1, 1, 2) and not fine.clusters.flags.writeable
+        with pytest.raises(ArgumentError):
+            ClusterPackingGraph(Graph(4), k=2, r=1, t=1, clusters=clusters)
+
     def test_reassigned_clique_breaks_partition_checks(self):
+        # moving a clique between clusters leaves them ragged, which the
+        # (t, r, k) clusters array cannot hold
         cpg = construct_lines_basic(64, 2)
-        clusters = [list(c) for c in cpg.clusters]
+        clusters = [list(map(tuple, c)) for c in cpg.clusters.tolist()]
         moved = clusters[0].pop()
         clusters[1].append(moved)
-        tampered = dataclasses.replace(
-            cpg, clusters=tuple(tuple(c) for c in clusters)
-        )
-        report = verify_cluster_packing(tampered)
-        assert not report.ok
-        structure = [c for c in report.checks if c.name == "cluster-structure"][0]
-        assert not structure.passed
+        with pytest.raises(ArgumentError):
+            dataclasses.replace(cpg, clusters=tuple(tuple(c) for c in clusters))
 
     @pytest.mark.parametrize(
         "n,r,k",
@@ -361,6 +386,249 @@ class TestVerifyClusterPacking:
         assert verify_cluster_packing(cpg).ok
 
 
+# ---------------------------------------------------------------------------
+# the set-and-dict verifier that the array passes replaced, kept as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_cluster_packing(cpg: ClusterPackingGraph) -> list[tuple[str, bool, str]]:
+    """The five checks as ``(name, passed, detail)``, computed over the
+    clusters as nested tuples and over the graph's edge frozenset."""
+    checks: list[CheckResult] = []
+    g = cpg.graph
+    clusters = tuple(tuple(map(tuple, c)) for c in cpg.clusters.tolist())
+
+    # per-cluster edge sets (shared by checks 1 and 3)
+    cluster_edges: list[set[tuple[int, int]]] = []
+    for cluster in clusters:
+        own: set[tuple[int, int]] = set()
+        for clique in cluster:
+            for a in range(len(clique)):
+                for b in range(a + 1, len(clique)):
+                    u, v = clique[a], clique[b]
+                    own.add((u, v) if u < v else (v, u))
+        cluster_edges.append(own)
+
+    # (1) edge partition exactness
+    partition_ok = True
+    detail = ""
+    implied: set[tuple[int, int]] = set()
+    owner: dict[tuple[int, int], int] = {}
+    for ci, own in enumerate(cluster_edges):
+        collision = {e for e in own if e in implied}
+        if collision and partition_ok:
+            e = min(collision)
+            partition_ok = False
+            detail = f"edge {e} implied by clusters {owner[e]} and {ci}"
+        implied.update(own)
+        for e in own:
+            owner.setdefault(e, ci)
+    if partition_ok and implied != g.edges:
+        partition_ok = False
+        missing = g.edges - implied
+        extra = implied - g.edges
+        if missing:
+            detail = f"graph edge {min(missing)} not covered by any cluster"
+        else:
+            detail = f"implied edge {min(extra)} absent from the graph"
+    checks.append(CheckResult("edge-partition", partition_ok, detail))
+
+    # (2) cluster structure: r vertex-disjoint k-cliques each
+    structure_ok = True
+    detail = ""
+    if len(clusters) != cpg.t:
+        structure_ok = False
+        detail = f"expected t={cpg.t} clusters, found {len(clusters)}"
+    else:
+        for ci, cluster in enumerate(clusters):
+            if len(cluster) != cpg.r:
+                structure_ok = False
+                detail = f"cluster {ci} has {len(cluster)} cliques, expected r={cpg.r}"
+                break
+            seen: set[int] = set()
+            for clique in cluster:
+                if len(set(clique)) != cpg.k:
+                    structure_ok = False
+                    detail = f"cluster {ci} clique {clique} is not {cpg.k} distinct vertices"
+                    break
+                overlap = seen.intersection(clique)
+                if overlap:
+                    structure_ok = False
+                    detail = f"cluster {ci} reuses vertex {min(overlap)}"
+                    break
+                seen.update(clique)
+            if not structure_ok:
+                break
+    checks.append(CheckResult("cluster-structure", structure_ok, detail))
+
+    # vertex -> clusters membership (used by checks 3 and 4)
+    membership: dict[int, list[int]] = {}
+    for ci, cluster in enumerate(clusters):
+        for clique in cluster:
+            for v in clique:
+                membership.setdefault(v, []).append(ci)
+
+    # (3) inducedness: an edge with both endpoints inside a cluster's vertex
+    # set must be one of that cluster's own edges
+    induced_ok = True
+    detail = ""
+    for e in sorted(g.edges):
+        mu = membership.get(e[0], ())
+        mv = membership.get(e[1], ())
+        common = set(mu) & set(mv)
+        bad = [ci for ci in common if e not in cluster_edges[ci]]
+        if bad:
+            ci = min(bad)
+            induced_ok = False
+            detail = (
+                f"edge {e} lies inside cluster {ci}'s vertex set "
+                f"but is not one of its edges"
+            )
+            break
+    checks.append(CheckResult("inducedness", induced_ok, detail))
+
+    # (4) pairwise cluster vertex intersections <= r
+    overlap_ok = True
+    detail = ""
+    pair_counts: dict[tuple[int, int], int] = {}
+    for v, mem in membership.items():
+        mem_sorted = sorted(set(mem))
+        for a in range(len(mem_sorted)):
+            for b in range(a + 1, len(mem_sorted)):
+                key = (mem_sorted[a], mem_sorted[b])
+                pair_counts[key] = pair_counts.get(key, 0) + 1
+    for key in sorted(pair_counts):
+        if pair_counts[key] > cpg.r:
+            overlap_ok = False
+            detail = (
+                f"clusters {key[0]} and {key[1]} share {pair_counts[key]} "
+                f"vertices > r = {cpg.r}"
+            )
+            break
+    checks.append(CheckResult("cluster-overlap", overlap_ok, detail))
+
+    # (5) k-colorability
+    color_ok = True
+    detail = ""
+    if cpg.layout in ("basic", "grouped", "dense", "lifted"):
+        coloring = canonical_coloring(cpg)
+        if coloring.num_colors > cpg.k or not is_proper_coloring(g, coloring):
+            color_ok = False
+            detail = "canonical layer coloring is not a proper k-coloring"
+    elif g.n <= EXACT_FALLBACK_LIMIT:
+        if find_k_coloring(g, cpg.k) is None:
+            color_ok = False
+            detail = f"graph is not {cpg.k}-colorable (exact solver)"
+    else:
+        color_ok = False
+        detail = "no layout metadata and graph too large for the exact fallback"
+    checks.append(CheckResult("k-colorable", color_ok, detail))
+
+    return [(c.name, c.passed, c.detail) for c in checks]
+
+
+def report_rows(cpg: ClusterPackingGraph) -> list[tuple[str, bool, str]]:
+    return [(c.name, c.passed, c.detail) for c in verify_cluster_packing(cpg).checks]
+
+
+@functools.cache
+def base_packing(name: str) -> ClusterPackingGraph:
+    two_sets = SetFamily(d=5, w=3, theta=1, sets=((0, 1, 2), (2, 3, 4)))
+    return {
+        "basic-64-2": lambda: construct_lines_basic(64, 2),
+        "basic-108-3": lambda: construct_lines_basic(108, 3),
+        "grouped-64-2-2": lambda: construct_lines_grouped(64, 2, 2),
+        "grouped-36-2-3": lambda: construct_lines_grouped(36, 2, 3),
+        "dense": lambda: construct_dense(DenseParams(k=2, d=5, p=5, family=two_sets)),
+        "lifted": lambda: lift_to_k_colorable(construct_lines_grouped(36, 2, 3)),
+        "k1": lambda: ClusterPackingGraph(Graph(3), k=1, r=2, t=1, clusters=(((0,), (1,)),)),
+    }[name]()
+
+
+TAMPERINGS = ("drop-edge", "add-edge", "repeat-vertex", "edge-twice", "copy-cliques")
+
+
+@st.composite
+def tampered_packings(draw) -> ClusterPackingGraph:
+    """A construction with up to three tamperings: an edge dropped, an edge
+    added inside a cluster, a vertex repeated in a clique, one edge implied
+    by two cliques, or cliques copied over another cluster's; the graph is
+    kept, or rebuilt from the tampered cliques."""
+    cpg = base_packing(draw(st.sampled_from(["basic-64-2", "basic-108-3", "grouped-64-2-2",
+                                              "grouped-36-2-3", "dense", "lifted", "k1"])))
+    clusters, edges = cpg.clusters.copy(), sorted(cpg.graph.edges)
+    (t, r, k), index = clusters.shape, st.integers(0, 10**6)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(TAMPERINGS))
+        ci, j, ci2, j2 = (draw(index) % t, draw(index) % r, draw(index) % t, draw(index) % r)
+        a, b = draw(index) % k, draw(index) % k
+        if kind == "drop-edge" and edges:
+            edges.pop(draw(index) % len(edges))
+        elif kind == "add-edge":
+            vs = sorted(set(clusters[ci].ravel().tolist()))
+            u, v = vs[draw(index) % len(vs)], vs[draw(index) % len(vs)]
+            if u != v:
+                edges = sorted(set(edges) | {(min(u, v), max(u, v))})
+        elif kind == "repeat-vertex" and a != b:
+            clusters[ci, j, b] = clusters[ci, j, a]
+        elif kind == "edge-twice" and k >= 2 and (ci, j) != (ci2, j2):
+            clusters[ci2, j2, :2] = clusters[ci, j, :2]
+        elif kind == "copy-cliques" and ci != ci2:
+            m = draw(st.integers(1, r))
+            clusters[ci2, :m] = clusters[ci, :m]
+    if draw(st.booleans()):
+        edges = [(u, v) for c in clusters.tolist() for q in c
+                 for u, v in itertools.combinations(sorted(q), 2) if u != v]
+    return dataclasses.replace(cpg, graph=Graph(cpg.graph.n, edges), clusters=clusters)
+
+
+@st.composite
+def random_packings(draw) -> ClusterPackingGraph:
+    """Any (t, r, k) clique array over a few vertices, with a graph made of
+    some of the pairs it implies plus a few others."""
+    n, t, r, k = draw(st.integers(2, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vertices = draw(st.lists(st.integers(0, n - 1), min_size=t * r * k, max_size=t * r * k))
+    clusters = np.array(vertices).reshape(t, r, k)
+    implied = sorted({(u, v) for q in clusters.reshape(-1, k).tolist()
+                      for u, v in itertools.combinations(sorted(q), 2) if u != v})
+    kept = draw(st.lists(st.booleans(), min_size=len(implied), max_size=len(implied)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = [e for e, keep in zip(implied, kept) if keep] + draw(st.lists(pair, max_size=6))
+    return ClusterPackingGraph(Graph(n, edges), k=k, r=r, t=t, clusters=clusters)
+
+
+class TestAgreesWithSetReference:
+    @pytest.mark.parametrize("name", ["basic-64-2", "basic-108-3", "grouped-64-2-2",
+                                      "grouped-36-2-3", "dense", "lifted", "k1"])
+    def test_constructions(self, name):
+        assert report_rows(base_packing(name)) == reference_verify_cluster_packing(base_packing(name))
+
+    @given(tampered_packings())
+    @settings(max_examples=300, deadline=None)
+    def test_tampered_packings(self, cpg):
+        assert report_rows(cpg) == reference_verify_cluster_packing(cpg)
+
+    @given(random_packings())
+    @settings(max_examples=500, deadline=None)
+    def test_random_packings(self, cpg):
+        assert report_rows(cpg) == reference_verify_cluster_packing(cpg)
+
+    def test_every_check_fails_somewhere(self):
+        # the tamperings reach each of the first four checks' failures
+        cpg = base_packing("basic-64-2")
+        c = cpg.clusters.copy()
+        c[1, 0] = c[0, 0]  # an edge implied by clusters 0 and 1
+        c[2, 1, 1] = c[2, 1, 0]  # a clique repeating a vertex
+        c[4, :] = c[3, :]  # clusters 3 and 4 share 4 > r vertices
+        extra = (int(c[5, 0, 0]), int(c[5, 1, 1]))  # inside cluster 5, not its edge
+        tampered = dataclasses.replace(
+            cpg, clusters=c, graph=Graph(64, sorted(cpg.graph.edges | {extra}))
+        )
+        rows = report_rows(tampered)
+        assert [passed for _, passed, _ in rows[:4]] == [False] * 4
+        assert rows == reference_verify_cluster_packing(tampered)
+
+
 class TestCpgSerialization:
     def test_round_trip(self, tmp_path):
         cpg = construct_lines_basic(64, 2)
@@ -368,7 +636,7 @@ class TestCpgSerialization:
         write_cpg(cpg, str(path))
         again = read_cpg(str(path))
         assert again.graph == cpg.graph
-        assert again.clusters == cpg.clusters
+        assert np.array_equal(again.clusters, cpg.clusters)
         assert (again.k, again.r, again.t, again.layout) == (2, 2, 32, "basic")
         path2 = tmp_path / "b.cpg"
         write_cpg(again, str(path2))

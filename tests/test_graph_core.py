@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from streamcolor import (
     Coloring,
-    DynamicMultigraph,
     Graph,
-    finalize_multigraph,
+    Stream,
     induced_subgraph,
     is_proper_coloring,
     product_coloring,
@@ -19,10 +18,10 @@ from streamcolor import (
     write_coloring,
     write_graph,
 )
-from streamcolor.errors import ArgumentError, FormatError
+from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES
 
-from oracles import brute_induced_edges, brute_is_proper, refine_partition
+from oracles import ReplayMultigraph, brute_induced_edges, brute_is_proper, refine_partition
 
 
 class TestGraph:
@@ -306,32 +305,36 @@ class TestInducedSubgraph:
             induced_subgraph(c5, {0, 9})
 
 
+def dynamic_final(n: int, events) -> Graph:
+    """The graph a dynamic event list leaves, from `Stream.final_graph`,
+    checked against the reference replay."""
+    reference = ReplayMultigraph(n)
+    for event in events:
+        reference.apply(*event)
+    final = Stream(n, "dyn", events).final_graph()
+    assert final.edges == reference.final_edges()
+    return final
+
+
 class TestDynamicMultigraph:
+    """Multiplicities under +1/-1 events: the final graph keeps the pairs
+    left positive, and no prefix may go negative."""
+
     def test_finalize_empty(self):
-        m = DynamicMultigraph(4)
-        m.apply(0, 1, 1)
-        m.apply(0, 1, -1)
-        assert finalize_multigraph(m) == Graph(4)
+        assert dynamic_final(4, [(0, 1, 1), (0, 1, -1)]) == Graph(4)
 
     def test_multiplicity_collapses(self):
-        m = DynamicMultigraph(3)
-        for _ in range(3):
-            m.apply(0, 1, 1)
-        assert finalize_multigraph(m) == Graph(3, [(0, 1)])
+        assert dynamic_final(3, [(0, 1, 1)] * 3) == Graph(3, [(0, 1)])
 
     def test_positivity_filter(self):
-        m = DynamicMultigraph(3)
-        m.apply(0, 1, 1)
-        m.apply(0, 1, 1)
-        m.apply(1, 2, 1)
-        m.apply(1, 2, -1)
-        m.apply(0, 2, 1)
-        assert finalize_multigraph(m).edges == {(0, 1), (0, 2)}
+        events = [(0, 1, 1), (0, 1, 1), (1, 2, 1), (1, 2, -1), (0, 2, 1)]
+        assert dynamic_final(3, events).edges == {(0, 1), (0, 2)}
 
     def test_negative_multiplicity_rejected(self):
-        m = DynamicMultigraph(3)
-        with pytest.raises(ArgumentError):
-            m.apply(0, 1, -1)
+        with pytest.raises(ValueError):
+            ReplayMultigraph(3).apply(0, 1, -1)
+        with pytest.raises(StreamValidationError):
+            Stream(3, "dyn", [(0, 1, -1)])
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=40, deadline=None)
@@ -339,15 +342,15 @@ class TestDynamicMultigraph:
         # events: three inserts of (0,1), one insert+delete of (1,2), insert (0,2)
         events = [(0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 2, 1), (1, 2, -1), (0, 2, 1)]
         shuffled = [events[i] for i in perm]
-        m = DynamicMultigraph(3)
-        ok = True
+        reference = ReplayMultigraph(3)
         try:
             for u, v, d in shuffled:
-                m.apply(u, v, d)
-        except ArgumentError:
-            ok = False  # permutation broke prefix non-negativity; skip
-        if ok:
-            assert finalize_multigraph(m).edges == {(0, 1), (0, 2)}
+                reference.apply(u, v, d)
+        except ValueError:  # permutation broke prefix non-negativity
+            with pytest.raises(StreamValidationError):
+                Stream(3, "dyn", shuffled)
+            return
+        assert dynamic_final(3, shuffled).edges == {(0, 1), (0, 2)}
 
 
 class TestSerialization:

@@ -2,30 +2,47 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from streamcolor import (
+    DenseParams,
+    Graph,
     LevelPlan,
     LevelSpec,
+    clusterpack,
+    construct_dense,
+    construct_lines_basic,
+    construct_lines_grouped,
     default_level_plan,
+    fano_family,
     find_k_coloring,
     gen_recursive,
     gen_simultaneous,
     gen_two_player,
     is_proper_coloring,
+    instances,
     join_cliques,
+    lift_to_k_colorable,
     read_instance,
     verify_clique,
+    verify_cluster_packing,
     verify_instance,
     witness_coloring_recursive,
     witness_coloring_simultaneous,
     write_instance,
 )
-from streamcolor.errors import ArgumentError, FormatError
+from streamcolor.cli import main as cli_main
+from streamcolor.errors import ArgumentError, FormatError, ResourceLimitError
+from streamcolor.clusterpack import LineLayout
 from streamcolor.instances import (
+    _validate_level,
     sample_intersecting_sets,
     witness_coloring_two_player,
 )
@@ -34,19 +51,19 @@ from streamcolor.seeds import rng_for
 
 class TestJoinCliques:
     def test_singletons(self):
-        assert join_cliques([], {0}, {1}) == [(0, 1)]
+        assert join_cliques({0}, {1}).tolist() == [[0, 1]]
 
     def test_two_by_two(self):
-        got = join_cliques([], {0, 1}, {2, 3})
-        assert sorted(got) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        got = join_cliques({0, 1}, {2, 3})
+        assert got.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
     def test_three_by_three_count(self):
-        got = join_cliques([], {0, 1, 2}, {3, 4, 5})
-        assert len(got) == 9
+        got = join_cliques({0, 1, 2}, {3, 4, 5})
+        assert got.shape == (9, 2)
 
     def test_overlap_rejected(self):
         with pytest.raises(ArgumentError):
-            join_cliques([], {0, 1}, {1, 2})
+            join_cliques({0, 1}, {1, 2})
 
 
 class TestTwoPlayer:
@@ -62,7 +79,7 @@ class TestTwoPlayer:
     def test_parts_edge_disjoint(self):
         for seed in range(5):
             inst = gen_two_player(64, 2, seed=seed)
-            assert not set(inst.e1) & set(inst.e2)
+            assert not set(map(tuple, inst.e1.tolist())) & set(map(tuple, inst.e2.tolist()))
 
     def test_witness_coloring(self):
         inst = gen_two_player(64, 2, seed=3, ans_override=0)
@@ -79,7 +96,7 @@ class TestTwoPlayer:
         a = gen_two_player(64, 2, seed=11)
         b = gen_two_player(64, 2, seed=11)
         assert a.i_star == b.i_star and np.array_equal(a.x, b.x)
-        assert a.e1 == b.e1 and a.e2 == b.e2
+        assert np.array_equal(a.e1, b.e1) and np.array_equal(a.e2, b.e2)
 
     def test_ans_is_uniform(self):
         hits = sum(gen_two_player(16, 2, seed=s).ans for s in range(1000))
@@ -104,8 +121,8 @@ class TestTwoPlayer:
         inst = gen_two_player(64, 2, seed=4, ans_override=1)
         victim = (inst.spec[0], inst.spec[1])
         tampered = dataclasses.replace(
-            inst, e1=tuple(e for e in inst.e1 if e != victim),
-            e2=tuple(e for e in inst.e2 if e != victim),
+            inst, e1=inst.e1[(inst.e1 != victim).any(1)],
+            e2=inst.e2[(inst.e2 != victim).any(1)],
         )
         report = verify_instance(tampered)
         assert not report.ok
@@ -117,7 +134,7 @@ class TestRecursive:
     def test_p2_is_exactly_two_player(self):
         direct = gen_two_player(64, 2, seed=9)
         viaplan = gen_recursive(2, 2, plan=LevelPlan(n2=64), seed=9)
-        assert viaplan.e1 == direct.e1 and viaplan.e2 == direct.e2
+        assert np.array_equal(viaplan.e1, direct.e1) and np.array_equal(viaplan.e2, direct.e2)
         assert viaplan.ans == direct.ans
 
     def test_default_plan_matches_worked_example(self):
@@ -240,18 +257,25 @@ class TestSimultaneous:
             gen_simultaneous(8, 4, seed=0)  # k > 2 (n_base - 1)
 
     def test_local_graphs_bipartite_by_construction(self):
+        # player i's part joins the left side plus the ends of its own
+        # clique pair (a, b) to the right side: left ids and clique vertex a
+        # on one side, right ids and clique vertex b on the other
         inst = gen_simultaneous(4, 6, seed=3)
-        for part in inst.local_edges:
-            for a, b in part:
-                assert 0 <= a < inst.n_base and 0 <= b < inst.n_base
+        nb, sigma = inst.n_base, inst.sigma
+        clique = sigma[2 * (nb - 1) :]
+        for i, ((a, b), part) in enumerate(zip(itertools.combinations(range(4), 2), inst.player_edges)):
+            left = set(sigma[: nb - 1]) | {clique[a]}
+            right = set(sigma[nb - 1 : 2 * (nb - 1)]) | {clique[b]}
+            for u, v in part.tolist():
+                assert (u in left and v in right) or (v in left and u in right)
 
     def test_union_is_multigraph(self):
         # overlapping player edges must accumulate multiplicity
         found = False
         for seed in range(20):
             inst = gen_simultaneous(4, 5, seed=seed)
-            multi = inst.union_multigraph()
-            if any(c > 1 for c in multi.counts.values()):
+            _, counts = np.unique(np.concatenate(inst.player_edges), axis=0, return_counts=True)
+            if (counts > 1).any():
                 found = True
                 break
         assert found
@@ -270,6 +294,31 @@ class TestSimultaneous:
                 report = verify_instance(inst)
                 assert report.ok, str(report)
 
+    def test_edge_guard_refuses_before_drawing(self, tmp_path, monkeypatch):
+        # gen_simultaneous(4, 6) may hold p * n_base^2 = 6 * 36 = 216 edges
+        gen = ["gen", "simultaneous", "--k", "4", "--n-base", "6", "--seed", "5"]
+        path, again = tmp_path / "sim.json", tmp_path / "again.json"
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 216)
+        assert cli_main([*gen, "-o", str(path)]) == 0
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 0
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 215)
+
+        def no_draws(*path):
+            raise AssertionError("the guard must refuse before any draw")
+
+        monkeypatch.setattr(instances, "rng_for", no_draws)
+        with pytest.raises(ResourceLimitError):
+            gen_simultaneous(4, 6, seed=5)
+        assert cli_main([*gen, "-o", str(again)]) == 2 and not again.exists()
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 3
+
+    def test_tampered_part_detected(self):
+        inst = gen_simultaneous(4, 6, seed=4)
+        parts = (inst.player_edges[0][1:],) + inst.player_edges[1:]
+        report = verify_instance(dataclasses.replace(inst, player_edges=parts))
+        relabel = [c for c in report.checks if c.name == "relabel-consistency"][0]
+        assert not relabel.passed
+
     def test_tampered_matrix_detected(self):
         inst = gen_simultaneous(4, 6, seed=4, theta_override=1)
         x = inst.x.copy()
@@ -279,6 +328,213 @@ class TestSimultaneous:
         assert not report.ok
         anchor = [c for c in report.checks if c.name == "theta-anchoring"][0]
         assert not anchor.passed
+
+
+# ---------------------------------------------------------------------------
+# the tuple-and-loop generators that the array builders replaced, kept as
+# references: each returns its player parts as sorted-or-drawn edge tuples
+# ---------------------------------------------------------------------------
+
+
+def reference_join(acc, clique_a, clique_b):
+    for u in sorted(set(clique_a)):
+        for v in sorted(set(clique_b)):
+            acc.append((u, v) if u < v else (v, u))
+    return acc
+
+
+def reference_clique_edges(acc, clique):
+    for a in range(len(clique)):
+        for b in range(a + 1, len(clique)):
+            u, v = clique[a], clique[b]
+            acc.append((u, v) if u < v else (v, u))
+    return acc
+
+
+def reference_two_player(n, k, seed=None, ans_override=None):
+    layout = LineLayout(n=n, k=k, r=k)
+    clusters = [layout.cluster_cliques(i) for i in range(layout.t_max)]
+    rng = rng_for(seed, 10)
+    i_star = int(rng.integers(len(clusters)))
+    x = rng.integers(0, 2, size=len(clusters)).astype(np.uint8)
+    if ans_override is not None:
+        x[i_star] = ans_override
+    e1, e2 = [], []
+    for i in range(len(clusters)):
+        if x[i]:
+            for clique in clusters[i]:
+                reference_clique_edges(e1, clique)
+    cliques = clusters[i_star]
+    for a in range(len(cliques)):
+        for b in range(a + 1, len(cliques)):
+            reference_join(e2, cliques[a], cliques[b])
+    spec = tuple(sorted(v for clique in cliques for v in clique))
+    return (tuple(sorted(set(e1))), tuple(sorted(set(e2)))), spec, int(x[i_star])
+
+
+def reference_recursive(p, k, plan, seed=None, ans_override=None):
+    if p == 2:
+        return reference_two_player(plan.n2, k, seed=seed, ans_override=ans_override)
+    rng = rng_for(seed, 20, p)
+    ans = int(rng.integers(2)) if ans_override is None else int(ans_override)
+    inner_n = plan.n2 if p == 3 else plan.levels[p - 4].n
+    spec_level = plan.levels[p - 3]
+    r = 4 * inner_n
+    layout = _validate_level(p, k, spec_level.n, r, spec_level.t)
+    t, m = spec_level.t, k ** (p - 1)
+    cluster_ids = tuple(sorted(int(c) for c in rng.choice(layout.t_max, size=t, replace=False)))
+    i_star = int(rng.integers(t))
+    big_t, intersection, s_istar = sample_intersecting_sets(rng, r, r // 4, m)
+    sets, x = [], np.zeros((t, r), dtype=np.uint8)
+    for i in range(t):
+        if i == i_star:
+            s_i = s_istar
+        else:
+            s_i = tuple(sorted(int(j) for j in rng.choice(r, size=r // 4, replace=False)))
+        sets.append(s_i)
+        if i == i_star:
+            forced = list(intersection)
+            free = sorted(set(s_i) - set(forced))
+            if ans == 1:
+                extra = rng.choice(len(free), size=r // 8 - m, replace=False)
+                ones = forced + [free[int(idx)] for idx in extra]
+            else:
+                extra = rng.choice(len(free), size=r // 8, replace=False)
+                ones = [free[int(idx)] for idx in extra]
+        else:
+            pick = rng.choice(len(s_i), size=r // 8, replace=False)
+            ones = [s_i[int(idx)] for idx in pick]
+        x[i, ones] = 1
+        out_cols = sorted(set(range(r)) - set(s_i))
+        x[i, out_cols] = rng.integers(0, 2, size=len(out_cols)).astype(np.uint8)
+    e1 = []
+    for i in range(t):
+        for j in sets[i]:
+            if x[i, j]:
+                reference_clique_edges(e1, layout.clique(cluster_ids[i], j))
+    inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
+    inner_parts, inner_spec, _ = reference_recursive(p - 1, k, inner_plan, seed=seed, ans_override=ans)
+    others = [v for v in range(inner_n) if v not in set(inner_spec)]
+    spec_targets = [intersection[int(i)] for i in rng.permutation(m)]
+    pool = sorted(set(big_t) - set(intersection))
+    rest_targets = [pool[int(i)] for i in rng.permutation(len(pool))]
+    sigma = dict(zip(sorted(inner_spec), spec_targets)) | dict(zip(others, rest_targets))
+    istar_cliques = layout.cluster_cliques(cluster_ids[i_star])
+    join_parts = []
+    for part in inner_parts:
+        acc = []
+        for u, v in part:
+            reference_join(acc, istar_cliques[sigma[u]], istar_cliques[sigma[v]])
+        join_parts.append(tuple(sorted(set(acc))))
+    spec = tuple(sorted(v for j in intersection for v in istar_cliques[j]))
+    return (tuple(sorted(set(e1))),) + tuple(join_parts), spec, ans
+
+
+def reference_simultaneous(k, n_base, seed=None, theta_override=None):
+    n, p, t = k + 2 * (n_base - 1), k * (k - 1) // 2, n_base * n_base
+    rng = rng_for(seed, 30)
+    j_star = int(rng.integers(t))
+    theta = int(rng.integers(2)) if theta_override is None else int(theta_override)
+    x = rng.integers(0, 2, size=(p, t)).astype(np.uint8)
+    x[:, j_star] = theta
+    u_star, v_star = divmod(j_star, n_base)
+    sigma = tuple(int(v) for v in rng.permutation(n))
+    left_others = [a for a in range(n_base) if a != u_star]
+    right_others = [b for b in range(n_base) if b != v_star]
+    left_id = {a: sigma[idx] for idx, a in enumerate(left_others)}
+    right_id = {b: sigma[(n_base - 1) + idx] for idx, b in enumerate(right_others)}
+    clique_ids = [sigma[2 * (n_base - 1) + i] for i in range(k)]
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    player_edges = []
+    for i in range(p):
+        part = []
+        for j in range(t):
+            if x[i, j]:
+                a, b = divmod(j, n_base)
+                gu = clique_ids[pairs[i][0]] if a == u_star else left_id[a]
+                gv = clique_ids[pairs[i][1]] if b == v_star else right_id[b]
+                part.append((gu, gv) if gu < gv else (gv, gu))
+        player_edges.append(tuple(part))
+    return tuple(player_edges), tuple(sorted(clique_ids)), theta
+
+
+def rows_of(inst) -> list[list[list[int]]]:
+    return [part.tolist() for part in inst.edge_parts()]
+
+
+SMALL_PLAN = LevelPlan(n2=16, levels=(LevelSpec(n=(2 * 64) ** 2, t=4),))
+seeds, bits = st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1])
+
+
+class TestAgreesWithLoopReferences:
+    """Every player part matches the reference generator row for row."""
+
+    @given(st.sampled_from([(16, 2), (64, 2), (108, 3)]), seeds, bits)
+    @settings(max_examples=60, deadline=None)
+    def test_two_player(self, nk, seed, ans):
+        inst = gen_two_player(*nk, seed=seed, ans_override=ans)
+        parts, spec, answer = reference_two_player(*nk, seed=seed, ans_override=ans)
+        assert rows_of(inst) == [[list(e) for e in part] for part in parts]
+        assert (inst.spec, inst.ans) == (spec, answer)
+
+    @given(st.sampled_from([SMALL_PLAN, default_level_plan(3, 2)]), seeds, bits)
+    @settings(max_examples=30, deadline=None)
+    def test_recursive(self, plan, seed, ans):
+        inst = gen_recursive(3, 2, plan=plan, seed=seed, ans_override=ans)
+        parts, spec, answer = reference_recursive(3, 2, plan, seed=seed, ans_override=ans)
+        assert rows_of(inst) == [[list(e) for e in part] for part in parts]
+        assert (inst.spec, inst.ans) == (spec, answer)
+
+    @given(st.sampled_from([(4, 3), (4, 6), (4, 10), (5, 4), (5, 8), (6, 5)]), seeds, bits)
+    @settings(max_examples=60, deadline=None)
+    def test_simultaneous(self, kn, seed, theta):
+        inst = gen_simultaneous(*kn, seed=seed, theta_override=theta)
+        parts, v_clique, answer = reference_simultaneous(*kn, seed=seed, theta_override=theta)
+        assert rows_of(inst) == [[list(e) for e in part] for part in parts]
+        assert (inst.v_clique, inst.theta) == (v_clique, answer)
+
+    @given(seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_join_cliques(self, seed):
+        rng = rng_for(seed, 0)
+        a, b = rng.choice(50, size=(2, 5), replace=False)
+        assert join_cliques(a, b).tolist() == [list(e) for e in reference_join([], a.tolist(), b.tolist())]
+
+
+class TestNoEdgeFrozenset:
+    def test_verifiers_never_read_graph_edges(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the verifiers must read edge arrays, not Graph.edges")
+
+        monkeypatch.setattr(Graph, "edges", property(forbidden))
+        grouped = construct_lines_grouped(36, 2, 3)
+        packings = [
+            construct_lines_basic(64, 2),
+            construct_lines_basic(108, 3),
+            grouped,
+            construct_dense(DenseParams(k=2, d=7, p=5, family=fano_family(3))),
+            lift_to_k_colorable(grouped),
+        ]
+        basic = packings[0]
+        clusters = basic.clusters.copy()
+        clusters[1] = clusters[0]  # fails checks 1 and 4
+        clusters[2, 0, 1] = clusters[2, 0, 0]  # fails check 2
+        extra = sorted(clusters[3, :, 0].tolist())  # fails checks 3 and 5
+        graph = Graph(basic.graph.n, np.concatenate((basic.graph.edge_array(), [extra])))
+        tampered = dataclasses.replace(basic, clusters=clusters, graph=graph)
+        for cpg in packings:
+            assert verify_cluster_packing(cpg).ok
+        assert not any(c.passed for c in verify_cluster_packing(tampered).checks)
+        for bit in (0, 1):
+            for inst in (
+                gen_two_player(64, 2, seed=1, ans_override=bit),
+                gen_recursive(3, 2, plan=SMALL_PLAN, seed=1, ans_override=bit),
+                gen_simultaneous(4, 6, seed=1, theta_override=bit),
+            ):
+                assert verify_instance(inst).ok
+        victim = gen_two_player(64, 2, seed=4, ans_override=1)
+        cut = dataclasses.replace(victim, e2=victim.e2[1:])
+        assert not verify_instance(cut).ok
 
 
 class TestInstanceSerialization:
@@ -292,7 +548,22 @@ class TestInstanceSerialization:
         path = tmp_path / "inst.json"
         write_instance(inst, str(path))
         again = read_instance(str(path))
-        assert again.edge_parts() == inst.edge_parts()
+        assert len(again.edge_parts()) == len(inst.edge_parts())
+        assert all(map(np.array_equal, again.edge_parts(), inst.edge_parts()))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_two_player(64, 2, seed=5, ans_override=1),
+        lambda: gen_recursive(3, 2, seed=5, ans_override=0),
+        lambda: gen_simultaneous(4, 6, seed=5),
+    ])
+    def test_one_shortened_part_rejected(self, tmp_path, make):
+        path = tmp_path / "inst.json"
+        write_instance(make(), str(path))
+        payload = json.loads(path.read_text())
+        payload["players"][-1] = payload["players"][-1][:-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            read_instance(str(path))
 
     def test_tampered_file_rejected(self, tmp_path):
         inst = gen_two_player(64, 2, seed=8)
