@@ -214,13 +214,22 @@ class LineLayout:
             raise ArgumentError(f"cluster index {index} out of range [0, {self.t_max})")
         if not 0 <= s < self.r:
             raise ArgumentError(f"clique index {s} out of range [0, {self.r})")
-        b, q = divmod(index, self.q_range)
-        ls = self.layer_size
-        return tuple(i * ls + (b + i * q) * self.r + s for i in range(self.k))
+        return tuple(self._line(*divmod(index, self.q_range), s).tolist())
 
     def cluster_cliques(self, index: int) -> list[tuple[int, ...]]:
         """The r cliques (ordered k-tuples, one vertex per layer) of a cluster."""
         return [self.clique(index, s) for s in range(self.r)]
+
+    def clusters(self) -> np.ndarray:
+        """All t_max clusters as one ``(t_max, r, k)`` int64 array."""
+        b, q = np.divmod(np.arange(self.t_max, dtype=np.int64)[:, None, None], self.q_range)
+        return self._line(b, q, np.arange(self.r, dtype=np.int64)[:, None])
+
+    def _line(self, b, q, s) -> np.ndarray:
+        """The vertex on each layer of the line that starts at position s of
+        group b and advances q groups per layer; broadcasts over b, q and s."""
+        layer = np.arange(self.k, dtype=np.int64)
+        return layer * self.layer_size + (b + layer * q) * self.r + s
 
     def layer_of(self, v: int) -> int:
         return v // self.layer_size
@@ -315,34 +324,27 @@ class DenseLayout:
         m = (group - 1) % (2 * self.params.k)
         return f"c{m // 2 + 1}" if m % 2 == 0 else "white"
 
-    def vertex_id(self, layer: int, coords: tuple[int, ...]) -> int:
-        idx = 0
-        for j, x in enumerate(coords):
-            idx += (x - 1) * self._powers[j]
-        return layer * self.params.layer_size + idx
+    def cluster(self, index: int) -> np.ndarray:
+        """The ``(cluster_size, k)`` cliques of cluster `index`, one row each.
 
-    def cluster_cliques(self, index: int) -> list[tuple[int, ...]]:
+        Rows run over the line starts, then the free coordinates in
+        lexicographic order; the vertex on layer a of a line adds
+        ``a * (layer_size + 2 * sum of the S-powers)`` to its layer-0 id.
+        """
         params = self.params
-        s = params.family.sets[index]
-        w = params.family.w
-        free_positions = [j for j in range(params.d) if j not in s]
-        s_positions = list(s)
-        cliques = []
-        coords = [0] * params.d
-        for z in self._starts:
-            for pos, val in zip(s_positions, z):
-                coords[pos] = val
-            for f in itertools.product(range(1, params.p + 1), repeat=len(free_positions)):
-                for pos, val in zip(free_positions, f):
-                    coords[pos] = val
-                clique = []
-                for layer in range(params.k):
-                    y = list(coords)
-                    for pos in s_positions:
-                        y[pos] += 2 * layer
-                    clique.append(self.vertex_id(layer, tuple(y)))
-                cliques.append(tuple(clique))
-        return cliques
+        s = list(params.family.sets[index])
+        powers = np.array(self._powers, np.int64)
+        starts = np.array(self._starts, np.int64).reshape(-1, params.family.w)
+        ids = (starts - 1) @ powers[s]
+        for pos in (j for j in range(params.d) if j not in s):
+            ids = (ids[:, None] + np.arange(params.p) * powers[pos]).ravel()
+        step = params.layer_size + 2 * int(powers[s].sum())
+        return ids[:, None] + np.arange(params.k) * step
+
+    def clusters(self) -> np.ndarray:
+        """All t_max clusters as one ``(t_max, cluster_size, k)`` int64 array."""
+        shape = (self.t_max, self.cluster_size, self.params.k)
+        return np.array([self.cluster(i) for i in range(self.t_max)], np.int64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +433,8 @@ def _check_edges(t: int, r: int, k: int) -> None:
 
 
 def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGraph:
-    t = layout_obj.t_max
-    _check_edges(t, r, k)
-    clusters = np.array([layout_obj.cluster_cliques(i) for i in range(t)], np.int64)
-    return _assemble(layout_obj.n, clusters.reshape(t, r, k), layout_name)
+    _check_edges(layout_obj.t_max, r, k)
+    return _assemble(layout_obj.n, layout_obj.clusters(), layout_name)
 
 
 def construct_lines_basic(n: int, k: int) -> ClusterPackingGraph:

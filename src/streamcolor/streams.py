@@ -47,7 +47,13 @@ class Stream:
         self._validate()
 
     def _validate(self) -> None:
-        """One array pass: stable sort by pair, then a per-pair running sum."""
+        """Delta, range and multiplicity checks as array passes.
+
+        Multiplicities take a stable sort by pair and a per-pair running sum,
+        which also finds the earliest offending event. An insertion stream is
+        first checked with one plain sort for a repeated pair and runs that
+        pass only to name the repeat.
+        """
         u, v, delta = self.events.T
         allowed = (1,) if self.model == INSERTION else (1, -1)
         bad = ~np.isin(delta, allowed)
@@ -60,6 +66,10 @@ class Stream:
             i = np.flatnonzero(outside)[0]
             raise StreamValidationError(f"pair ({u[i]}, {v[i]}) out of range for n={self.n}")
         key = u * self.n + v
+        if self.model == INSERTION:
+            ordered = np.sort(key)
+            if not (ordered[1:] == ordered[:-1]).any():
+                return  # no repeated pair; the pass below only names the first
         order = np.argsort(key, kind="stable")
         key, d = key[order], delta[order]
         first = np.diff(key, prepend=-1) != 0
@@ -141,13 +151,13 @@ def to_dynamic_stream(
     if extra_pairs < 0 or cycles < 0:
         raise ArgumentError("churn parameters must be >= 0")
     rng = rng_for(seed, 2)
-    churn: list[tuple[int, int]] = []
+    churn = np.empty((0, 2), np.int64)
     if extra_pairs and cycles:
         churn = _sample_non_edges(g, extra_pairs, rng)
     # one slot per event: each real edge owns one slot (+1), each churn pair
     # owns 2 * cycles slots; the k-th slot of a pair in stream order carries
     # +1 for even k and -1 for odd k
-    pairs = np.concatenate((g.edge_array(), np.array(churn, np.int64).reshape(-1, 2)))
+    pairs = np.concatenate((g.edge_array(), churn))
     lengths = np.r_[np.ones(g.num_edges, np.int64), np.full(len(churn), 2 * cycles)]
     slots = np.repeat(np.arange(len(pairs)), lengths)
     owner = slots[rng.permutation(len(slots))]
@@ -158,10 +168,17 @@ def to_dynamic_stream(
     return Stream(g.n, DYNAMIC, np.column_stack((pairs[owner], delta)))
 
 
-def _sample_non_edges(
-    g: Graph, count: int, rng
-) -> list[tuple[int, int]]:
-    """`count` distinct non-edges of `g`, sampled uniformly by rejection."""
+def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
+    """`count` distinct non-edges of `g` as an ``(m, 2)`` array, ``u < v``.
+
+    Uniform by rejection: each attempt draws u then v from ``[0, n)`` and
+    keeps the pair unless it is a loop, an edge, or already kept. Attempts
+    are drawn in batches of ``rng.integers(0, n, size=(B, 2))``, which yields
+    the same values as scalar draws in the same order. Once a batch holds
+    the last pair needed, the generator is rewound to the batch's start and
+    only the attempts used are redrawn, so `rng` ends where the one-attempt-
+    at-a-time loop would leave it and the rest of the stream is unchanged.
+    """
     n = g.n
     max_pairs = n * (n - 1) // 2
     available = max_pairs - g.num_edges
@@ -170,20 +187,25 @@ def _sample_non_edges(
             f"requested {count} churn pairs but only {available} non-edges exist"
         )
     edges = g.edge_array()
-    taken = set((edges[:, 0] * n + edges[:, 1]).tolist())  # pair keys u * n + v
-    out = []
-    while len(out) < count:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        key = e[0] * n + e[1]
-        if key in taken:
-            continue
-        taken.add(key)
-        out.append(e)
-    return out
+    taken = edges[:, 0] * n + edges[:, 1]  # pair keys u * n + v
+    kept = [np.empty((0, 2), np.int64)]
+    need = count
+    while need:
+        # about 5/4 of the attempts the current acceptance rate asks for
+        size = min(need * max_pairs // (available - count + need) * 5 // 4 + 16, 1 << 20)
+        start = rng.bit_generator.state
+        pair = np.sort(rng.integers(0, n, size=(size, 2)), axis=1)
+        key = pair[:, 0] * n + pair[:, 1]
+        _, first = np.unique(key, return_index=True)
+        first = np.sort(first[(pair[first, 0] != pair[first, 1]) & ~np.isin(key[first], taken)])
+        if len(first) >= need:
+            first = first[:need]
+            rng.bit_generator.state = start
+            rng.integers(0, n, size=(first[-1] + 1, 2))
+        kept.append(pair[first])
+        taken = np.concatenate((taken, key[first]))
+        need -= len(first)
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,11 +22,13 @@ from streamcolor import (
     to_dynamic_stream,
     to_insertion_stream,
 )
+from streamcolor import algorithms
 from streamcolor.algorithms import Evidence, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
 from streamcolor.exact import color_with_cap
 from streamcolor.graph import monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
+from streamcolor.streams import pair_totals
 
 
 def bipartite(n: int, m: int, seed: int = 0) -> Graph:
@@ -384,3 +387,92 @@ class TestRunDynamic:
         assert verdict.label == "large"
         tr = verdict.evidence.index
         assert verdict.evidence.subgraph.edges == {e for e, c in counters[tr].items() if c > 0}
+
+
+def reference_run_dynamic(stream, q, t, seed):
+    """The per-trial counter pass: one `pair_totals` over the events each trial sees."""
+    n = stream.n
+    if n <= 1:
+        return Verdict(label="small", metadata={"mode": "degenerate"})
+    regime_floor = 4 * math.log2(n)
+    if t < regime_floor:
+        final = stream.final_graph()
+        ci = color_with_cap(final, q)
+        meta = {
+            "mode": "full-graph-fallback",
+            "regime_floor": regime_floor,
+            "stored_pairs": final.num_edges,
+        }
+        if ci is None:
+            return Verdict(label="large", evidence=Evidence("final", 0, final), metadata=meta)
+        return Verdict(label="small", metadata=meta)
+    p = 4.0 * math.log(n) / t
+    k_trials = math.ceil(2 * math.log2(n))
+    member = rng_for(seed, 43).random((k_trials, n)) < p
+    u, v, _ = stream.events.T
+    counters = [pair_totals(n, stream.events[seen]) for seen in member[:, u] & member[:, v]]
+    meta = {
+        "mode": "sampled",
+        "p": p,
+        "k_trials": k_trials,
+        "sampled_sizes": [int(member[tr].sum()) for tr in range(k_trials)],
+        "counters": sum(len(pairs) for pairs, _ in counters),
+    }
+    for tr, (pairs, totals) in enumerate(counters):
+        h = Graph(n, pairs[totals > 0])
+        if color_with_cap(h, q) is None:
+            return Verdict(label="large", evidence=Evidence("trial", tr, h), metadata=meta)
+    return Verdict(label="small", metadata=meta)
+
+
+@st.composite
+def dynamic_cases(draw):
+    """A graph on n <= 60 whose edges avoid the ids below `lo` and from `hi`
+    up, so isolated vertices sit at both ends, plus churn and runner settings."""
+    n = draw(st.integers(2, 60))
+    lo = draw(st.integers(0, n - 2))
+    hi = draw(st.integers(lo + 2, n))
+    a, b = np.triu_indices(hi - lo, 1)
+    m = draw(st.integers(0, min(len(a), 300)))
+    pick = np.random.default_rng(draw(st.integers(0, 2**16))).choice(len(a), m, replace=False)
+    g = Graph(n, np.column_stack((a[pick], b[pick])) + lo)
+    available = n * (n - 1) // 2 - g.num_edges
+    return (
+        g,
+        draw(st.integers(0, min(available, 120))),
+        draw(st.integers(0, 3)),
+        draw(st.integers(0, 2**16)),
+        draw(st.integers(2, 4)),
+        draw(st.sampled_from((1, 4, 32, 64))),
+    )
+
+
+class TestRunDynamicMatchesPerTrialPass:
+    @settings(max_examples=200, deadline=None)
+    @given(dynamic_cases())
+    def test_random_cases(self, case):
+        g, extra, cycles, seed, q, t = case
+        stream = to_dynamic_stream(g, extra_pairs=extra, cycles=cycles, seed=seed)
+        got = run_dynamic(stream, q, t, seed=seed)
+        want = reference_run_dynamic(stream, q, t, seed)
+        assert got.label == want.label
+        assert json.dumps(got.metadata, sort_keys=True) == json.dumps(want.metadata, sort_keys=True)
+        assert (got.evidence is None) == (want.evidence is None)
+        if got.evidence is not None:
+            assert (got.evidence.kind, got.evidence.index) == (want.evidence.kind, want.evidence.index)
+            assert got.evidence.subgraph.edge_array().tobytes() == want.evidence.subgraph.edge_array().tobytes()
+
+    @pytest.mark.parametrize("t, mode", [(32, "sampled"), (4, "full-graph-fallback")])
+    def test_one_pair_totals_call(self, monkeypatch, t, mode):
+        calls = []
+
+        def counting(n, events):
+            calls.append(len(events))
+            return pair_totals(n, events)
+
+        monkeypatch.setattr(algorithms, "pair_totals", counting)
+        g = planted(128, 14, seed=7)
+        stream = to_dynamic_stream(g, extra_pairs=300, cycles=2, seed=7)
+        verdict = run_dynamic(stream, 2, t, seed=7)
+        assert verdict.metadata["mode"] == mode
+        assert calls == [len(stream)]

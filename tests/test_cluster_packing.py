@@ -167,7 +167,7 @@ class TestDense:
         assert layout._starts == [(1, 1, 1)]
         assert layout.cluster_size == 5**4
         s = params.family.sets[0]
-        cliques = layout.cluster_cliques(0)
+        cliques = layout.cluster(0).tolist()
         for clique in cliques[:50]:
             start, partner = clique
             assert layout.layer_of(start) == 0

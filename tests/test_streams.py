@@ -10,6 +10,7 @@ from scipy import stats
 
 from streamcolor import (
     Graph,
+    GraphSpec,
     Stream,
     StreamSource,
     read_stream,
@@ -19,6 +20,8 @@ from streamcolor import (
 )
 from streamcolor.errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES
+from streamcolor.seeds import rng_for
+from streamcolor.streams import _sample_non_edges
 
 from oracles import ReplayMultigraph
 
@@ -106,6 +109,74 @@ class TestDynamicStreams:
         assert s.final_graph() == g
 
 
+def reference_sample_non_edges(g, count, rng):
+    """The scalar rejection loop: two scalar draws per attempt."""
+    n = g.n
+    available = n * (n - 1) // 2 - g.num_edges
+    if count > available:
+        raise ArgumentError(
+            f"requested {count} churn pairs but only {available} non-edges exist"
+        )
+    taken = set(g.edges)
+    out = []
+    while len(out) < count:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        e = (u, v) if u < v else (v, u)
+        if e in taken:
+            continue
+        taken.add(e)
+        out.append(e)
+    return out
+
+
+@st.composite
+def churn_cases(draw):
+    """A graph on 2 <= n <= 30 and a churn count from 0 to one past its non-edges."""
+    n = draw(st.integers(2, 30))
+    a, b = np.triu_indices(n, 1)
+    m = draw(st.integers(0, len(a)))
+    pick = np.random.default_rng(draw(st.integers(0, 2**16))).choice(len(a), m, replace=False)
+    g = Graph(n, np.column_stack((a[pick], b[pick])))
+    available = len(a) - m
+    count = draw(st.one_of(st.sampled_from((0, 1, available, available + 1)),
+                           st.integers(0, available)))
+    return g, count, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampleNonEdgesMatchesScalarLoop:
+    def assert_same_draws(self, g, count, seed):
+        want_rng, got_rng = rng_for(seed, 2), rng_for(seed, 2)
+        try:
+            want = reference_sample_non_edges(g, count, want_rng)
+        except ArgumentError as e:
+            with pytest.raises(ArgumentError) as got:
+                _sample_non_edges(g, count, got_rng)
+            assert str(got.value) == str(e)
+            return
+        got = _sample_non_edges(g, count, got_rng)
+        assert got.dtype == np.int64 and got.shape == (count, 2)
+        assert got.tolist() == [list(e) for e in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(churn_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases(self, case):
+        self.assert_same_draws(*case)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_n2(self, seed):
+        for g in (Graph(2), Graph(2, [(0, 1)])):
+            for count in (0, 1, 2):
+                self.assert_same_draws(g, count, seed)
+
+    def test_every_non_edge_of_a_larger_graph(self):
+        g = GraphSpec.parse("gnm:n=80,m=2000").build(rng_for(3, 0))
+        self.assert_same_draws(g, 80 * 79 // 2 - 2000, 3)
+
+
 @st.composite
 def event_lists(draw, deltas=(1, -1)):
     """(n, events) with n <= 6, either endpoint order and no self-loops."""
@@ -147,6 +218,19 @@ class TestStreamConstruction:
         s = Stream(n, "ins", events)
         assert list(s) == [(u, v, 1) for u, v in pairs]
         assert s.final_graph() == Graph(n, pairs)
+
+    @given(event_lists(deltas=(1,)))
+    @settings(max_examples=200, deadline=None)
+    def test_insertion_repeat_names_the_earliest_repeating_event(self, case):
+        n, events = case
+        pairs = [(min(u, v), max(u, v)) for u, v, _ in events]
+        repeat = next((e for i, e in enumerate(pairs) if e in pairs[:i]), None)
+        if repeat is None:
+            Stream(n, "ins", events)
+            return
+        with pytest.raises(StreamValidationError) as raised:
+            Stream(n, "ins", events)
+        assert str(raised.value) == f"pair ({repeat[0]}, {repeat[1]}) inserted twice"
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1))
     def test_rejects_rows_that_are_not_triples(self, rows):
