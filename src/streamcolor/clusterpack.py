@@ -30,16 +30,18 @@ from .errors import (
     UnsupportedInputError,
 )
 from .exact import find_k_coloring
-from .graph import Coloring, Graph, Rows, header_int, is_proper_coloring, read_header, repeats
+from .graph import Coloring, Graph, Rows, format_rows, header_int, is_proper_coloring
+from .graph import read_header, repeats
 from .seeds import rng_for
 
 MAX_VERTICES = 1 << 40
 MAX_CLIQUES = 5_000_000
 # the edges a packing may imply, checked before its pairs are built, by every
 # construction and by `read_cpg` alike, so whatever a construction writes can
-# be read back; a read peaks at about 200 (k = 3) to 550 (k = 2) bytes per
-# edge under tracemalloc, nearly all of it in `graph.Rows`, which holds each
-# row's fields as Python strings before they become one array
+# be read back; a read peaks at about 120 (k = 3) to 180 (k = 2) bytes per
+# edge under tracemalloc, measured on grouped packings of 331,776 and 524,288
+# edges. At k = 2 most of it is `graph.Rows`, whose token starts, lengths and
+# values take eight bytes each for the five tokens of each one-edge row
 MAX_EDGES = 10_000_000
 
 
@@ -314,10 +316,6 @@ class DenseLayout:
 
     def layer_of(self, v: int) -> int:
         return v // self.params.layer_size
-
-    def group_of(self, coords: tuple[int, ...], s: tuple[int, ...]) -> int:
-        w = self.params.family.w
-        return sum(coords[i] for i in s) // w
 
     def color_of_group(self, group: int) -> str:
         """Cyclic color tuple (c_1, white, c_2, white, ..., c_k, white)."""
@@ -700,6 +698,7 @@ def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
 
 CPG_HEADER = "#cpg v1"
 _LAYOUTS = ("basic", "grouped", "dense", "lifted")
+_CLIQUE = {0: ("C",)}  # the literal that starts each clique row
 
 
 def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
@@ -708,9 +707,10 @@ def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
     header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
     t, r, k = cpg.clusters.shape
     ci, ji = np.divmod(np.arange(t * r), r)
-    rows = np.column_stack((ci, ji, cpg.clusters.reshape(t * r, k))).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join([header, *(f"C {' '.join(map(str, row))}\n" for row in rows)]))
+    rows = np.column_stack((np.zeros_like(ci), ci, ji, cpg.clusters.reshape(t * r, k)))
+    with open(path, "wb") as f:
+        f.write(header.encode("utf-8"))
+        f.write(format_rows(rows, _CLIQUE))
 
 
 def read_cpg(path: str) -> ClusterPackingGraph:
@@ -727,7 +727,7 @@ def read_cpg(path: str) -> ClusterPackingGraph:
             f"t * r cliques of k vertices imply {edges} edges; n={n} has {pairs} pairs", line=1
         )
     _check_edges(t, r, k)
-    rows = Rows(body, 3 + k, {0: ("C",)})
+    rows = Rows(body, 3 + k, _CLIQUE)
     _, ci, ji = rows.data[:, :3].T
     cliques = rows.data[:, 3:]
     rows.check(

@@ -1,4 +1,4 @@
-"""Graph and coloring data model, and the shared text-format readers.
+"""Graph and coloring data model, and the shared text-format readers and writer.
 
 Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
 read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
@@ -9,13 +9,18 @@ exact solver read the CSR. Graphs and colorings are immutable after
 construction and safe to share across threads. Isolated vertices are
 implicit: a graph may have millions of vertices but only the edge set is
 materialized. The text formats `.graph`, `.stream` and `.cpg` share one
-header parser (`read_header`) and one row parser (`Rows`), defined here.
+header parser (`read_header`), one row parser (`Rows`) and one row writer
+(`format_rows`), defined here. `Rows` parses a clean body (tokens separated
+by spaces, tabs and ``\\n`` only, with every integer ``[+-]?[0-9]{1,18}``)
+as numpy passes over the file's bytes, and any other body line by line, with
+the same result; `format_rows` fills one byte buffer per body.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -25,13 +30,6 @@ from .errors import ArgumentError, FormatError
 
 # the largest n whose pair keys u * n + v (at most n*n - n - 1) fit in int64
 MAX_VERTICES = 3_037_000_499
-
-
-def normalize_edge(u: int, v: int) -> tuple[int, int]:
-    """Order an endpoint pair; self-loops are rejected."""
-    if u == v:
-        raise ArgumentError(f"self-loop on vertex {u}")
-    return (u, v) if u < v else (v, u)
 
 
 def int_rows(items, width: int, what: str) -> np.ndarray:
@@ -144,7 +142,9 @@ class Graph:
         return i if i < len(verts) and verts[i] == v else None
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = normalize_edge(u, v)
+        if u == v:
+            raise ArgumentError(f"self-loop on vertex {u}")
+        u, v = min(u, v), max(u, v)
         if u < 0 or v >= self.n:
             return False
         i, j = self._local(u), self._local(v)
@@ -281,34 +281,42 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 GRAPH_HEADER = "#graph v1"
 
 
-def read_text(path: str) -> str:
-    """The file decoded as UTF-8; other bytes raise `FormatError` at their line."""
+def read_bytes(path: str) -> bytes:
+    """The file's bytes, checked to be UTF-8; other bytes raise `FormatError` at their line."""
     with open(path, "rb") as f:
         data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+            raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    return data
 
 
 def read_json(path: str):
     try:
-        return json.loads(read_text(path))
+        return json.loads(read_bytes(path).decode("utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
 
 
-def read_header(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
-    """A text file's header fields and its body lines, numbered as
-    ``str.splitlines`` numbers them. The header's leading tokens must be
-    exactly `magic`'s; each other token is a ``key=value`` field."""
-    lines = read_text(path).splitlines() or [""]
-    tokens, head = lines[0].split(), magic.split()
-    fields = [token.partition("=") for token in tokens[len(head) :]]
-    if tokens[: len(head)] != head or not all(eq for _, eq, _ in fields):
+# the first line end as `str.splitlines` finds it, searched in UTF-8 bytes
+_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+
+
+def read_header(path: str, magic: str) -> tuple[dict[str, str], bytes]:
+    """A text file's header fields and its body, the bytes after line 1, where
+    lines end as ``str.splitlines`` ends them. The header's leading tokens must
+    be exactly `magic`'s; each other token is a ``key=value`` field."""
+    data = read_bytes(path)
+    end = _LINE_END.search(data)
+    head, body = (data[: end.start()], data[end.end() :]) if end else (data, b"")
+    tokens, want = head.decode("utf-8").split(), magic.split()
+    fields = [token.partition("=") for token in tokens[len(want) :]]
+    if tokens[: len(want)] != want or not all(eq for _, eq, _ in fields):
         raise FormatError(f"header must be '{magic}' and key=value fields", line=1)
-    return {key: value for key, _, value in fields}, lines[1:]
+    return {key: value for key, _, value in fields}, body
 
 
 def header_int(fields: Mapping[str, str], key: str, lo: int = 0) -> int:
@@ -322,19 +330,100 @@ def header_int(fields: Mapping[str, str], key: str, lo: int = 0) -> int:
     raise FormatError(f"header must carry {key}=<integer in [{lo}, {MAX_VERTICES}]>", line=1)
 
 
+def _parse_ints(b: np.ndarray, starts: np.ndarray, lens: np.ndarray, out: np.ndarray) -> bool:
+    """Write the tokens of `b` at `starts` into `out` as integers, by Horner's
+    rule over their digit positions; False unless every token is
+    ``[+-]?[0-9]{1,18}``."""
+    first = b[starts]
+    signed = (first == ord("+")) | (first == ord("-"))
+    at, digits = starts + signed, lens - signed  # the next digit, and the digits left
+    if ((digits < 1) | (digits > 18)).any():
+        return False
+    out[:] = 0
+    for _ in range(int(digits.max(initial=0))):
+        live = digits > 0
+        digit = np.take(b, at, mode="clip") - np.uint8(ord("0"))
+        if (live & (digit > 9)).any():
+            return False
+        np.multiply(out, 10, out=out, where=live)
+        np.add(out, digit, out=out, where=live)
+        at += 1
+        digits -= 1
+    np.negative(out, out=out, where=first == ord("-"))
+    return True
+
+
+def _parse_literals(
+    b: np.ndarray, starts: np.ndarray, lens: np.ndarray, allowed: tuple[str, ...], out: np.ndarray
+) -> bool:
+    """Write each token's index in `allowed` into `out`; False unless every
+    token is one of them."""
+    out[:] = -1
+    for i, token in enumerate(t.encode("utf-8") for t in allowed):
+        hit = lens == len(token)
+        for j, char in enumerate(token):
+            hit &= np.take(b, starts + j, mode="clip") == char
+        out[hit] = i
+    return not (out < 0).any()
+
+
 class Rows:
     """The non-blank body lines of a text file as one ``(rows, width)`` int64 array.
 
-    Every field is an integer, except that a column keyed in `literals` holds
-    one of its tokens and stores that token's index. `data` holds the rows
-    before the first line that breaks this; `check` names that line unless a
-    reader's own check fails on an earlier row.
+    Every field is an integer as `int` reads it, except that a column keyed in
+    `literals` holds one of its tokens and stores that token's index. `data`
+    holds the rows before the first line that breaks this; `check` names that
+    line unless a reader's own check fails on an earlier row.
+
+    A clean body is parsed by array passes over its bytes. Clean means: tokens
+    are separated only by spaces, tabs and ``\\n``; every non-blank line has
+    `width` tokens; every integer field is ``[+-]?[0-9]{1,18}``; and every
+    literal column holds one of its tokens. So a clean body holds only digits,
+    those three bytes, signs and the literals' characters. Any other body
+    (``\\r`` line ends, other whitespace, ``1_0``, digits of other scripts,
+    longer numbers, a malformed row) is split into Python strings line by line.
+    Both paths give the same `data` and name the same line, because a body
+    takes the byte path only when every token parses there.
     """
 
-    def __init__(self, body: list[str], width: int, literals: Mapping[int, tuple[str, ...]] = {}):
-        parts = [line.split() for line in body]
+    def __init__(self, body: bytes | str, width: int, literals: Mapping[int, tuple[str, ...]] = {}):
+        self._body = body.encode("utf-8") if isinstance(body, str) else body
+        if not self._from_bytes(width, literals):
+            self._from_lines(width, literals)
+
+    def _from_bytes(self, width: int, literals: Mapping[int, tuple[str, ...]]) -> bool:
+        """Parse a clean body as array passes; False, setting nothing, if it is not clean."""
+        b = np.frombuffer(self._body, dtype=np.uint8)
+        inside = np.zeros(len(b) + 2, dtype=bool)  # token bytes, padded by one blank each side
+        inside[1:-1] = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
+        starts = np.flatnonzero(inside[1:] & ~inside[:-1])
+        lens = np.flatnonzero(inside[:-1] & ~inside[1:])  # the token ends, made lengths in place
+        lens -= starts
+        del inside  # this pass's memory peak is what `clusterpack.MAX_EDGES` is sized by
+        # the tokens on each line, from the tokens before each newline
+        before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
+        per_line = np.diff(before, prepend=0, append=len(starts))
+        if not ((per_line == 0) | (per_line == width)).all():
+            return False
+        starts, lens = starts.reshape(-1, width), lens.reshape(-1, width)
+        data = np.empty(starts.shape, dtype=np.int64)
+        # a header may declare any width, but no more columns than tokens hold data
+        for col in range(min(width, starts.size)):
+            at, size, out = starts[:, col], lens[:, col], data[:, col]
+            if col in literals:
+                ok = _parse_literals(b, at, size, literals[col], out)
+            else:
+                ok = _parse_ints(b, at, size, out)
+            if not ok:
+                return False
+        self.data, self._index, self._error = data, np.flatnonzero(per_line), (len(data), "")
+        return True
+
+    def _from_lines(self, width: int, literals: Mapping[int, tuple[str, ...]]) -> None:
+        """Parse any body by splitting each line into Python strings."""
+        parts = [line.split() for line in self._body.decode("utf-8").splitlines()]
         sizes = np.fromiter(map(len, parts), np.int64, len(parts))
-        self._body, self._index = body, np.flatnonzero(sizes)  # the non-blank lines
+        self._index = np.flatnonzero(sizes)  # the non-blank lines
         stop, why = len(self._index), ""  # the first row that does not parse, and why
         wrong = np.flatnonzero(sizes[self._index] != width)
         if wrong.size:
@@ -371,7 +460,43 @@ class Rows:
                 row, message = int(hits[0]), msg
         if row < len(self._index):
             i = int(self._index[row])
-            raise FormatError(f"{message}: {self._body[i]!r}", line=i + 2)
+            text = self._body.decode("utf-8").splitlines()[i]
+            raise FormatError(f"{message}: {text!r}", line=i + 2)
+
+
+def format_rows(arr: np.ndarray, literals: Mapping[int, tuple[str, ...]] = {}) -> bytes:
+    """An ``(m, width)`` array of non-negative integers as the rows `Rows`
+    reads: fields joined by one space, each row ended by ``\\n``, integers in
+    decimal, and a column keyed in `literals` written as the token it indexes.
+
+    Each column fills a slot of one ``(m, bytes per row)`` uint8 buffer as wide
+    as its widest field, right-aligned; the zero bytes left over are dropped.
+    """
+    if arr.size and arr.min() < 0:
+        raise ArgumentError("rows must hold non-negative integers")
+    tokens = {col: [t.encode("utf-8") for t in allowed] for col, allowed in literals.items()}
+    sizes = [
+        max(map(len, tokens[col])) if col in tokens else len(str(arr[:, col].max(initial=0)))
+        for col in range(arr.shape[1])
+    ]
+    buf = np.zeros((len(arr), sum(sizes) + len(sizes)), dtype=np.uint8)
+    end = 0
+    for col, size in enumerate(sizes):
+        if col in tokens:
+            table = np.frombuffer(b"".join(t.rjust(size, b"\0") for t in tokens[col]), np.uint8)
+            buf[:, end : end + size] = table.reshape(-1, size)[arr[:, col]]
+        else:
+            q = arr[:, col]
+            for p in range(size):  # the digit of 10^p, right to left
+                rest = q // 10
+                buf[:, end + size - 1 - p] = q - rest * 10 + ord("0")
+                if p:
+                    buf[:, end + size - 1 - p][q == 0] = 0  # a leading zero
+                q = rest
+        buf[:, end + size] = ord(" ")
+        end += size + 1
+    buf[:, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
 
 
 def repeats(keys: np.ndarray) -> np.ndarray:
@@ -384,9 +509,9 @@ def repeats(keys: np.ndarray) -> np.ndarray:
 
 def write_graph(g: Graph, path: str) -> None:
     """Graph text format: header ``#graph v1 n=<N>``, then ``u v`` lines."""
-    lines = [f"{u} {v}\n" for u, v in g.edge_array().tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join([f"{GRAPH_HEADER} n={g.n}\n", *lines]))
+    with open(path, "wb") as f:
+        f.write(f"{GRAPH_HEADER} n={g.n}\n".encode("utf-8"))
+        f.write(format_rows(g.edge_array()))
 
 
 def read_graph(path: str) -> Graph:

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import MAX_VERTICES, Graph, Rows, header_int, int_rows, read_header
+from .graph import MAX_VERTICES, Graph, Rows, format_rows, header_int, int_rows, read_header
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -213,13 +213,15 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 STREAM_HEADER = "#stream v1"
+_DELTA = {2: ("-1", "+1")}  # the delta column, stored as 0 for -1 and 1 for +1
 
 
 def write_stream(stream: Stream, path: str) -> None:
     """Stream text format: header, then ``<u> <v> <+1|-1>`` per event (u < v)."""
-    lines = [f"{u} {v} {'+1' if delta > 0 else '-1'}\n" for u, v, delta in stream.events.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join([f"{STREAM_HEADER} n={stream.n} model={stream.model}\n", *lines]))
+    events = stream.events
+    with open(path, "wb") as f:
+        f.write(f"{STREAM_HEADER} n={stream.n} model={stream.model}\n".encode("utf-8"))
+        f.write(format_rows(np.column_stack((events[:, :2], events[:, 2] > 0)), _DELTA))
 
 
 def read_stream(path: str) -> Stream:
@@ -228,7 +230,7 @@ def read_stream(path: str) -> Stream:
     model = fields.get("model")
     if model not in (INSERTION, DYNAMIC):
         raise FormatError(f"header must carry model=<{INSERTION}|{DYNAMIC}>", line=1)
-    rows = Rows(body, 3, {2: ("-1", "+1")})
+    rows = Rows(body, 3, _DELTA)
     u, v, plus = rows.data.T
     outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
     rows.check(((u == v) | outside, f"pair must be two distinct vertices below {n}"))

@@ -1,4 +1,4 @@
-"""The shared text reader: differential and robustness tests.
+"""The shared text reader and writer: differential and robustness tests.
 
 `reference_read_graph` and `reference_read_stream` are the earlier per-line
 readers, kept here as references. On any body under a valid header the
@@ -6,6 +6,11 @@ shared reader must agree with them: both reject with `FormatError` at the
 same line, both reject with `StreamValidationError`, or both return equal
 objects. Byte-mutated files of every format may raise only `FormatError`
 (and, for streams, `StreamValidationError`).
+
+`Rows` parses a clean body by array passes over its bytes and any other body
+line by line; on every body both paths must give the same rows and name the
+same line. The `reference_write_*` functions are the earlier per-row f-string
+writers; `format_rows` must reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,11 @@ import functools
 import itertools
 import json
 import os
+import re
 import tempfile
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +32,18 @@ from hypothesis import strategies as st
 
 import streamcolor as sc
 from streamcolor.cli import main
-from streamcolor.errors import FormatError, StreamValidationError
-from streamcolor.graph import MAX_VERTICES, Graph, read_coloring, read_graph
-from streamcolor.streams import Stream, read_stream
+from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
+from streamcolor.graph import (
+    MAX_VERTICES,
+    Graph,
+    Rows,
+    format_rows,
+    read_coloring,
+    read_graph,
+    read_header,
+    write_graph,
+)
+from streamcolor.streams import Stream, read_stream, write_stream
 
 
 def reference_read_graph(path: str) -> Graph:
@@ -485,3 +503,256 @@ def test_mutated_files_raise_only_format_error(path, case):
         pass
     except StreamValidationError:
         assert reader is read_stream
+
+
+# ---------------------------------------------------------------------------
+# the byte path of `Rows`
+# ---------------------------------------------------------------------------
+
+# (width, literals) of the .graph body, the .stream body and .cpg bodies for k = 1, 2, 3
+LAYOUTS = [(2, {}), (3, {2: ("-1", "+1")}), *((3 + k, {0: ("C",)}) for k in (1, 2, 3))]
+CLEAN_INT = re.compile(r"[+-]?[0-9]{1,18}")
+
+
+@st.composite
+def int_token(draw, max_digits: int = 18) -> str:
+    """An integer token: an optional sign, then digits, leading zeros allowed."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return sign + draw(st.text("0123456789", min_size=1, max_size=max_digits))
+
+
+@st.composite
+def clean_or_near_body(draw, width: int, literals) -> tuple[str, bool]:
+    """A body of `width`-token rows separated by spaces, tabs and ``\\n``, and
+    whether it is clean. Half the bodies get one defect: a row one token short
+    or long, a row split over two lines, a token of 19 or 20 digits, a sign
+    that is not first, or a literal in the wrong column, another format's
+    literal or a literal with a suffix."""
+    def token(col):
+        if col in literals:
+            return draw(st.sampled_from(literals[col]))
+        return draw(st.one_of(int_token(), st.sampled_from(["+3", "-0", "007", "9" * 18])))
+
+    rows = [[token(col) for col in range(width)] for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        col = draw(st.integers(0, width - 1))
+        defect = draw(st.sampled_from(["short", "long", "split", "digits", "sign", "literal"]))
+        if defect == "split":  # the row's tokens stay, but a line ends before one
+            row[col] = "\n" + row[col]
+        elif defect == "short":
+            del row[col]
+        elif defect == "long":
+            row.insert(col, token(col))
+        elif defect == "digits":
+            row[col] = draw(int_token(20).filter(lambda t: len(t.lstrip("+-")) > 18))
+        elif defect == "sign":
+            digits = draw(st.text("0123456789", min_size=1, max_size=4))
+            i = draw(st.integers(1, len(digits)))
+            row[col] = digits[:i] + draw(st.sampled_from("+-")) + digits[i:]
+        else:
+            row[col] = draw(st.sampled_from(["C", "+1", "-1", "1", "c", "+C", "C1", "+10", "-1-"]))
+    clean = all(
+        len(row) == width
+        and all(tok in literals[col] if col in literals else CLEAN_INT.fullmatch(tok) is not None
+                for col, tok in enumerate(row))
+        for row in rows
+    )
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    edge = st.sampled_from(["", " ", "\t"])
+    lines = [draw(edge) + "".join(tok + draw(space) for tok in row[:-1]) + row[-1] + draw(edge)
+             if row else draw(edge) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):  # blank lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t \t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), clean
+
+
+def parsed(body: bytes, width: int, literals) -> list:
+    """The rows `Rows` reads, and the error `check` raises with no reader
+    check and with one that flags some rows."""
+    rows = Rows(body, width, literals)
+    out = [rows.data.tolist()]
+    for checks in ((), ((rows.data[:, -1] % 3 == 1, "flagged"),)):
+        try:
+            rows.check(*checks)
+            out.append(None)
+        except FormatError as exc:
+            out.append((exc.line, str(exc)))
+    return out
+
+
+def line_path_must_not_run(*args):
+    raise AssertionError("a clean body went to the line path")
+
+
+class TestBytePathMatchesLinePath:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(LAYOUTS), st.data())
+    def test_clean_and_near_clean_bodies(self, layout, data):
+        width, literals = layout
+        text, clean = data.draw(clean_or_near_body(width, literals))
+        body = text.encode()
+        with mock.patch.object(Rows, "_from_bytes", return_value=False):
+            want = parsed(body, width, literals)
+        if clean:
+            with mock.patch.object(Rows, "_from_lines", line_path_must_not_run):
+                assert parsed(body, width, literals) == want
+        assert parsed(body, width, literals) == want
+        assert parsed(text, width, literals) == want
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0 1\n\n\t2  3\n0 1", 5),  # clean; the last row repeats the first
+            ("0 1\n 0  1 \n", 3),
+            ("0 1\r\n0 1\n", 3),  # a \r: the line path
+        ],
+    )
+    def test_reader_checks_name_file_lines(self, tmp_path, body, line):
+        path = tmp_path / "g.graph"
+        path.write_bytes(f"#graph v1 n=4\n{body}".encode())
+        with pytest.raises(FormatError) as err:
+            read_graph(str(path))
+        assert err.value.line == line
+        assert outcome(reference_read_graph, str(path)) == ("FormatError", line)
+
+    def test_writer_output_never_takes_the_line_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(Rows, "_from_lines", line_path_must_not_run)
+        g = sc.GraphSpec.parse("gnm:n=300,m=2000").build(sc.seeds.rng_for(2, 0))
+        path = str(tmp_path / "f")
+        for obj in (Graph(0), g):
+            write_graph(obj, path)
+            assert read_graph(path) == obj
+        for stream in (
+            sc.to_insertion_stream(g, "shuffled", seed=1),
+            sc.to_dynamic_stream(g, extra_pairs=500, cycles=2, seed=1),
+        ):
+            write_stream(stream, path)
+            again = read_stream(path)
+            assert (again.n, again.model) == (stream.n, stream.model)
+            assert np.array_equal(again.events, stream.events)
+        grouped = sc.construct_lines_grouped(36, 2, 3)
+        for cpg in (sc.construct_lines_basic(64, 2), grouped, sc.lift_to_k_colorable(grouped)):
+            sc.write_cpg(cpg, path)
+            assert sc.read_cpg(path) == cpg
+
+
+# what str.splitlines ends a line on
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LINE_ENDS), st.lists(st.sampled_from(LINE_ENDS + ["0 1", " ", "é", "x"])))
+def test_header_is_the_first_line_as_splitlines_splits(path, end, rest):
+    text = "#graph v1 n=3" + end + "".join(rest)
+    path.write_bytes(text.encode())
+    fields, body = read_header(str(path), "#graph v1")
+    assert fields == {"n": "3"}
+    assert body.decode().splitlines() == text.splitlines()[1:]
+
+
+# ---------------------------------------------------------------------------
+# the writers
+# ---------------------------------------------------------------------------
+
+
+def reference_write_graph(g: Graph, path: str) -> None:
+    lines = [f"{u} {v}\n" for u, v in g.edge_array().tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join([f"#graph v1 n={g.n}\n", *lines]))
+
+
+def reference_write_stream(stream: Stream, path: str) -> None:
+    lines = [f"{u} {v} {'+1' if delta > 0 else '-1'}\n" for u, v, delta in stream.events.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join([f"#stream v1 n={stream.n} model={stream.model}\n", *lines]))
+
+
+def reference_write_cpg(cpg, path: str) -> None:
+    layout = cpg.layout if cpg.layout in ("basic", "grouped", "dense", "lifted") else "basic"
+    header = f"#cpg v1 n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
+    t, r, k = cpg.clusters.shape
+    ci, ji = np.divmod(np.arange(t * r), r)
+    rows = np.column_stack((ci, ji, cpg.clusters.reshape(t * r, k))).tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join([header, *(f"C {' '.join(map(str, row))}\n" for row in rows)]))
+
+
+def same_bytes(write, reference, obj, directory) -> bool:
+    ours, theirs = os.path.join(directory, "ours"), os.path.join(directory, "theirs")
+    write(obj, ours)
+    reference(obj, theirs)
+    with open(ours, "rb") as a, open(theirs, "rb") as b:
+        return a.read() == b.read()
+
+
+@st.composite
+def vertex_id(draw, n: int) -> int:
+    """Ids at digit-count boundaries and anywhere below `n`."""
+    edge_ids = [0, 9, 10, 99, 100, MAX_VERTICES - 1]
+    return draw(st.one_of(st.sampled_from(edge_ids), st.integers(0, MAX_VERTICES - 1))) % n
+
+
+@pytest.fixture(scope="module")
+def directory(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("writers"))
+
+
+class TestWritersMatchFStringReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 11, 101, MAX_VERTICES]), st.data())
+    def test_graph_and_streams(self, directory, n, data):
+        pair = st.tuples(vertex_id(n), vertex_id(n)).filter(lambda p: p[0] != p[1])
+        pairs = data.draw(st.lists(pair, max_size=12)) if n > 1 else []
+        g = Graph(n, pairs)
+        assert same_bytes(write_graph, reference_write_graph, g, directory)
+        inserted = Stream(n, "ins", [(*p, 1) for p in dict.fromkeys(map(tuple, map(sorted, pairs)))])
+        assert same_bytes(write_stream, reference_write_stream, inserted, directory)
+        events = [(u, v, 1) for u, v in pairs]
+        events += [(u, v, -1) for u, v in pairs if data.draw(st.booleans())]
+        dynamic = Stream(n, "dyn", events)
+        assert same_bytes(write_stream, reference_write_stream, dynamic, directory)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_cpg(self, directory, t, r, k, data):
+        # the writer reads only these fields, so ids may run to the packing bound
+        n = sc.clusterpack.MAX_VERTICES
+        ids = st.one_of(st.sampled_from([0, 9, 10, n - 1]), st.integers(0, n - 1))
+        clusters = np.array(data.draw(st.lists(ids, min_size=t * r * k, max_size=t * r * k)), np.int64)
+        layout = data.draw(st.sampled_from(["basic", "grouped", "dense", "lifted", None, "other"]))
+        cpg = SimpleNamespace(graph=SimpleNamespace(n=n), k=k, r=r, t=t, layout=layout,
+                              clusters=clusters.reshape(t, r, k))
+        assert same_bytes(sc.write_cpg, reference_write_cpg, cpg, directory)
+
+    def test_constructions(self, directory):
+        grouped = sc.construct_lines_grouped(36, 2, 3)
+        for cpg in (sc.construct_lines_basic(64, 2), grouped, sc.lift_to_k_colorable(grouped)):
+            assert same_bytes(sc.write_cpg, reference_write_cpg, cpg, directory)
+
+    def test_format_rows_refuses_negative_fields(self):
+        assert format_rows(np.zeros((0, 2), dtype=np.int64)) == b""
+        assert format_rows(np.array([[0, 12]])) == b"0 12\n"
+        with pytest.raises(ArgumentError):
+            format_rows(np.array([[0, -1]]))
+
+
+# tracemalloc peak of `read_cpg`, in bytes per edge; the per-line parser peaked
+# at about 540 (k = 2) and 200 (k = 3) on these packings, the byte path at
+# about 180 and 120
+PEAK_BYTES_PER_EDGE = {(1024, 4, 2): 250, (864, 4, 3): 150}
+
+
+@pytest.mark.parametrize("args, bound", PEAK_BYTES_PER_EDGE.items())
+def test_read_cpg_peak_memory_per_edge(tmp_path, args, bound):
+    cpg = sc.construct_lines_grouped(*args)
+    path = str(tmp_path / "grouped.cpg")
+    sc.write_cpg(cpg, path)
+    tracemalloc.start()
+    try:
+        again = sc.read_cpg(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == cpg
+    assert peak / cpg.graph.num_edges <= bound
