@@ -54,10 +54,6 @@ class Verdict:
     evidence: Evidence | None = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def is_large(self) -> bool:
-        return self.label == "large"
-
 
 @dataclass(frozen=True)
 class OfflineColoringRun:

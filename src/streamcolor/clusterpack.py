@@ -233,9 +233,6 @@ class LineLayout:
         layer = np.arange(self.k, dtype=np.int64)
         return layer * self.layer_size + (b + layer * q) * self.r + s
 
-    def layer_of(self, v: int) -> int:
-        return v // self.layer_size
-
 
 @dataclass(frozen=True)
 class DenseParams:
@@ -314,14 +311,6 @@ class DenseLayout:
     def t_max(self) -> int:
         return len(self.params.family)
 
-    def layer_of(self, v: int) -> int:
-        return v // self.params.layer_size
-
-    def color_of_group(self, group: int) -> str:
-        """Cyclic color tuple (c_1, white, c_2, white, ..., c_k, white)."""
-        m = (group - 1) % (2 * self.params.k)
-        return f"c{m // 2 + 1}" if m % 2 == 0 else "white"
-
     def cluster(self, index: int) -> np.ndarray:
         """The ``(cluster_size, k)`` cliques of cluster `index`, one row each.
 
@@ -390,9 +379,6 @@ class ClusterPackingGraph:
             == (other.graph, other.k, other.r, other.t, other.layout)
             and np.array_equal(self.clusters, other.clusters)
         )
-
-    def cluster_vertices(self, i: int) -> set[int]:
-        return set(self.clusters[i].ravel().tolist())
 
 
 def _clique_pairs(cliques: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

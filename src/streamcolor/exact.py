@@ -4,14 +4,15 @@
 returns a coloring with exactly chi(g) colors, or None when `cap` is given and
 chi(g) > cap; `chromatic_number` reads its color count, and `find_k_coloring`
 returns any k-coloring. The solver is exponential-time by design (adequate at
-desk scale). Every routine here reads the graph's cached CSR neighbour lists
-(`Graph.csr`) through numpy array passes. Bipartite inputs short-circuit
-through a 2-coloring by min-label propagation over the bipartite double
-cover, which keeps the q = 2 distinguishing workloads near-linear. Above two
-colors a greedy clique gives the lower bound and DSATUR (Brelaz 1979) the
-upper bound, and each k between them is tried once by `_search`: a
-per-component backtracking search in DSATUR's saturation order that lets
-each vertex open at most one new color class.
+desk scale). Two colors are decided from the edge array alone, by min-label
+propagation over the bipartite double cover on compact vertex ids, which
+keeps the q = 2 distinguishing workloads near-linear and never builds the
+CSR. Above two colors every routine reads the graph's cached CSR neighbour
+lists (`Graph.csr`) through numpy array passes: a greedy clique gives the
+lower bound and DSATUR (Brelaz 1979) the upper bound, and each k between
+them is tried once by `_search`, a per-component backtracking search in
+DSATUR's saturation order that lets each vertex open at most one new color
+class.
 """
 
 from __future__ import annotations
@@ -34,25 +35,22 @@ def _min_labels(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     while True:
         new = lab.copy()
         a, b = lab[x], lab[y]
-        np.minimum.at(new, np.maximum(a, b), np.minimum(a, b))
+        hi = np.maximum(a, b)
+        np.minimum.at(new, hi, np.minimum(a, b, out=a))
+        del a, b, hi  # so the next round's gathers do not stack on these
         new = new[new]
         if np.array_equal(new, lab):
             return lab
         lab = new
 
 
-def _edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The local ids of each edge's endpoints, from `csr`."""
-    _, indptr, indices = g.csr()
-    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    once = src < indices
-    return src[once], indices[once]
-
-
 def _components(g: Graph) -> list[np.ndarray]:
     """The local ids of each connected component of `csr`, ordered by
     smallest vertex."""
-    lab = _min_labels(*_edges(g), len(g.csr()[0]))
+    _, indptr, indices = g.csr()
+    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    once = src < indices
+    lab = _min_labels(src[once], indices[once], len(indptr) - 1)
     order = np.argsort(lab, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
 
@@ -130,22 +128,30 @@ def dsatur_coloring(g: Graph) -> Coloring:
 
 def _two_coloring(g: Graph) -> np.ndarray | None:
     """A 2-coloring with each component's smallest vertex colored 0, or None
-    on an odd cycle.
+    on an odd cycle; read from `edge_array` alone, without building `csr`.
 
-    Local vertex ``u`` has two copies in the bipartite double cover, ``u``
-    and ``u + k``, and edge ``(u, v)`` joins ``u`` to ``v + k`` and ``u + k``
-    to ``v``. Copies ``u`` and ``v`` share a double-cover component iff some
-    walk from ``u`` to ``v`` has even length, so an odd cycle puts ``u`` and
-    ``u + k`` together; otherwise the copy holding the component's smallest
-    vertex has the smaller label, and ``u`` is colored 1 iff that is ``u + k``.
+    The vertices of degree >= 1 get compact ids ``0..k-1`` in ascending
+    order, written into the array that is returned, so a component's
+    smallest vertex keeps the smallest id and a hooking round costs
+    O(k + m), not O(n). Compact vertex ``u`` has two copies in the bipartite
+    double cover, ``u`` and ``u + k``, and edge ``(u, v)`` joins ``u`` to
+    ``v + k`` and ``u + k`` to ``v``. Copies ``u`` and ``v`` share a
+    double-cover component iff some walk from ``u`` to ``v`` has even length,
+    so an odd cycle puts ``u`` and ``u + k`` together; otherwise the copy
+    holding the component's smallest vertex has the smaller label, and ``u``
+    is colored 1 iff that is ``u + k``.
     """
-    verts = g.csr()[0]
+    a = g.edge_array()
+    colors = np.zeros(g.n, dtype=np.int64)
+    colors[a] = 1
+    verts = np.flatnonzero(colors)
     k = len(verts)
-    u, v = _edges(g)
-    lab = _min_labels(np.concatenate((u, u + k)), np.concatenate((v + k, v)), 2 * k)
+    colors[verts] = np.arange(k)
+    ends = colors[a.T]  # the compact ids of the edges' u ends, then their v ends
+    # edge (u, v) as (u, v + k), and as (v, u + k), the same edge as (u + k, v)
+    lab = _min_labels(ends.ravel(), (ends[::-1] + k).ravel(), 2 * k)
     if (lab[:k] == lab[k:]).any():
         return None
-    colors = np.zeros(g.n, dtype=np.int64)
     colors[verts] = lab[:k] > lab[k:]
     return colors
 

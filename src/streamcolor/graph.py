@@ -5,10 +5,10 @@ read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
 and without repeats, built by deduplicating the 1-D keys ``u * n + v``. The
 frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
 are views derived from that array on first use; `has_edge`, `degree` and the
-exact solver read the CSR. Graphs and colorings are immutable after
-construction and safe to share across threads. Isolated vertices are
-implicit: a graph may have millions of vertices but only the edge set is
-materialized. The text formats `.graph`, `.stream` and `.cpg` share one
+exact solver above two colors read the CSR. Graphs and colorings are
+immutable after construction and safe to share across threads. Isolated
+vertices are implicit: a graph may have millions of vertices but only the
+edge set is materialized. The text formats `.graph`, `.stream` and `.cpg` share one
 header parser (`read_header`), one row parser (`Rows`) and one row writer
 (`format_rows`), defined here. `Rows` parses a clean body (tokens separated
 by spaces, tabs and ``\\n`` only, with every integer ``[+-]?[0-9]{1,18}``)
@@ -80,8 +80,17 @@ class Graph:
         if outside.any():
             i = np.flatnonzero(outside)[0]
             raise ArgumentError(f"edge ({lo[i]}, {hi[i]}) out of range for n={n}")
-        keys = np.sort(lo * n + hi)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        # the keys are summed and sorted in place over `lo`, and repeats are
+        # dropped through a bool mask: the one int64 copy is the kept keys
+        keys = lo
+        keys *= n
+        keys += hi
+        del lo, hi
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)  # the first entry of each run of a key
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         arr = np.empty((len(keys), 2), dtype=np.int64)
         np.divmod(keys, n, out=(arr[:, 0], arr[:, 1]))
         arr.flags.writeable = False
@@ -211,9 +220,6 @@ class Coloring:
             canon, k = _canonicalize(np.asarray(self.colors))
             object.__setattr__(self, "colors", canon)
             object.__setattr__(self, "num_colors", k)
-
-    def color_of(self, v: int) -> int:
-        return int(self.colors[v])
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -45,7 +45,7 @@ from oracles import brute_induced_edges
 def check_inducedness_bruteforce(cpg: ClusterPackingGraph) -> None:
     """Independent inducedness oracle: filter the edge list per cluster."""
     for i in range(cpg.t):
-        vs = cpg.cluster_vertices(i)
+        vs = set(cpg.clusters[i].ravel().tolist())
         inside = set(map(tuple, brute_induced_edges(cpg.graph.edges, vs)))
         own = set()
         for clique in cpg.clusters[i]:
@@ -170,12 +170,14 @@ class TestDense:
         cliques = layout.cluster(0).tolist()
         for clique in cliques[:50]:
             start, partner = clique
-            assert layout.layer_of(start) == 0
-            assert layout.layer_of(partner) == 1
+            assert start // params.layer_size == 0
+            assert partner // params.layer_size == 1
         group = (3 * 3) // 3  # weight of the partner over S is 3 + 2*3 = 9
         assert group == 3
-        assert layout.color_of_group(1) == "c1"
-        assert layout.color_of_group(3) == "c2"
+        # groups are colored cyclically (c_1, white, c_2, white, ..., c_k, white)
+        slot = [f"c{j // 2 + 1}" if j % 2 == 0 else "white" for j in range(2 * params.k)]
+        assert slot[(1 - 1) % (2 * params.k)] == "c1"
+        assert slot[(3 - 1) % (2 * params.k)] == "c2"
 
     def test_p_too_small_rejected(self):
         with pytest.raises(ArgumentError):
@@ -335,7 +337,7 @@ class TestVerifyClusterPacking:
     def test_extra_edge_breaks_inducedness(self):
         cpg = construct_lines_basic(64, 2)
         # an extra edge inside cluster 0's vertex span that is not a clique edge
-        vs = sorted(cpg.cluster_vertices(0))
+        vs = sorted(set(cpg.clusters[0].ravel().tolist()))
         extra = None
         for u, v in itertools.combinations(vs, 2):
             if (u, v) not in cpg.graph.edges:

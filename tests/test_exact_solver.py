@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,7 +176,7 @@ def reference_dsatur(g: Graph) -> Coloring:
     return Coloring.from_array(colors)
 
 
-def reference_two_coloring(g: Graph) -> np.ndarray | None:
+def bfs_two_coloring(g: Graph) -> np.ndarray | None:
     """BFS 2-coloring rooted at each component's smallest vertex."""
     adj = dict_adjacency(g)
     colors = np.zeros(g.n, dtype=np.int64)
@@ -239,7 +240,7 @@ def reference_find_k_coloring(g: Graph, k: int) -> Coloring | None:
     if k == 1:
         return None
     if k == 2:
-        two = reference_two_coloring(g)
+        two = bfs_two_coloring(g)
         return None if two is None else Coloring.from_array(two)
     greedy = reference_dsatur(g)
     return greedy if greedy.num_colors <= k else reference_search(g, k)
@@ -413,7 +414,7 @@ class TestSearchFinishes:
         stream = to_insertion_stream(g, "shuffled", seed=68)
         with time_limit(5):
             verdict = run_multipass(stream, 3, 5, seed=68, budget_multiplier=0.1348)
-            if verdict.is_large:
+            if verdict.label == "large":
                 sub = verdict.evidence.subgraph
                 assert sub.edges <= g.edges
                 assert chromatic_number(sub, cap=3) is None
@@ -463,7 +464,7 @@ class TestAgreesWithDictReferences:
     @settings(max_examples=150, deadline=None)
     def test_colorings_and_clique(self, g):
         assert same_coloring(dsatur_coloring(g), reference_dsatur(g))
-        two, expected = _two_coloring(g), reference_two_coloring(g)
+        two, expected = _two_coloring(g), bfs_two_coloring(g)
         assert (two is None) == (expected is None)
         if two is not None:
             assert two.tobytes() == expected.tobytes()
@@ -478,6 +479,99 @@ class TestAgreesWithDictReferences:
     def test_search(self, g, k):
         if g.num_edges:
             assert same_coloring(_search(g, k), reference_search(g, k))
+
+
+# ---------------------------------------------------------------------------
+# the CSR 2-coloring: the double cover as it was before it read the edge array
+# ---------------------------------------------------------------------------
+
+
+def reference_two_coloring(g: Graph) -> np.ndarray | None:
+    """The CSR double-cover 2-coloring: local ids from `Graph.csr`, and
+    min-label hooking over the 2k-node double cover, by allocating rounds."""
+    verts, indptr, indices = g.csr()
+    k = len(verts)
+    src = np.repeat(np.arange(k), np.diff(indptr))
+    once = src < indices
+    u, v = src[once], indices[once]
+    x, y = np.concatenate((u, u + k)), np.concatenate((v + k, v))
+    lab = np.arange(2 * k)
+    while True:
+        new = lab.copy()
+        a, b = lab[x], lab[y]
+        np.minimum.at(new, np.maximum(a, b), np.minimum(a, b))
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    if (lab[:k] == lab[k:]).any():
+        return None
+    colors = np.zeros(g.n, dtype=np.int64)
+    colors[verts] = lab[:k] > lab[k:]
+    return colors
+
+
+@st.composite
+def two_coloring_graphs(draw) -> Graph:
+    """Graphs whose touched vertices sit among isolated ones: below them,
+    above them, scattered, or in an `n` far larger than they are."""
+    size = draw(st.integers(0, 30))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = np.triu_indices(size, 1)
+    keep = rng.random(len(u)) < density
+    if draw(st.booleans()):
+        side = rng.integers(0, 2, size)
+        keep &= side[u] != side[v]
+    edges = np.stack((u[keep], v[keep]), axis=1)
+    if size >= 3 and draw(st.booleans()):
+        edges = np.concatenate((edges, [[0, 1], [1, 2], [0, 2]]))  # a triangle
+    low = draw(st.integers(0, 3))
+    n = low + size + draw(st.sampled_from([0, 1, 5, 10_000, 200_000]))
+    ids = np.arange(size) + low
+    if draw(st.booleans()):
+        ids = np.sort(rng.choice(n, size, replace=False))  # scattered, in vertex order
+    return Graph(n, ids[edges].reshape(-1, 2))
+
+
+class TestTwoColoringFromTheEdgeArray:
+    @given(two_coloring_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_csr_double_cover_byte_for_byte(self, g):
+        got, want = _two_coloring(g), reference_two_coloring(g)
+        bipartite = nx.is_bipartite(nx.Graph(g.edge_array().tolist()))
+        assert (got is None) == (want is None) == (not bipartite)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+    def test_q2_never_builds_the_csr(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the q = 2 path must read edge_array, not csr()")
+
+        monkeypatch.setattr(Graph, "csr", forbidden)
+        even = Graph(12, [(2, 3), (3, 4), (4, 5), (5, 2), (9, 11)])
+        odd = Graph(12, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (9, 11)])
+        for g in (even, odd):
+            found, capped = find_k_coloring(g, 2), color_with_cap(g, 2)
+            assert same_coloring(found, capped)
+            assert (found is None) == (g is odd)
+            if found is not None:
+                assert is_proper_coloring(g, found) and found.num_colors == 2
+
+    def test_sparse_graph_on_many_vertices_peaks_near_one_vertex_array(self):
+        # a 1,000-edge path among 10^6 vertices: one int64 array over the
+        # vertices is 8 MB, and a double cover over all 2n vertex ids would
+        # peak near 48 MB
+        path = np.arange(1001) * 997
+        g = Graph(1_000_000, np.stack((path[:-1], path[1:]), axis=1))
+        tracemalloc.start()
+        try:
+            colors = _two_coloring(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert colors[path].tolist() == [i % 2 for i in range(1001)]
+        assert peak <= 12 * 10**6
 
 
 class TestStarWithManyLeaves:
