@@ -218,8 +218,9 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     if k == 1:
         return None
     if k == 2:
+        # canonical as it stands: vertex 0 is colored 0, and an edge uses both colors
         two = _two_coloring(g)
-        return None if two is None else Coloring.from_array(two)
+        return None if two is None else Coloring(n=g.n, colors=two, num_colors=2)
     greedy = dsatur_coloring(g)
     if greedy.num_colors <= k:
         return greedy

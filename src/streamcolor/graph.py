@@ -10,10 +10,11 @@ immutable after construction and safe to share across threads. Isolated
 vertices are implicit: a graph may have millions of vertices but only the
 edge set is materialized. The text formats `.graph`, `.stream` and `.cpg` share one
 header parser (`read_header`), one row parser (`Rows`) and one row writer
-(`format_rows`), defined here. `Rows` parses a clean body (tokens separated
-by spaces, tabs and ``\\n`` only, with every integer ``[+-]?[0-9]{1,18}``)
-as numpy passes over the file's bytes, and any other body line by line, with
-the same result; `format_rows` fills one byte buffer per body.
+(`format_rows`), defined here, and one grammar: tokens are printable ASCII
+separated by spaces and tabs, lines end in ``\\n`` or ``\\r\\n``, and every
+integer is ``[+-]?[0-9]{1,18}``. `Rows` parses a body as numpy passes over
+its bytes and names the first line outside the grammar; `format_rows` fills
+one byte buffer per body.
 """
 
 from __future__ import annotations
@@ -285,123 +286,112 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 # ---------------------------------------------------------------------------
 
 GRAPH_HEADER = "#graph v1"
-
-
-def read_bytes(path: str) -> bytes:
-    """The file's bytes, checked to be UTF-8; other bytes raise `FormatError` at their line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-            raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
-    return data
+# an integer field of the text formats; a valid one is at most MAX_VERTICES, 10 digits
+_INTEGER = re.compile(r"[+-]?[0-9]{1,18}")
 
 
 def read_json(path: str):
+    """A JSON file's value; bytes that are not UTF-8 raise `FormatError` at their line."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return json.loads(read_bytes(path).decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
 
 
-# the first line end as `str.splitlines` finds it, searched in UTF-8 bytes
-_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
-
-
 def read_header(path: str, magic: str) -> tuple[dict[str, str], bytes]:
-    """A text file's header fields and its body, the bytes after line 1, where
-    lines end as ``str.splitlines`` ends them. The header's leading tokens must
-    be exactly `magic`'s; each other token is a ``key=value`` field."""
-    data = read_bytes(path)
-    end = _LINE_END.search(data)
-    head, body = (data[: end.start()], data[end.end() :]) if end else (data, b"")
-    tokens, want = head.decode("utf-8").split(), magic.split()
+    """A text file's header fields and its body, the bytes after line 1.
+
+    Line 1 ends at the first ``\\n``, less a ``\\r`` before it. It must be
+    printable ASCII tokens separated by spaces and tabs: first exactly
+    `magic`'s, then ``key=value`` fields."""
+    with open(path, "rb") as f:
+        head, end, body = f.read().partition(b"\n")
+    if end:
+        head = head.removesuffix(b"\r")
+    text = head.decode("ascii").replace("\t", " ") if head.isascii() else ""
+    tokens = text.split() if text.isprintable() else []
+    want = magic.split()
     fields = [token.partition("=") for token in tokens[len(want) :]]
     if tokens[: len(want)] != want or not all(eq for _, eq, _ in fields):
-        raise FormatError(f"header must be '{magic}' and key=value fields", line=1)
+        raise FormatError(f"header must be '{magic}' and key=value fields, in printable ASCII", line=1)
     return {key: value for key, _, value in fields}, body
 
 
 def header_int(fields: Mapping[str, str], key: str, lo: int = 0) -> int:
-    """The header field `key` as an integer in ``[lo, MAX_VERTICES]``."""
-    try:
-        value = int(fields[key])
-        if lo <= value <= MAX_VERTICES:
-            return value
-    except (KeyError, ValueError):
-        pass
+    """The header field `key`, an integer ``[+-]?[0-9]{1,18}`` in ``[lo, MAX_VERTICES]``."""
+    value = fields.get(key, "")
+    if _INTEGER.fullmatch(value) and lo <= int(value) <= MAX_VERTICES:
+        return int(value)
     raise FormatError(f"header must carry {key}=<integer in [{lo}, {MAX_VERTICES}]>", line=1)
 
 
-def _parse_ints(b: np.ndarray, starts: np.ndarray, lens: np.ndarray, out: np.ndarray) -> bool:
+def _first(bad: np.ndarray) -> int:
+    """The index of the first True in `bad`, or its length if none is."""
+    return int(bad.argmax()) if bad.any() else len(bad)
+
+
+def _parse_ints(b: np.ndarray, starts: np.ndarray, lens: np.ndarray, out: np.ndarray) -> int:
     """Write the tokens of `b` at `starts` into `out` as integers, by Horner's
-    rule over their digit positions; False unless every token is
-    ``[+-]?[0-9]{1,18}``."""
+    rule over their digit positions; return the index of the first token
+    that is not ``[+-]?[0-9]{1,18}``, or ``len(starts)``."""
     first = b[starts]
     signed = (first == ord("+")) | (first == ord("-"))
     at, digits = starts + signed, lens - signed  # the next digit, and the digits left
-    if ((digits < 1) | (digits > 18)).any():
-        return False
+    bad = (digits < 1) | (digits > 18)
     out[:] = 0
-    for _ in range(int(digits.max(initial=0))):
+    for _ in range(min(int(digits.max(initial=0)), 18)):  # a longer token is bad already
         live = digits > 0
         digit = np.take(b, at, mode="clip") - np.uint8(ord("0"))
-        if (live & (digit > 9)).any():
-            return False
+        bad |= live & (digit > 9)
         np.multiply(out, 10, out=out, where=live)
         np.add(out, digit, out=out, where=live)
         at += 1
         digits -= 1
     np.negative(out, out=out, where=first == ord("-"))
-    return True
+    return _first(bad)
 
 
 def _parse_literals(
     b: np.ndarray, starts: np.ndarray, lens: np.ndarray, allowed: tuple[str, ...], out: np.ndarray
-) -> bool:
-    """Write each token's index in `allowed` into `out`; False unless every
-    token is one of them."""
+) -> int:
+    """Write each token's index in `allowed` into `out`; return the index of
+    the first token that is none of them, or ``len(starts)``."""
     out[:] = -1
-    for i, token in enumerate(t.encode("utf-8") for t in allowed):
+    for i, token in enumerate(t.encode("ascii") for t in allowed):
         hit = lens == len(token)
         for j, char in enumerate(token):
             hit &= np.take(b, starts + j, mode="clip") == char
         out[hit] = i
-    return not (out < 0).any()
+    return _first(out < 0)
 
 
 class Rows:
     """The non-blank body lines of a text file as one ``(rows, width)`` int64 array.
 
-    Every field is an integer as `int` reads it, except that a column keyed in
-    `literals` holds one of its tokens and stores that token's index. `data`
-    holds the rows before the first line that breaks this; `check` names that
-    line unless a reader's own check fails on an earlier row.
-
-    A clean body is parsed by array passes over its bytes. Clean means: tokens
-    are separated only by spaces, tabs and ``\\n``; every non-blank line has
-    `width` tokens; every integer field is ``[+-]?[0-9]{1,18}``; and every
-    literal column holds one of its tokens. So a clean body holds only digits,
-    those three bytes, signs and the literals' characters. Any other body
-    (``\\r`` line ends, other whitespace, ``1_0``, digits of other scripts,
-    longer numbers, a malformed row) is split into Python strings line by line.
-    Both paths give the same `data` and name the same line, because a body
-    takes the byte path only when every token parses there.
+    The body is ASCII, its lines end in ``\\n`` or ``\\r\\n``, and its tokens
+    are separated by spaces and tabs. Every non-blank line holds `width`
+    tokens, each an integer ``[+-]?[0-9]{1,18}``, except that a column keyed
+    in `literals` holds one of its tokens and stores that token's index. Any
+    other byte, a ``\\r`` that does not end a line included, is part of a
+    token, which then fails. `data` holds the rows before the first line that
+    breaks this; `check` names that line unless a reader's own check fails on
+    an earlier row. On that line a wrong field count is named first, then a
+    bad literal, then a bad integer. The body is parsed by numpy passes over
+    its bytes.
     """
 
-    def __init__(self, body: bytes | str, width: int, literals: Mapping[int, tuple[str, ...]] = {}):
-        self._body = body.encode("utf-8") if isinstance(body, str) else body
-        if not self._from_bytes(width, literals):
-            self._from_lines(width, literals)
-
-    def _from_bytes(self, width: int, literals: Mapping[int, tuple[str, ...]]) -> bool:
-        """Parse a clean body as array passes; False, setting nothing, if it is not clean."""
-        b = np.frombuffer(self._body, dtype=np.uint8)
+    def __init__(self, body: bytes, width: int, literals: Mapping[int, tuple[str, ...]] = {}):
+        self._body = body
+        b = np.frombuffer(body, dtype=np.uint8)
         inside = np.zeros(len(b) + 2, dtype=bool)  # token bytes, padded by one blank each side
         inside[1:-1] = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
+        if b"\r" in body:  # a "\r" before a "\n" is a blank too; byte i is inside[i + 1]
+            inside[1:-2] &= (b[:-1] != ord("\r")) | (b[1:] != ord("\n"))
         starts = np.flatnonzero(inside[1:] & ~inside[:-1])
         lens = np.flatnonzero(inside[:-1] & ~inside[1:])  # the token ends, made lengths in place
         lens -= starts
@@ -409,52 +399,27 @@ class Rows:
         # the tokens on each line, from the tokens before each newline
         before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
         per_line = np.diff(before, prepend=0, append=len(starts))
-        if not ((per_line == 0) | (per_line == width)).all():
-            return False
-        starts, lens = starts.reshape(-1, width), lens.reshape(-1, width)
-        data = np.empty(starts.shape, dtype=np.int64)
-        # a header may declare any width, but no more columns than tokens hold data
-        for col in range(min(width, starts.size)):
-            at, size, out = starts[:, col], lens[:, col], data[:, col]
-            if col in literals:
-                ok = _parse_literals(b, at, size, literals[col], out)
-            else:
-                ok = _parse_ints(b, at, size, out)
-            if not ok:
-                return False
-        self.data, self._index, self._error = data, np.flatnonzero(per_line), (len(data), "")
-        return True
-
-    def _from_lines(self, width: int, literals: Mapping[int, tuple[str, ...]]) -> None:
-        """Parse any body by splitting each line into Python strings."""
-        parts = [line.split() for line in self._body.decode("utf-8").splitlines()]
-        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
-        self._index = np.flatnonzero(sizes)  # the non-blank lines
-        stop, why = len(self._index), ""  # the first row that does not parse, and why
-        wrong = np.flatnonzero(sizes[self._index] != width)
+        wrong = np.flatnonzero((per_line != 0) & (per_line != width))  # lines of the wrong width
+        stop, why = np.count_nonzero(per_line), ""  # the first row that does not parse, and why
         if wrong.size:
-            stop, why = int(wrong[0]), f"expected {width} fields"
-        tokens = list(itertools.chain.from_iterable(parts))[: stop * width]
-        for col, allowed in literals.items():
-            match = np.array(tokens[col::width], dtype=str)[:, None] == np.array(allowed)
-            if not match.any(1).all():
-                stop, why = int(np.argmin(match.any(1))), f"field {col + 1} must be one of {allowed}"
-                del tokens[stop * width :]
-            tokens[col::width] = match[:stop].argmax(1).astype(str).tolist()
-        try:
-            data = np.array(tokens, dtype=np.int64)
-        except (ValueError, OverflowError):
-            lo, hi = 0, len(tokens)  # the first token that does not parse is in [lo, hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    np.array(tokens[lo:mid], dtype=np.int64)
-                    lo = mid
-                except (ValueError, OverflowError):
-                    hi = mid
-            stop, why = lo // width, "field is not a 64-bit integer"
-            data = np.array(tokens[: stop * width], dtype=np.int64)
-        self.data, self._error = data.reshape(stop, width), (stop, why)
+            stop, why = np.count_nonzero(per_line[: wrong[0]]), f"expected {width} fields"
+        starts = starts[: stop * width].reshape(stop, width)
+        lens = lens[: stop * width].reshape(stop, width)
+        data = np.empty((stop, width), dtype=np.int64)
+        # literal columns first, so a row's bad literal is named before its bad
+        # integer; a header may declare any width, but no more columns than
+        # tokens hold data
+        for col in sorted(range(min(width, starts.size)), key=lambda c: c not in literals):
+            at, size, out = starts[:stop, col], lens[:stop, col], data[:stop, col]
+            if col in literals:
+                bad = _parse_literals(b, at, size, literals[col], out)
+                message = f"field {col + 1} must be one of {literals[col]}"
+            else:
+                bad = _parse_ints(b, at, size, out)
+                message = "field is not an integer of at most 18 digits"
+            if bad < stop:
+                stop, why = bad, message
+        self.data, self._index, self._error = data[:stop], np.flatnonzero(per_line), (stop, why)
 
     def check(self, *checks: tuple[np.ndarray, str]) -> None:
         """Raise `FormatError` at the first row that a ``(bad, message)``
@@ -465,9 +430,13 @@ class Rows:
             if hits.size:
                 row, message = int(hits[0]), msg
         if row < len(self._index):
-            i = int(self._index[row])
-            text = self._body.decode("utf-8").splitlines()[i]
-            raise FormatError(f"{message}: {text!r}", line=i + 2)
+            i = int(self._index[row])  # the row's line, counted from 0 after the header
+            ends = np.flatnonzero(np.frombuffer(self._body, dtype=np.uint8) == ord("\n"))
+            bounds = np.concatenate(([-1], ends, [len(self._body)]))
+            text = self._body[bounds[i] + 1 : bounds[i + 1]]
+            if i < len(ends):
+                text = text.removesuffix(b"\r")
+            raise FormatError(f"{message}: {text.decode('ascii', 'backslashreplace')!r}", line=i + 2)
 
 
 def format_rows(arr: np.ndarray, literals: Mapping[int, tuple[str, ...]] = {}) -> bytes:

@@ -558,6 +558,19 @@ class TestTwoColoringFromTheEdgeArray:
             if found is not None:
                 assert is_proper_coloring(g, found) and found.num_colors == 2
 
+    def test_q2_coloring_is_canonical_without_a_relabel(self, monkeypatch):
+        def forbidden(colors):
+            raise AssertionError("a two-coloring is canonical as found; relabelling it is waste")
+
+        spec = GraphSpec.parse("bipartite:n=200,m=8000").build(rng_for(1, 0))
+        for g in (spec, Graph(9, [(3, 5), (5, 8), (1, 2)])):
+            want = Coloring.from_array(_two_coloring(g))
+            with monkeypatch.context() as patch:
+                patch.setattr("streamcolor.graph._canonicalize", forbidden)
+                found, capped = find_k_coloring(g, 2), color_with_cap(g, 2)
+            assert found == capped == want
+            assert found.num_colors == capped.num_colors == 2
+
     def test_sparse_graph_on_many_vertices_peaks_near_one_vertex_array(self):
         # a 1,000-edge path among 10^6 vertices: one int64 array over the
         # vertices is 8 MB, and a double cover over all 2n vertex ids would

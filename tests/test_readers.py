@@ -1,16 +1,21 @@
 """The shared text reader and writer: differential and robustness tests.
 
-`reference_read_graph` and `reference_read_stream` are the earlier per-line
-readers, kept here as references. On any body under a valid header the
-shared reader must agree with them: both reject with `FormatError` at the
-same line, both reject with `StreamValidationError`, or both return equal
-objects. Byte-mutated files of every format may raise only `FormatError`
-(and, for streams, `StreamValidationError`).
+The text formats share one grammar: tokens are printable ASCII separated by
+spaces and tabs, lines end in ``\\n`` or ``\\r\\n``, and every integer is
+``[+-]?[0-9]{1,18}``. The references below are earlier readers: the first
+per-line readers `reference_read_graph` and `reference_read_stream`, and the
+per-line header and row parsers `line_read_header` and `LineRows`, which read
+every body outside that grammar until the byte path became the only path. On
+a file inside the grammar the shared reader must do what a reference does:
+both reject with `FormatError` at the same line, both reject with
+`StreamValidationError`, or both return equal objects. On a file outside it
+the shared reader raises `FormatError` at the first line outside the grammar,
+or at the reference's error line if that comes first. Byte-mutated files of
+every format may raise only `FormatError` (and, for streams,
+`StreamValidationError`).
 
-`Rows` parses a clean body by array passes over its bytes and any other body
-line by line; on every body both paths must give the same rows and name the
-same line. The `reference_write_*` functions are the earlier per-row f-string
-writers; `format_rows` must reproduce their bytes.
+The `reference_write_*` functions are the earlier per-row f-string writers;
+`format_rows` must reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from streamcolor.graph import (
     format_rows,
     read_coloring,
     read_graph,
-    read_header,
     write_graph,
 )
 from streamcolor.streams import Stream, read_stream, write_stream
@@ -127,14 +131,224 @@ def reference_read_stream(path: str) -> Stream:
     return Stream(n, model, events)
 
 
-def outcome(reader, path):
-    """What a reader does with a file: the returned object or the error kind."""
+# ---------------------------------------------------------------------------
+# the per-line header and row parsers, which read every body outside the byte
+# path's grammar until the byte path became the only path
+# ---------------------------------------------------------------------------
+
+
+def line_read_bytes(path: str) -> bytes:
+    """The file's bytes, checked to be UTF-8; other bytes raise `FormatError` at their line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+            raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    return data
+
+
+# the first line end as `str.splitlines` finds it, searched in UTF-8 bytes
+_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+
+
+def line_read_header(path: str, magic: str) -> tuple[dict[str, str], bytes]:
+    """A text file's header fields and its body, the bytes after line 1, where
+    lines end as ``str.splitlines`` ends them. The header's leading tokens must
+    be exactly `magic`'s; each other token is a ``key=value`` field."""
+    data = line_read_bytes(path)
+    end = _LINE_END.search(data)
+    head, body = (data[: end.start()], data[end.end() :]) if end else (data, b"")
+    tokens, want = head.decode("utf-8").split(), magic.split()
+    fields = [token.partition("=") for token in tokens[len(want) :]]
+    if tokens[: len(want)] != want or not all(eq for _, eq, _ in fields):
+        raise FormatError(f"header must be '{magic}' and key=value fields", line=1)
+    return {key: value for key, _, value in fields}, body
+
+
+def line_header_int(fields, key: str, lo: int = 0) -> int:
+    """The header field `key` as an integer in ``[lo, MAX_VERTICES]``."""
+    try:
+        value = int(fields[key])
+        if lo <= value <= MAX_VERTICES:
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise FormatError(f"header must carry {key}=<integer in [{lo}, {MAX_VERTICES}]>", line=1)
+
+
+class LineRows:
+    """The non-blank body lines as `Rows` read them line by line: every field
+    is an integer as `int` reads it, lines end as ``str.splitlines`` ends them
+    and tokens are split on any whitespace."""
+
+    def __init__(self, body: bytes, width: int, literals={}):
+        self._body = body
+        self._from_lines(width, literals)
+
+    def _from_lines(self, width: int, literals) -> None:
+        """Parse any body by splitting each line into Python strings."""
+        parts = [line.split() for line in self._body.decode("utf-8").splitlines()]
+        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+        self._index = np.flatnonzero(sizes)  # the non-blank lines
+        stop, why = len(self._index), ""  # the first row that does not parse, and why
+        wrong = np.flatnonzero(sizes[self._index] != width)
+        if wrong.size:
+            stop, why = int(wrong[0]), f"expected {width} fields"
+        tokens = list(itertools.chain.from_iterable(parts))[: stop * width]
+        for col, allowed in literals.items():
+            match = np.array(tokens[col::width], dtype=str)[:, None] == np.array(allowed)
+            if not match.any(1).all():
+                stop, why = int(np.argmin(match.any(1))), f"field {col + 1} must be one of {allowed}"
+                del tokens[stop * width :]
+            tokens[col::width] = match[:stop].argmax(1).astype(str).tolist()
+        try:
+            data = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            lo, hi = 0, len(tokens)  # the first token that does not parse is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    np.array(tokens[lo:mid], dtype=np.int64)
+                    lo = mid
+                except (ValueError, OverflowError):
+                    hi = mid
+            stop, why = lo // width, "field is not a 64-bit integer"
+            data = np.array(tokens[: stop * width], dtype=np.int64)
+        self.data, self._error = data.reshape(stop, width), (stop, why)
+
+    def check(self, *checks: tuple[np.ndarray, str]) -> None:
+        """Raise `FormatError` at the first row that a ``(bad, message)``
+        check flags or that did not parse; on one row the first check wins."""
+        row, message = self._error
+        for bad, msg in checks:
+            hits = np.flatnonzero(bad[:row])
+            if hits.size:
+                row, message = int(hits[0]), msg
+        if row < len(self._index):
+            i = int(self._index[row])
+            text = self._body.decode("utf-8").splitlines()[i]
+            raise FormatError(f"{message}: {text!r}", line=i + 2)
+
+
+def on_line_path(reader):
+    """`reader` with the per-line header and row parsers above in place of the
+    shared ones, run on a copy of the file whose bytes that are not UTF-8 are
+    replaced by U+FFFD. Such a byte is outside the grammar where it stands,
+    but `line_read_bytes` names it before any check on an earlier line."""
+    parsers = dict(Rows=LineRows, read_header=line_read_header, header_int=line_header_int)
+
+    def read(path):
+        with open(path, "rb") as f:
+            data = f.read().decode("utf-8", "replace").encode()
+        with open(path + ".utf8", "wb") as f:
+            f.write(data)
+        with mock.patch.multiple(sc.graph, **parsers), mock.patch.multiple(
+            sc.streams, **parsers
+        ), mock.patch.multiple(sc.clusterpack, **parsers):
+            return reader(path + ".utf8")
+
+    return read
+
+
+# ---------------------------------------------------------------------------
+# the grammar
+# ---------------------------------------------------------------------------
+
+CLEAN_INT = re.compile(rb"[+-]?[0-9]{1,18}")
+# each text reader's header magic, its integer header fields, and its body's
+# width and literal columns given the header fields
+GRAMMARS = {
+    read_graph: ("#graph v1", (b"n",), lambda fields: (2, {})),
+    read_stream: ("#stream v1", (b"n",), lambda fields: (3, {2: ("-1", "+1")})),
+    sc.read_cpg: (
+        "#cpg v1",
+        (b"n", b"t", b"k", b"r"),
+        lambda fields: (3 + int(fields.get(b"k", b"0")), {0: ("C",)}),
+    ),
+}
+
+
+def text_lines(data: bytes) -> list[bytes]:
+    """The lines of `data`: each ends at a ``\\n``, less one ``\\r`` before it."""
+    *lines, last = data.split(b"\n")
+    return [line.removesuffix(b"\r") for line in lines] + [last]
+
+
+def tokens_of(line: bytes) -> list[bytes]:
+    return re.findall(rb"[^ \t]+", line)
+
+
+def first_row_outside(lines: list[bytes], width: int, literals) -> tuple[int | None, int]:
+    """The index of the first line outside the row grammar, or None, and the
+    non-blank lines before it. A non-blank line is inside it if it holds
+    `width` tokens, each ``[+-]?[0-9]{1,18}`` or, in a column keyed in
+    `literals`, one of that column's tokens."""
+    rows = 0
+    for i, line in enumerate(lines):
+        tokens = tokens_of(line)
+        if tokens and (
+            len(tokens) != width
+            or not all(
+                token.decode("latin-1") in literals[col] if col in literals else CLEAN_INT.fullmatch(token)
+                for col, token in enumerate(tokens)
+            )
+        ):
+            return i, rows
+        rows += bool(tokens)
+    return None, rows
+
+
+def first_line_outside(data: bytes, reader) -> int | None:
+    """The first line of `reader`'s file `data` outside the grammar, or None.
+
+    Line 1 is inside it if it is printable ASCII tokens, separated by spaces
+    and tabs: the header magic's, then ``key=value`` fields, whose integer
+    fields are ``[+-]?[0-9]{1,18}``. The other lines are rows."""
+    magic, integers, layout = GRAMMARS[reader]
+    head, *body = text_lines(data)
+    tokens, want = tokens_of(head), magic.encode().split()
+    fields = [token.partition(b"=") for token in tokens[len(want) :]]
+    values = {key: value for key, _, value in fields}
+    if (
+        not re.fullmatch(rb"[\t -~]*", head)
+        or tokens[: len(want)] != want
+        or not all(eq for _, eq, _ in fields)
+        or not all(CLEAN_INT.fullmatch(values[key]) for key in integers if key in values)
+    ):
+        return 1
+    row, _ = first_row_outside(body, *layout(values))
+    return None if row is None else row + 2
+
+
+def outcome(reader, path, message: bool = False):
+    """What a reader does with a file: the returned object or the error kind;
+    a `FormatError` also gives its line and, if asked, its message."""
     try:
         return reader(path)
     except FormatError as exc:
-        return ("FormatError", exc.line)
+        return ("FormatError", exc.line, str(exc) if message else mock.ANY)
     except StreamValidationError:
         return ("StreamValidationError",)
+
+
+def required(want, outside: int | None):
+    """What the shared reader must do with a file, from what a reference does
+    with it (`want`, an `outcome`) and its first line outside the grammar:
+    inside it, the same; outside it, raise `FormatError` at that line, or at
+    the reference's error line if that comes first."""
+    if outside is None or (isinstance(want, tuple) and want[0] == "FormatError" and want[1] < outside):
+        return want
+    return ("FormatError", outside, mock.ANY)
+
+
+def assert_reads_as(reader, reference, path, message: bool = False) -> None:
+    """Assert that `reader` does with the file at `path` what `required` asks,
+    given `reference`."""
+    want = required(outcome(reference, str(path), message), first_line_outside(path.read_bytes(), reader))
+    assert outcome(reader, str(path), message) == want
 
 
 # tokens int() reads (signs, underscores, other scripts' digits, values past
@@ -143,23 +357,31 @@ ODD_TOKENS = ["+1", "-1", "+2", "-0", "00", "1_0", "٣", "99999999999999999999",
               "-99999999999999999999", "x", "C", "1.0", "+", "0x1", "1__0", "²"]
 # str.split whitespace, some of which str.splitlines also breaks lines on
 SPACES = [" ", "  ", "\t", "\xa0", "\x1f", "　"]
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " "]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+SPACE, BREAK = st.sampled_from(SPACES), st.sampled_from(BREAKS)
+
+
+@functools.cache
+def body_rows(n: int, width: int):
+    """Rows of `width` fields or of up to `width + 1`: integers near ``[0, n)``, signs and odd tokens."""
+    field = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(["+1", "-1"]),
+                      st.sampled_from(ODD_TOKENS))
+    return st.one_of(
+        st.lists(field, min_size=width, max_size=width),
+        st.lists(field, max_size=width + 1),
+    )
 
 
 @st.composite
 def body(draw, n: int, width: int) -> str:
     """Rows of mostly well-formed fields, with wrong widths, odd tokens,
     blank lines and mixed line breaks mixed in."""
-    field = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(["+1", "-1"]),
-                      st.sampled_from(ODD_TOKENS))
-    rows = st.one_of(
-        st.lists(field, min_size=width, max_size=width),
-        st.lists(field, max_size=width + 1),
-    )
     text = ""
-    for fields in draw(st.lists(rows, max_size=8)):
-        line = "".join(tok + draw(st.sampled_from(SPACES)) for tok in fields)
-        text += draw(st.sampled_from(BREAKS)) + line
+    for fields in draw(st.lists(body_rows(n, width), max_size=8)):
+        line = "".join(tok + draw(SPACE) for tok in fields)
+        text += draw(BREAK) + line
     return text + draw(st.sampled_from(["", "\n"]))
 
 
@@ -174,22 +396,26 @@ class TestSharedReaderMatchesPerLineReference:
     @given(st.integers(0, 6), st.data())
     def test_graph(self, path, n, data):
         path.write_bytes(f"#graph v1 n={n}{data.draw(body(n, 2))}".encode())
-        assert outcome(read_graph, str(path)) == outcome(reference_read_graph, str(path))
+        assert_reads_as(read_graph, reference_read_graph, path)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6), st.sampled_from(["ins", "dyn"]), st.data())
     def test_stream(self, path, n, model, data):
         path.write_bytes(f"#stream v1 n={n} model={model}{data.draw(body(n, 3))}".encode())
-        assert outcome(read_stream, str(path)) == outcome(reference_read_stream, str(path))
+        assert_reads_as(read_stream, reference_read_stream, path)
 
     @pytest.mark.parametrize(
         "body, line",
         [
             ("0 1\n\n2 2\n0 1\n", 4),  # a self-loop, then a duplicate
-            ("0 1\r\n\x0b0 1 2\n", 4),  # lines numbered as str.splitlines numbers them
+            ("0 1\r\n\x0b0 1 2\n", 3),  # \x0b is a token byte, not a line end
             ("1 0\n0 2\n0 2\n", 2),  # a bad pair, then a duplicate
             ("0 x\n1 0\n", 2),
             ("0 1\n0 99999999999999999999\n", 3),
+            ("0 1\n0 1_0\n", 3),  # outside the grammar, though int() reads it
+            ("0 ٣\n", 2),
+            ("0 1\r0 2\n", 2),  # a \r that ends no line
+            ("0 1\n0 0000000000000000003\n", 3),  # 19 digits
         ],
     )
     def test_first_malformed_line_is_named(self, tmp_path, body, line):
@@ -197,8 +423,10 @@ class TestSharedReaderMatchesPerLineReference:
         path.write_bytes(f"#graph v1 n=4\n{body}".encode())
         with pytest.raises(FormatError) as err:
             read_graph(str(path))
-        assert outcome(reference_read_graph, str(path)) == ("FormatError", err.value.line)
         assert err.value.line == line
+        want = outcome(reference_read_graph, str(path))
+        outside = first_line_outside(path.read_bytes(), read_graph)
+        assert required(want, outside) == ("FormatError", line, mock.ANY)
 
 
 class TestHeaderGrammar:
@@ -212,14 +440,21 @@ class TestHeaderGrammar:
             (read_stream, "#stream v10 n=3 model=ins"),
             (read_stream, "#stream v1n=3 model=ins"),
             (sc.read_cpg, "#cpg v10 n=4 k=2 r=1 t=1 layout=basic"),
+            (read_graph, "#graph v1 n=1_0"),
+            (read_graph, "#graph v1 n=٣"),
+            (read_graph, "#graph v1 n=3 note=a\x0cb"),  # not a line end, and not printable
         ],
     )
     def test_rejected(self, tmp_path, reader, header):
         path = tmp_path / "f"
-        path.write_text(header + "\n")
+        path.write_bytes((header + "\n").encode())
         with pytest.raises(FormatError) as err:
             reader(str(path))
         assert err.value.line == 1
+        if reader is read_graph:
+            coloring = tmp_path / "c.json"
+            coloring.write_text('{"n": 3, "num_colors": 1, "colors": [0, 0, 0]}')
+            assert main(["verify", "coloring", "--graph", str(path), "--coloring", str(coloring)]) == 3
 
     def test_the_per_line_reader_read_both_graph_headers_as_n_3(self, tmp_path):
         for header in ("#graph v10 n=3", "#graph v1 nn=3"):
@@ -453,7 +688,8 @@ class TestInstancePayloads:
 
 @functools.cache
 def seed_files():
-    """Small valid files of every format, each with its reader."""
+    """Small valid files of every format, each with its reader, with ``\\n``
+    and with ``\\r\\n`` line ends."""
     g = sc.GraphSpec.parse("gnm:n=8,m=12").build(sc.seeds.rng_for(1, 0))
     writers = [
         (sc.read_cpg, sc.write_cpg, sc.construct_lines_basic(16, 2)),
@@ -470,7 +706,8 @@ def seed_files():
             path = os.path.join(d, "f")
             write(obj, path)
             with open(path, "rb") as f:
-                out.append((reader, f.read()))
+                data = f.read()
+            out += [(reader, data), (reader, data.replace(b"\n", b"\r\n"))]
     return out
 
 
@@ -488,15 +725,21 @@ def mutated(draw):
         elif op == "delete":
             del data[i : i + draw(st.integers(1, 5))]
         else:
-            data[i:i] = draw(st.sampled_from([b" ", b"\n", b"-", b"=", b",", b"[", b"{", b'"', b"\xff"]))
+            data[i:i] = draw(st.sampled_from([b" ", b"\n", b"-", b"=", b",", b"[", b"{", b'"', b"\xff",
+                                              b"\r\n", b"\r", b"\xa0", b"\xc2\x85"]))
     return reader, bytes(data)
 
 
 @settings(max_examples=400, deadline=None)
 @given(mutated())
 def test_mutated_files_raise_only_format_error(path, case):
+    """Any file raises only `FormatError` (or, for streams,
+    `StreamValidationError`); a text file reads as `required` asks, with the
+    per-line parsers as the reference and the same message inside the grammar."""
     reader, data = case
     path.write_bytes(data)
+    if reader in GRAMMARS:
+        assert_reads_as(reader, on_line_path(reader), path, message=True)
     try:
         reader(str(path))
     except FormatError:
@@ -506,19 +749,21 @@ def test_mutated_files_raise_only_format_error(path, case):
 
 
 # ---------------------------------------------------------------------------
-# the byte path of `Rows`
+# `Rows` against the per-line row parser
 # ---------------------------------------------------------------------------
 
 # (width, literals) of the .graph body, the .stream body and .cpg bodies for k = 1, 2, 3
 LAYOUTS = [(2, {}), (3, {2: ("-1", "+1")}), *((3 + k, {0: ("C",)}) for k in (1, 2, 3))]
-CLEAN_INT = re.compile(r"[+-]?[0-9]{1,18}")
 
 
 @st.composite
-def int_token(draw, max_digits: int = 18) -> str:
+def int_token(draw, min_digits: int = 1, max_digits: int = 18) -> str:
     """An integer token: an optional sign, then digits, leading zeros allowed."""
     sign = draw(st.sampled_from(["", "+", "-"]))
-    return sign + draw(st.text("0123456789", min_size=1, max_size=max_digits))
+    return sign + draw(st.text("0123456789", min_size=min_digits, max_size=max_digits))
+
+
+INT_FIELD = st.one_of(int_token(), st.sampled_from(["+3", "-0", "007", "9" * 18]))
 
 
 @st.composite
@@ -528,10 +773,10 @@ def clean_or_near_body(draw, width: int, literals) -> tuple[str, bool]:
     or long, a row split over two lines, a token of 19 or 20 digits, a sign
     that is not first, or a literal in the wrong column, another format's
     literal or a literal with a suffix."""
+    fields = {col: st.sampled_from(allowed) for col, allowed in literals.items()}
+
     def token(col):
-        if col in literals:
-            return draw(st.sampled_from(literals[col]))
-        return draw(st.one_of(int_token(), st.sampled_from(["+3", "-0", "007", "9" * 18])))
+        return draw(fields[col] if col in fields else INT_FIELD)
 
     rows = [[token(col) for col in range(width)] for _ in range(draw(st.integers(0, 6)))]
     if rows and draw(st.booleans()):
@@ -545,17 +790,18 @@ def clean_or_near_body(draw, width: int, literals) -> tuple[str, bool]:
         elif defect == "long":
             row.insert(col, token(col))
         elif defect == "digits":
-            row[col] = draw(int_token(20).filter(lambda t: len(t.lstrip("+-")) > 18))
+            row[col] = draw(int_token(19, 20))
         elif defect == "sign":
             digits = draw(st.text("0123456789", min_size=1, max_size=4))
             i = draw(st.integers(1, len(digits)))
             row[col] = digits[:i] + draw(st.sampled_from("+-")) + digits[i:]
         else:
             row[col] = draw(st.sampled_from(["C", "+1", "-1", "1", "c", "+C", "C1", "+10", "-1-"]))
+    # a line end before a row's first token only adds a blank line
     clean = all(
         len(row) == width
-        and all(tok in literals[col] if col in literals else CLEAN_INT.fullmatch(tok) is not None
-                for col, tok in enumerate(row))
+        and all(tok in literals[col] if col in literals else CLEAN_INT.fullmatch(tok.encode()) is not None
+                for col, tok in enumerate([row[0].removeprefix("\n"), *row[1:]]))
         for row in rows
     )
     space = st.sampled_from([" ", "  ", "\t", " \t "])
@@ -567,22 +813,18 @@ def clean_or_near_body(draw, width: int, literals) -> tuple[str, bool]:
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), clean
 
 
-def parsed(body: bytes, width: int, literals) -> list:
-    """The rows `Rows` reads, and the error `check` raises with no reader
-    check and with one that flags some rows."""
-    rows = Rows(body, width, literals)
+def parsed(parser, body: bytes, width: int, literals) -> list:
+    """The rows `parser` reads, and the `FormatError` that `check` raises, as
+    an `outcome`, with no reader check and with one that flags some rows."""
+    rows = parser(body, width, literals)
     out = [rows.data.tolist()]
     for checks in ((), ((rows.data[:, -1] % 3 == 1, "flagged"),)):
         try:
             rows.check(*checks)
             out.append(None)
         except FormatError as exc:
-            out.append((exc.line, str(exc)))
+            out.append(("FormatError", exc.line, str(exc)))
     return out
-
-
-def line_path_must_not_run(*args):
-    raise AssertionError("a clean body went to the line path")
 
 
 class TestBytePathMatchesLinePath:
@@ -592,20 +834,21 @@ class TestBytePathMatchesLinePath:
         width, literals = layout
         text, clean = data.draw(clean_or_near_body(width, literals))
         body = text.encode()
-        with mock.patch.object(Rows, "_from_bytes", return_value=False):
-            want = parsed(body, width, literals)
-        if clean:
-            with mock.patch.object(Rows, "_from_lines", line_path_must_not_run):
-                assert parsed(body, width, literals) == want
-        assert parsed(body, width, literals) == want
-        assert parsed(text, width, literals) == want
+        got, *errors = parsed(Rows, body, width, literals)
+        want, *references = parsed(LineRows, body, width, literals)
+        row, rows = first_row_outside(text_lines(body), width, literals)
+        assert (row is None) == clean
+        # the rows before the first line outside the grammar, as the reference reads them
+        assert got == want[:rows] and len(got) == rows
+        for error, reference in zip(errors, references):
+            assert error == required(reference, None if row is None else row + 2)
 
     @pytest.mark.parametrize(
         "body, line",
         [
-            ("0 1\n\n\t2  3\n0 1", 5),  # clean; the last row repeats the first
+            ("0 1\n\n\t2  3\n0 1", 5),  # the last row repeats the first
             ("0 1\n 0  1 \n", 3),
-            ("0 1\r\n0 1\n", 3),  # a \r: the line path
+            ("0 1\r\n0 1\n", 3),  # a \r\n line end
         ],
     )
     def test_reader_checks_name_file_lines(self, tmp_path, body, line):
@@ -614,41 +857,50 @@ class TestBytePathMatchesLinePath:
         with pytest.raises(FormatError) as err:
             read_graph(str(path))
         assert err.value.line == line
-        assert outcome(reference_read_graph, str(path)) == ("FormatError", line)
+        assert outcome(reference_read_graph, str(path)) == ("FormatError", line, mock.ANY)
 
-    def test_writer_output_never_takes_the_line_path(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(Rows, "_from_lines", line_path_must_not_run)
+    def test_writer_output_round_trips(self, tmp_path):
+        path = tmp_path / "f"
+
+        def read_back(write, read, obj) -> list:
+            """`obj` written, then read as written and with ``\\r\\n`` line ends."""
+            write(obj, str(path))
+            out = [read(str(path))]
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            return out + [read(str(path))]
+
         g = sc.GraphSpec.parse("gnm:n=300,m=2000").build(sc.seeds.rng_for(2, 0))
-        path = str(tmp_path / "f")
         for obj in (Graph(0), g):
-            write_graph(obj, path)
-            assert read_graph(path) == obj
+            assert read_back(write_graph, read_graph, obj) == [obj, obj]
         for stream in (
             sc.to_insertion_stream(g, "shuffled", seed=1),
             sc.to_dynamic_stream(g, extra_pairs=500, cycles=2, seed=1),
         ):
-            write_stream(stream, path)
-            again = read_stream(path)
-            assert (again.n, again.model) == (stream.n, stream.model)
-            assert np.array_equal(again.events, stream.events)
+            for again in read_back(write_stream, read_stream, stream):
+                assert (again.n, again.model) == (stream.n, stream.model)
+                assert np.array_equal(again.events, stream.events)
         grouped = sc.construct_lines_grouped(36, 2, 3)
         for cpg in (sc.construct_lines_basic(64, 2), grouped, sc.lift_to_k_colorable(grouped)):
-            sc.write_cpg(cpg, path)
-            assert sc.read_cpg(path) == cpg
+            assert read_back(sc.write_cpg, sc.read_cpg, cpg) == [cpg, cpg]
 
 
-# what str.splitlines ends a line on
+# what str.splitlines ends a line on; of these, the header ends only at "\n"
+# and at "\r\n"
 LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(LINE_ENDS), st.lists(st.sampled_from(LINE_ENDS + ["0 1", " ", "é", "x"])))
-def test_header_is_the_first_line_as_splitlines_splits(path, end, rest):
+def test_header_is_the_first_line_up_to_its_newline(path, end, rest):
     text = "#graph v1 n=3" + end + "".join(rest)
+    head, newline, body = text.partition("\n")
+    if (head.removesuffix("\r") if newline else head).rstrip(" ") == "#graph v1 n=3":
+        path.write_bytes(f"#graph v1 n=3\n{body}".encode())
+        want = outcome(read_graph, str(path), message=True)
+    else:
+        want = ("FormatError", 1, mock.ANY)
     path.write_bytes(text.encode())
-    fields, body = read_header(str(path), "#graph v1")
-    assert fields == {"n": "3"}
-    assert body.decode().splitlines() == text.splitlines()[1:]
+    assert outcome(read_graph, str(path), message=True) == want
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +989,25 @@ class TestWritersMatchFStringReferences:
             format_rows(np.array([[0, -1]]))
 
 
-# tracemalloc peak of `read_cpg`, in bytes per edge; the per-line parser peaked
-# at about 540 (k = 2) and 200 (k = 3) on these packings, the byte path at
-# about 180 and 120
-PEAK_BYTES_PER_EDGE = {(1024, 4, 2): 250, (864, 4, 3): 150}
+# tracemalloc peak of `read_cpg` on these packings, in bytes per edge, with
+# each line end; the per-line parser peaked at about 540 (k = 2) and 200
+# (k = 3), the byte path at about 180 and 120
+PEAK_BYTES_PER_EDGE = {
+    ((1024, 4, 2), b"\n"): 250,
+    ((864, 4, 3), b"\n"): 150,
+    ((1024, 4, 2), b"\r\n"): 250,
+    ((864, 4, 3), b"\r\n"): 150,
+}
 
 
 @pytest.mark.parametrize("args, bound", PEAK_BYTES_PER_EDGE.items())
 def test_read_cpg_peak_memory_per_edge(tmp_path, args, bound):
-    cpg = sc.construct_lines_grouped(*args)
-    path = str(tmp_path / "grouped.cpg")
-    sc.write_cpg(cpg, path)
+    grouped, end = args
+    cpg = sc.construct_lines_grouped(*grouped)
+    path = tmp_path / "grouped.cpg"
+    sc.write_cpg(cpg, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    path = str(path)
     tracemalloc.start()
     try:
         again = sc.read_cpg(path)
