@@ -33,7 +33,7 @@ from .harness import (
     experiment_vertex_sampling,
     write_result,
 )
-from .streams import StreamSource, read_stream, to_dynamic_stream, to_insertion_stream, write_stream
+from .streams import read_stream, to_dynamic_stream, to_insertion_stream, write_stream
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -99,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_rec.add_argument("--ans", type=int, choices=(0, 1), default=None)
     g_rec.add_argument("--n2", type=int, default=None, help="base-case vertex count")
     g_rec.add_argument(
-        "--level-n", type=int, nargs="*", default=None,
+        "--level-n", type=int, nargs="*", default=(),
         help="host vertex counts for levels 3..p",
     )
     g_rec.add_argument(
-        "--level-t", type=int, nargs="*", default=None,
+        "--level-t", type=int, nargs="*", default=(),
         help="materialized cluster counts for levels 3..p",
     )
     _out(g_rec)
@@ -266,9 +266,8 @@ def _dispatch(args) -> int:
                 stream, args.q, args.t, budget_multiplier=args.budget_multiplier
             )
         elif args.target == "multipass":
-            source = StreamSource(stream, max_passes=args.t)
             verdict = run_multipass(
-                source, args.q, args.t, seed=args.seed,
+                stream, args.q, args.t, seed=args.seed,
                 budget_multiplier=args.budget_multiplier,
             )
         else:
@@ -310,7 +309,9 @@ def _dispatch_gen(args) -> int:
         inst = instances.gen_two_player(args.n, args.k, seed=args.seed, ans_override=args.ans)
         _emit(instances.instance_to_json(inst), args.out)
     elif args.target == "recursive":
-        plan = _plan_from_args(args)
+        plan = instances.default_level_plan(
+            args.p, args.k, n2=args.n2, level_n=args.level_n, level_t=args.level_t
+        )
         inst = instances.gen_recursive(
             args.p, args.k, plan=plan, seed=args.seed, ans_override=args.ans
         )
@@ -331,27 +332,6 @@ def _dispatch_gen(args) -> int:
     else:
         raise ArgumentError(f"unknown gen target {args.target!r}")
     return EXIT_OK
-
-
-def _plan_from_args(args) -> instances.LevelPlan | None:
-    if args.n2 is None and not args.level_n and not args.level_t:
-        return None
-    default = instances.default_level_plan(args.p, args.k)
-    n2 = args.n2 if args.n2 is not None else default.n2
-    # recompute level sizes for the custom base, then apply overrides
-    levels = []
-    prev_n = n2
-    for idx in range(max(0, args.p - 2)):
-        r = 4 * prev_n
-        n = (args.k * r) ** 2
-        if args.level_n and idx < len(args.level_n):
-            n = args.level_n[idx]
-        t = default.levels[idx].t if idx < len(default.levels) else 8
-        if args.level_t and idx < len(args.level_t):
-            t = args.level_t[idx]
-        levels.append(instances.LevelSpec(n=n, t=t))
-        prev_n = n
-    return instances.LevelPlan(n2=n2, levels=tuple(levels))
 
 
 def _dispatch_verify(args) -> int:

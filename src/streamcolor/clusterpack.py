@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact import find_k_coloring
 from .graph import Coloring, Graph, Rows, format_rows, header_int, is_proper_coloring
-from .graph import read_header, repeats
+from .graph import find_keys, read_header, repeats
 from .seeds import rng_for
 
 MAX_VERTICES = 1 << 40
@@ -210,17 +210,11 @@ class LineLayout:
         top = (self.b_range - 1) + (self.k - 1) * (self.q_range - 1)
         assert top < self.groups_per_layer
 
-    def clique(self, index: int, s: int) -> tuple[int, ...]:
-        """The s-th clique (ordered by layer) of cluster `index`."""
+    def cluster(self, index: int) -> np.ndarray:
+        """The ``(r, k)`` cliques of cluster `index`, one row each, one vertex per layer."""
         if not 0 <= index < self.t_max:
             raise ArgumentError(f"cluster index {index} out of range [0, {self.t_max})")
-        if not 0 <= s < self.r:
-            raise ArgumentError(f"clique index {s} out of range [0, {self.r})")
-        return tuple(self._line(*divmod(index, self.q_range), s).tolist())
-
-    def cluster_cliques(self, index: int) -> list[tuple[int, ...]]:
-        """The r cliques (ordered k-tuples, one vertex per layer) of a cluster."""
-        return [self.clique(index, s) for s in range(self.r)]
+        return self._line(*divmod(index, self.q_range), np.arange(self.r, dtype=np.int64)[:, None])
 
     def clusters(self) -> np.ndarray:
         """All t_max clusters as one ``(t_max, r, k)`` int64 array."""
@@ -512,14 +506,6 @@ def _spread(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _find(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each entry of `x`'s index in the sorted, distinct `keys`, or -1 where it is absent."""
-    if not len(keys):
-        return np.full(len(x), -1)
-    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-    return np.where(keys[i] == x, i, -1)
-
-
 def _edges_inside(q: Graph, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The keys ``e * t + c``, sorted, of each edge e of `q` with both ends in cluster c.
 
@@ -542,13 +528,13 @@ def _edges_inside(q: Graph, members: np.ndarray, rows: np.ndarray) -> np.ndarray
     walk = degree < size
     src = np.repeat(np.flatnonzero(walk), degree[walk])
     w = verts[indices[_spread(indptr[i[walk]], degree[walk])]]
-    held = _find(members, c[src] * n + w) >= 0
+    held = find_keys(members, c[src] * n + w) >= 0
     w_row = rows[c[~walk]]
     later = w_row > v[~walk, None]
     src = np.concatenate((src[held], np.flatnonzero(~walk).repeat(later.sum(1))))
     w = np.concatenate((w[held], w_row[later]))
     a = q.edge_array()
-    e = _find(a[:, 0] * n + a[:, 1], np.minimum(v[src], w) * n + np.maximum(v[src], w))
+    e = find_keys(a[:, 0] * n + a[:, 1], np.minimum(v[src], w) * n + np.maximum(v[src], w))
     return np.unique((e * t + c[src])[e >= 0])
 
 
@@ -626,12 +612,12 @@ def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
     q_keys = a[:, 0] * n + a[:, 1]
     inside = _edges_inside(q, members, cpg.clusters.reshape(t, r * k))
     e_in, c_in = np.divmod(inside, t)
-    own_e, own_c = _find(q_keys, key[own]), owner[own]
+    own_e, own_c = find_keys(q_keys, key[own]), owner[own]
 
     # (3) inducedness: an edge with both endpoints inside a cluster's vertex
     # set must be one of that cluster's own edges
     detail = ""
-    bad = np.flatnonzero((_find(graph_keys, q_keys[e_in]) >= 0) & (_find(own_e * t + own_c, inside) < 0))
+    bad = np.flatnonzero((find_keys(graph_keys, q_keys[e_in]) >= 0) & (find_keys(own_e * t + own_c, inside) < 0))
     if len(bad):
         detail = (
             f"edge {_pair(q_keys[e_in[bad[0]]], n)} lies inside cluster {c_in[bad[0]]}'s "
@@ -651,7 +637,7 @@ def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
     size = np.diff(start)[c1]
     pair = np.repeat(np.arange(len(cand)), size)
     vertex = members[_spread(start[c1], size)] % n
-    shared = np.bincount(pair[_find(members, c2[pair] * n + vertex) >= 0], minlength=len(cand))
+    shared = np.bincount(pair[find_keys(members, c2[pair] * n + vertex) >= 0], minlength=len(cand))
     over = np.flatnonzero(shared > r)
     if len(over):
         i = over[0]

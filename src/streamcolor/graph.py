@@ -19,7 +19,6 @@ one byte buffer per body.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -259,12 +258,32 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     return Coloring.from_array(combined)
 
 
+def find_keys(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each entry of `x`'s index in the sorted, distinct `keys`, or -1 where it is absent."""
+    if not len(keys):
+        return np.full(len(x), -1)
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[i] == x, i, -1)
+
+
+def missing_clique_pair(g: Graph, vertices: Iterable[int]) -> tuple[int, int] | None:
+    """The first pair ``(u, v)``, ``u < v``, of the distinct `vertices` in
+    ascending order that is not an edge of `g`, or None if they form a clique.
+
+    Every pair is looked up at once among the sorted edge keys ``u * n + v``.
+    """
+    vs = np.unique(np.fromiter(vertices, np.int64))
+    if vs.size and (vs[0] < 0 or vs[-1] >= g.n):
+        raise ArgumentError(f"vertex set not contained in [0, {g.n})")
+    u, v = vs[np.array(np.triu_indices(len(vs), 1))]
+    a = g.edge_array()
+    absent = np.flatnonzero(find_keys(a[:, 0] * g.n + a[:, 1], u * g.n + v) < 0)
+    return (int(u[absent[0]]), int(v[absent[0]])) if absent.size else None
+
+
 def verify_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every pair in `vertices` is an edge of `g`."""
-    vs = sorted(set(int(v) for v in vertices))
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
-        raise ArgumentError(f"vertex set not contained in [0, {g.n})")
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+    return missing_clique_pair(g, vertices) is None
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -20,8 +20,8 @@ from .algorithms import offline_iterative_coloring, run_dynamic, run_multipass, 
 from .errors import ArgumentError
 from .exact import chromatic_number
 from .graph import Graph, induced_subgraph
-from .seeds import rng_for
-from .streams import StreamSource, to_dynamic_stream, to_insertion_stream
+from .seeds import child_seed, rng_for
+from .streams import to_dynamic_stream, to_insertion_stream
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def experiment_edge_shrinkage(
         run = offline_iterative_coloring(
             g,
             t,
-            seed=_spawn(seed, 101, trial),
+            seed=child_seed(seed, 101, trial),
             colorer="dsatur",
             budget_multiplier=budget_multiplier,
         )
@@ -328,17 +328,16 @@ def experiment_distinguisher(
         for side, g in (("small", small_g), ("large", large_g)):
             tag = 302 if side == "small" else 303
             if algorithm == "random-order":
-                stream = to_insertion_stream(g, "shuffled", seed=_spawn(seed, tag, trial))
+                stream = to_insertion_stream(g, "shuffled", seed=child_seed(seed, tag, trial))
                 verdict = run_random_order(stream, q, t)
             elif algorithm == "multipass":
                 stream = to_insertion_stream(g, "as-given")
-                source = StreamSource(stream, max_passes=t)
-                verdict = run_multipass(source, q, t, seed=_spawn(seed, tag, trial))
+                verdict = run_multipass(stream, q, t, seed=child_seed(seed, tag, trial))
             else:
                 stream = to_dynamic_stream(
-                    g, extra_pairs=extra_pairs, cycles=cycles, seed=_spawn(seed, tag, trial)
+                    g, extra_pairs=extra_pairs, cycles=cycles, seed=child_seed(seed, tag, trial)
                 )
-                verdict = run_dynamic(stream, q, t, seed=_spawn(seed, tag + 2, trial))
+                verdict = run_dynamic(stream, q, t, seed=child_seed(seed, tag + 2, trial))
             verdicts[side] = verdict.label
         small_hit = verdicts["small"] == "small"
         large_hit = verdicts["large"] == "large"
@@ -379,11 +378,3 @@ def experiment_distinguisher(
         records=tuple(records),
         summary=summary,
     )
-
-
-def _spawn(seed: int | None, *path: int) -> int | None:
-    """Derive a reproducible child integer seed for nested consumers."""
-    if seed is None:
-        return None
-    ss = np.random.SeedSequence([int(seed)] + [int(p) for p in path])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])

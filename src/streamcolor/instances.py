@@ -20,6 +20,7 @@ overrides exist so tests can exercise both branches deterministically.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,11 +39,10 @@ from .clusterpack import (
 )
 from .exact import find_k_coloring
 from .graph import Coloring, Graph, induced_subgraph, int_rows, is_proper_coloring, read_json
+from .graph import missing_clique_pair
 from .seeds import rng_for
 
 WITNESS_VERTEX_LIMIT = 50_000_000
-
-Edge = tuple[int, int]
 
 
 def join_cliques(clique_a, clique_b) -> np.ndarray:
@@ -65,6 +65,19 @@ def _edges(n: int, pairs: np.ndarray) -> np.ndarray:
 def _clique_edges(n: int, cliques: np.ndarray) -> np.ndarray:
     """The part holding every pair inside each row of a ``(rows, k)`` clique array."""
     return _edges(n, _clique_pairs(cliques, n)[0])
+
+
+def _spec(cliques: np.ndarray) -> tuple[int, ...]:
+    """The vertices of the given cliques, ascending: an instance's special set."""
+    return tuple(np.sort(cliques, axis=None).tolist())
+
+
+def _layer_coloring(n: int, k: int, base: int, cliques: np.ndarray, clique_colors) -> Coloring:
+    """Each vertex takes color `base` plus its layer of ``n // k`` vertices, then
+    every row of the ``(rows, k)`` array `cliques` its entry of `clique_colors`."""
+    colors = base + np.arange(n, dtype=np.int64) // (n // k)
+    colors[cliques] = np.asarray(clique_colors)[:, None]
+    return Coloring.from_array(colors)
 
 
 def _bicliques(n: int, cliques: np.ndarray, joins: np.ndarray) -> np.ndarray:
@@ -141,7 +154,6 @@ def gen_two_player(
         x[i_star] = ans_override
     ans = int(x[i_star])
     e1, e2 = _two_player_parts(host, x, i_star)
-    spec = tuple(np.sort(host.clusters[i_star], axis=None).tolist())
     return TwoPlayerInstance(
         n=n,
         k=k,
@@ -153,7 +165,7 @@ def gen_two_player(
         ans=ans,
         e1=e1,
         e2=e2,
-        spec=spec,
+        spec=_spec(host.clusters[i_star]),
     )
 
 
@@ -166,13 +178,8 @@ def witness_coloring_two_player(inst: TwoPlayerInstance) -> Coloring:
     """
     if inst.ans != 0:
         raise ArgumentError("witness coloring requires ans = 0")
-    k = inst.k
-    layer_size = inst.n // k
-    colors = k + (np.arange(inst.n, dtype=np.int64) // layer_size)
-    for j, clique in enumerate(inst.host.clusters[inst.i_star]):
-        for v in clique:
-            colors[v] = j
-    return Coloring.from_array(colors)
+    cliques = inst.host.clusters[inst.i_star]
+    return _layer_coloring(inst.n, inst.k, inst.k, cliques, np.arange(len(cliques)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +203,22 @@ class LevelPlan:
     levels: tuple[LevelSpec, ...] = ()
 
 
-def default_level_plan(p: int, k: int) -> LevelPlan:
-    """Smallest convenient plan: grouped hosts at n_a = (k * r_a)^2."""
+def default_level_plan(
+    p: int, k: int, *, n2: int | None = None, level_n: Sequence[int] = (), level_t: Sequence[int] = ()
+) -> LevelPlan:
+    """Smallest convenient plan: grouped hosts at n_a = (k * r_a)^2 with
+    r_a = 4 n_{a-1}, from n_2 = max(2k^3, 16k^2), each with t_a = 8 clusters.
+
+    `n2` replaces n_2, and entry i of `level_n` or `level_t` replaces n_a or
+    t_a of level a = i + 3; the chain goes on from a replaced size.
+    """
     if p < 2:
         raise ArgumentError("player count p must be >= 2")
-    n2 = max(2 * k**3, 16 * k**2)
-    levels = []
-    prev_n = n2
-    for _ in range(3, p + 1):
-        r = 4 * prev_n
-        n = (k * r) ** 2
-        levels.append(LevelSpec(n=n, t=8))
-        prev_n = n
+    n2 = max(2 * k**3, 16 * k**2) if n2 is None else n2
+    levels, n = [], n2
+    for i in range(p - 2):
+        n = level_n[i] if i < len(level_n) else (k * 4 * n) ** 2
+        levels.append(LevelSpec(n=n, t=level_t[i] if i < len(level_t) else 8))
     return LevelPlan(n2=n2, levels=tuple(levels))
 
 
@@ -251,8 +262,9 @@ class RecursiveLevel:
     join_parts: tuple[np.ndarray, ...]  # players 2..a in outer ids
     spec: tuple[int, ...]
 
-    def istar_cliques(self) -> list[tuple[int, ...]]:
-        return self.host.cluster_cliques(self.cluster_ids[self.i_star])
+    def istar_cliques(self) -> np.ndarray:
+        """The ``(r, k)`` cliques of the hidden cluster, one row each."""
+        return self.host.cluster(self.cluster_ids[self.i_star])
 
 
 @dataclass(frozen=True)
@@ -342,6 +354,7 @@ def gen_recursive(
 
     sets: list[tuple[int, ...]] = []
     x = np.zeros((t, r), dtype=np.uint8)
+    inside = np.zeros((t, r), dtype=bool)
     for i in range(t):
         if i == i_star:
             s_i = s_istar
@@ -350,6 +363,7 @@ def gen_recursive(
                 sorted(int(j) for j in rng.choice(r, size=r // 4, replace=False))
             )
         sets.append(s_i)
+        inside[i, list(s_i)] = True
         # balanced ones inside S_i, uniform bits outside
         if i == i_star:
             forced = list(intersection)
@@ -368,8 +382,8 @@ def gen_recursive(
         x[i, out_cols] = rng.integers(0, 2, size=len(out_cols)).astype(np.uint8)
 
     # player 1's edges: cliques j in S_i with bit one, over materialized clusters
-    chosen = [(cluster_ids[i], j) for i in range(t) for j in sets[i] if x[i, j]]
-    e1 = _clique_edges(layout.n, np.array([layout.clique(c, j) for c, j in chosen]).reshape(-1, k))
+    clusters = np.stack([layout.cluster(c) for c in cluster_ids])
+    e1 = _clique_edges(layout.n, clusters[inside & (x == 1)])
 
     # the embedded smaller instance, sampled forward with the same answer bit
     inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
@@ -391,11 +405,10 @@ def gen_recursive(
 
     # join operations: inner edge (u, v) -> biclique between cliques
     # sigma(u), sigma(v) of the hidden cluster, kept with the inner holder
-    istar_cliques = layout.cluster_cliques(cluster_ids[i_star])
-    cliques, to_clique = np.array(istar_cliques), np.array(sigma)
+    cliques, to_clique = clusters[i_star], np.array(sigma)
     join_parts = tuple(_bicliques(layout.n, cliques, to_clique[part]) for part in inner.edge_parts())
 
-    spec = tuple(sorted(v for j in intersection for v in istar_cliques[j]))
+    spec = _spec(cliques[list(intersection)])
     level = RecursiveLevel(
         a=p,
         host=layout,
@@ -443,17 +456,9 @@ def witness_coloring_recursive(
         raise ResourceLimitError(
             f"witness coloring materializes {inst.n} colors (guard {WITNESS_VERTEX_LIMIT})"
         )
-    k, p = inst.k, inst.p
-    inner_colors = witness_coloring_recursive(inst.inner)
-    layer_size = inst.n // k
-    colors = k * (p - 1) + (np.arange(inst.n, dtype=np.int64) // layer_size)
-    istar_cliques = inst.level.istar_cliques()
-    for v in range(len(inst.level.sigma)):
-        j = inst.level.sigma[v]
-        c = int(inner_colors.colors[v])
-        for w in istar_cliques[j]:
-            colors[w] = c
-    return Coloring.from_array(colors)
+    inner = witness_coloring_recursive(inst.inner)
+    cliques = inst.level.istar_cliques()[list(inst.level.sigma)]
+    return _layer_coloring(inst.n, inst.k, inst.k * (inst.p - 1), cliques, inner.colors)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +576,9 @@ def witness_coloring_simultaneous(inst: SimultaneousInstance) -> Coloring:
     """
     if inst.theta != 0:
         raise ArgumentError("witness coloring requires theta = 0")
-    colors = np.zeros(inst.n, dtype=np.int64)
-    left = set(inst.sigma[: inst.n_base - 1])
-    right = set(inst.sigma[inst.n_base - 1 : 2 * (inst.n_base - 1)])
-    for v in range(inst.n):
-        if v in left:
-            colors[v] = 0
-        elif v in right:
-            colors[v] = 1
-        else:
-            colors[v] = 2
+    colors = np.full(inst.n, 2, dtype=np.int64)
+    sides = np.array(inst.sigma[: 2 * (inst.n_base - 1)], np.int64).reshape(2, -1)
+    colors[sides] = [[0], [1]]  # the left ids, then the right ids
     return Coloring.from_array(colors)
 
 
@@ -597,9 +595,22 @@ def _keys(part: np.ndarray, n: int) -> np.ndarray:
     return part[:, 0] * n + part[:, 1]
 
 
+def _gap(graph: Graph, bit: int, what: str, special, witness, inst, colors: int) -> CheckResult:
+    """The chromatic gap: with `bit` set, the `special` vertices (named `what`)
+    form a clique of `graph`; with it clear, ``witness(inst)`` properly colors
+    `graph` with at most `colors` colors."""
+    if bit:
+        missing = missing_clique_pair(graph, special)
+        return _check("gap-clique", missing is None, f"{what} misses edge {missing}")
+    coloring = witness(inst)
+    ok = coloring.num_colors <= colors and is_proper_coloring(graph, coloring)
+    return _check(
+        "gap-witness-coloring", ok, f"witness uses {coloring.num_colors} colors or is improper"
+    )
+
+
 def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
     checks = []
-    union = inst.union_graph()
     n = inst.n
     expected = _two_player_parts(inst.host, inst.x, inst.i_star)
     for i, (got, want) in enumerate(zip(inst.edge_parts(), expected), 1):
@@ -612,169 +623,79 @@ def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
             )
         )
     shared = np.intersect1d(_keys(inst.e1, n), _keys(inst.e2, n))
-    checks.append(
-        _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}")
-    )
-    checks.append(_check("ans-bit", inst.ans == int(inst.x[inst.i_star])))
-    expected_spec = tuple(np.sort(inst.host.clusters[inst.i_star], axis=None).tolist())
-    checks.append(_check("special-set", inst.spec == expected_spec))
-    if inst.ans == 1:
-        missing = _missing_clique_pair(union, inst.spec)
-        checks.append(
-            _check(
-                "gap-clique",
-                missing is None,
-                f"special set misses edge {missing}",
-            )
-        )
-    else:
-        witness = witness_coloring_two_player(inst)
-        ok = witness.num_colors <= 2 * inst.k and is_proper_coloring(union, witness)
-        checks.append(
-            _check(
-                "gap-witness-coloring",
-                ok,
-                f"witness uses {witness.num_colors} colors or is improper",
-            )
-        )
-    return checks
-
-
-def _missing_clique_pair(g: Graph, vertices) -> Edge | None:
-    vs = sorted(vertices)
-    pairs = ((u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
-    return next(((u, v) for u, v in pairs if not g.has_edge(u, v)), None)
+    return checks + [
+        _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}"),
+        _check("ans-bit", inst.ans == int(inst.x[inst.i_star])),
+        _check("special-set", inst.spec == _spec(inst.host.clusters[inst.i_star])),
+        _gap(inst.union_graph(), inst.ans, "special set", inst.spec,
+             witness_coloring_two_player, inst, 2 * inst.k),
+    ]
 
 
 def _verify_recursive(inst: RecursiveInstance) -> list[CheckResult]:
-    checks = []
-    lvl = inst.level
-    k, p = inst.k, inst.p
-    inner_n = lvl.r // 4
-
-    checks.append(
-        _check(
-            "eq1-chain",
-            (inst.inner.n if isinstance(inst.inner, RecursiveInstance) else inst.inner.n)
-            == inner_n,
-            f"inner instance has n={inst.inner.n}, expected r/4={inner_n}",
-        )
-    )
+    lvl, k, p = inst.level, inst.k, inst.p
+    inner_n, half = lvl.r // 4, lvl.r // 8
     inter = tuple(sorted(set(lvl.sets[lvl.i_star]) & set(lvl.big_t)))
-    checks.append(
-        _check(
-            "intersection-size",
-            inter == lvl.intersection and len(inter) == k ** (p - 1),
-            f"re-derived intersection {inter} vs stored {lvl.intersection}",
-        )
-    )
-    sizes_ok = all(len(s) == lvl.r // 4 for s in lvl.sets) and len(lvl.big_t) == lvl.r // 4
-    checks.append(_check("set-sizes", sizes_ok, "some S_i or T has the wrong size"))
-    balance_ok = True
-    detail = ""
-    for i, s in enumerate(lvl.sets):
-        ones = int(sum(int(lvl.x[i, j]) for j in s))
-        if ones != lvl.r // 8:
-            balance_ok = False
-            detail = f"row {i} has {ones} ones inside S_i, expected {lvl.r // 8}"
-            break
-    checks.append(_check("row-balance", balance_ok, detail))
+    sizes_ok = all(len(s) == inner_n for s in lvl.sets) and len(lvl.big_t) == inner_n
+    ones = np.array([lvl.x[i, list(s)].sum() for i, s in enumerate(lvl.sets)], np.int64)
+    off = np.flatnonzero(ones != half)[:1]
     anchored = all(int(lvl.x[lvl.i_star, j]) == inst.ans for j in lvl.intersection)
-    checks.append(_check("answer-anchoring", anchored, "x[i*, j] != ans on the intersection"))
-
-    istar_cliques = lvl.istar_cliques()
-    expected_spec = tuple(sorted(v for j in lvl.intersection for v in istar_cliques[j]))
-    checks.append(
-        _check(
-            "special-set",
-            inst.spec == expected_spec and len(inst.spec) == k**p,
-            "special set does not match the intersection cliques",
-        )
-    )
-    sigma_vals = set(lvl.sigma)
+    expected_spec = _spec(lvl.istar_cliques()[list(lvl.intersection)])
     sigma_ok = (
         len(lvl.sigma) == inner_n
-        and sigma_vals == set(lvl.big_t)
+        and set(lvl.sigma) == set(lvl.big_t)
         and {lvl.sigma[v] for v in inst.inner.spec} == set(lvl.intersection)
     )
-    checks.append(_check("sigma-bijection", sigma_ok, "sigma is not a valid embedding"))
-
-    union = inst.union_graph()
-    if inst.ans == 1:
-        missing = _missing_clique_pair(union, inst.spec)
-        checks.append(
-            _check("gap-clique", missing is None, f"special set misses edge {missing}")
-        )
-    else:
-        witness = witness_coloring_recursive(inst)
-        ok = witness.num_colors <= k * p and is_proper_coloring(union, witness)
-        checks.append(
-            _check(
-                "gap-witness-coloring",
-                ok,
-                f"witness uses {witness.num_colors} colors or is improper",
-            )
-        )
-    inner_checks = (
-        _verify_recursive(inst.inner)
-        if isinstance(inst.inner, RecursiveInstance)
-        else _verify_two_player(inst.inner)
-    )
-    for c in inner_checks:
-        checks.append(CheckResult(f"inner-{c.name}", c.passed, c.detail))
-    return checks
+    checks = [
+        _check("eq1-chain", inst.inner.n == inner_n,
+               f"inner instance has n={inst.inner.n}, expected r/4={inner_n}"),
+        _check("intersection-size", inter == lvl.intersection and len(inter) == k ** (p - 1),
+               f"re-derived intersection {inter} vs stored {lvl.intersection}"),
+        _check("set-sizes", sizes_ok, "some S_i or T has the wrong size"),
+        _check("row-balance", not off.size,
+               "".join(f"row {i} has {ones[i]} ones inside S_i, expected {half}" for i in off)),
+        _check("answer-anchoring", anchored, "x[i*, j] != ans on the intersection"),
+        _check("special-set", inst.spec == expected_spec and len(inst.spec) == k**p,
+               "special set does not match the intersection cliques"),
+        _check("sigma-bijection", sigma_ok, "sigma is not a valid embedding"),
+        _gap(inst.union_graph(), inst.ans, "special set", inst.spec,
+             witness_coloring_recursive, inst, k * p),
+    ]
+    return checks + [CheckResult(f"inner-{c.name}", c.passed, c.detail) for c in _checks(inst.inner)]
 
 
 def _verify_simultaneous(inst: SimultaneousInstance) -> list[CheckResult]:
-    checks = []
     anchored = all(int(inst.x[i, inst.j_star]) == inst.theta for i in range(inst.p))
-    checks.append(_check("theta-anchoring", anchored, "some x[i, j*] != theta"))
-
     # recompute the relabeled edges from (x, sigma, j*)
     regen = _player_edges(inst.k, inst.n_base, inst.j_star, inst.sigma, inst.x)
     relabel_ok = len(regen) == len(inst.player_edges) and all(
         np.array_equal(a, b) for a, b in zip(regen, inst.player_edges)
     )
-    checks.append(_check("relabel-consistency", relabel_ok, "player edges do not match x/sigma"))
-
-    bip_ok = True
-    detail = ""
     final = inst.final_graph()
     sub, _ = induced_subgraph(final, inst.v_bipartite)
-    if sub.num_edges and find_k_coloring(sub, 2) is None:
-        bip_ok = False
-        detail = "union restricted to v_bipartite is not bipartite"
-    checks.append(_check("bipartite-part", bip_ok, detail))
+    bip_ok = not sub.num_edges or find_k_coloring(sub, 2) is not None
+    return [
+        _check("theta-anchoring", anchored, "some x[i, j*] != theta"),
+        _check("relabel-consistency", relabel_ok, "player edges do not match x/sigma"),
+        _check("bipartite-part", bip_ok, "union restricted to v_bipartite is not bipartite"),
+        _gap(final, inst.theta, "v_clique", inst.v_clique, witness_coloring_simultaneous, inst, 3),
+    ]
 
-    if inst.theta == 1:
-        missing = _missing_clique_pair(final, inst.v_clique)
-        checks.append(
-            _check("gap-clique", missing is None, f"v_clique misses edge {missing}")
-        )
-    else:
-        witness = witness_coloring_simultaneous(inst)
-        ok = witness.num_colors <= 3 and is_proper_coloring(final, witness)
-        checks.append(
-            _check(
-                "gap-witness-coloring",
-                ok,
-                f"witness uses {witness.num_colors} colors or is improper",
-            )
-        )
-    return checks
+
+def _checks(inst) -> list[CheckResult]:
+    """The report rows of any variant; a recursive instance's inner rows come from here too."""
+    if isinstance(inst, TwoPlayerInstance):
+        return _verify_two_player(inst)
+    if isinstance(inst, RecursiveInstance):
+        return _verify_recursive(inst)
+    if isinstance(inst, SimultaneousInstance):
+        return _verify_simultaneous(inst)
+    raise ArgumentError(f"not a hard instance: {type(inst).__name__}")
 
 
 def verify_instance(inst) -> VerificationReport:
     """Structural invariants plus the chromatic-gap check for any variant."""
-    if isinstance(inst, TwoPlayerInstance):
-        checks = _verify_two_player(inst)
-    elif isinstance(inst, RecursiveInstance):
-        checks = _verify_recursive(inst)
-    elif isinstance(inst, SimultaneousInstance):
-        checks = _verify_simultaneous(inst)
-    else:
-        raise ArgumentError(f"not a hard instance: {type(inst).__name__}")
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(_checks(inst)))
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +751,25 @@ def write_instance(inst, path: str) -> None:
         f.write(instance_to_json(inst))
 
 
+def _integers(value) -> bool:
+    """True iff `value` is an int, or a list or dict whose entries all are, at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_integers, value))
+    return type(value) is int
+
+
 def regenerate_instance(payload: dict):
-    """Rebuild the full instance from a serialized (variant, params, seed)."""
+    """Rebuild the full instance from a serialized (variant, params, seed).
+
+    The seed, every param and a set answer-bit override must be integers: a
+    float or a boolean raises `TypeError` rather than being rounded by `int`.
+    """
     variant, params, seed = payload["variant"], payload["params"], payload["seed"]
+    override = payload.get("theta_override" if variant == "simultaneous" else "ans_override")
+    if not (type(seed) is int and _integers(params) and (override is None or type(override) is int)):
+        raise TypeError("the seed, the params and an override must be integers")
     if variant == "two-player":
         return gen_two_player(
             params["n"], params["k"], seed=seed, ans_override=payload.get("ans_override")

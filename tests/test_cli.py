@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import streamcolor.algorithms
 import streamcolor.cli
 from streamcolor import StreamSource
 from streamcolor.cli import main
@@ -226,7 +227,7 @@ class TestStreamAndRun:
              "-o", str(g)])
         run(["stream", "shuffle", "--graph", str(g), "--seed", "3", "-o", str(s)])
         # a source that allows one pass where the runner asks for two
-        monkeypatch.setattr(streamcolor.cli, "StreamSource",
+        monkeypatch.setattr(streamcolor.algorithms, "StreamSource",
                             lambda stream, max_passes: StreamSource(stream, max_passes=1))
         assert run(["run", "multipass", "--stream", str(s), "--q", "2", "--t", "2",
                     "--seed", "3", "--budget-multiplier", "0.0001"]) == 3

@@ -29,6 +29,7 @@ from streamcolor.clusterpack import (
     EXACT_FALLBACK_LIMIT,
     CheckResult,
     DenseLayout,
+    LineLayout,
     SetFamily,
 )
 from streamcolor.exact import find_k_coloring
@@ -142,6 +143,15 @@ class TestLinesGrouped:
     def test_sqrt_bound_rejected(self):
         with pytest.raises(ArgumentError):
             construct_lines_grouped(64, 8, 2)
+
+    def test_cluster_accessor_matches_all_clusters(self):
+        layout = LineLayout(n=1024, k=2, r=4)
+        clusters = layout.clusters()
+        for index in range(layout.t_max):
+            assert np.array_equal(layout.cluster(index), clusters[index])
+        for index in (-1, layout.t_max):
+            with pytest.raises(ArgumentError, match="out of range"):
+                layout.cluster(index)
 
     def test_lines_pairwise_share_at_most_one_vertex(self):
         cpg = construct_lines_grouped(64, 2, 2)

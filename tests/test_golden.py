@@ -3,12 +3,13 @@
 Criterion 9 checks that two runs of today's code give the same bytes; these
 digests check that the bytes survive a refactor. A change that alters any of
 them must say why (usually a changed sequence of RNG draws) and refreeze the
-value here.
+value here. `REPORTS` freezes the report text of `verify instance` the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -122,3 +123,36 @@ def test_output_digest(digests, name):
     code, digest = digests[name]
     assert code == 0
     assert digest == GOLDEN[name]
+
+
+# `verify instance` stdout on each frozen instance file, and the exit code and
+# message on a copy whose last player part lost its last edge
+REPORTS = {
+    "two-player.json": ["player1-edges", "player2-edges", "edge-disjoint", "ans-bit",
+                        "special-set", "gap-clique"],
+    "recursive.json": ["eq1-chain", "intersection-size", "set-sizes", "row-balance",
+                       "answer-anchoring", "special-set", "sigma-bijection",
+                       "gap-witness-coloring", "inner-player1-edges", "inner-player2-edges",
+                       "inner-edge-disjoint", "inner-ans-bit", "inner-special-set",
+                       "inner-gap-witness-coloring"],
+    "simultaneous.json": ["theta-anchoring", "relabel-consistency", "bipartite-part",
+                          "gap-witness-coloring"],
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_verify_instance_report(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    assert cli_main(dict(COMMANDS)[name] + ["-o", path]) == 0
+    capsys.readouterr()
+    assert cli_main(["verify", "instance", "--file", path]) == 0
+    assert capsys.readouterr() == ("".join(f"{row}: pass\n" for row in REPORTS[name]), "")
+    with open(path) as f:
+        payload = json.load(f)
+    payload["players"][-1] = payload["players"][-1][:-1]
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    assert cli_main(["verify", "instance", "--file", path]) == 3
+    assert capsys.readouterr() == (
+        "", "error: stored edge lists do not match the regenerated instance\n"
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from streamcolor import (
     write_graph,
 )
 from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
-from streamcolor.graph import MAX_VERTICES
+from streamcolor.graph import MAX_VERTICES, missing_clique_pair
 
 from oracles import ReplayMultigraph, brute_induced_edges, brute_is_proper, refine_partition
 
@@ -232,6 +233,37 @@ class TestVerifyClique:
     def test_reads_no_edge_frozenset(self, k4):
         assert verify_clique(k4, [3, 1, 2, 0, 1])
         assert k4._edges is None
+
+
+def reference_missing_pair(g: Graph, vertices) -> tuple[int, int] | None:
+    """The first non-adjacent pair of the distinct vertices, one `has_edge` per pair."""
+    pairs = itertools.combinations(sorted(set(vertices)), 2)
+    return next(((u, v) for u, v in pairs if not g.has_edge(u, v)), None)
+
+
+class TestMissingCliquePair:
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
+        st.lists(st.integers(0, n - 1), max_size=16),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_reference(self, case):
+        n, edges, vertices = case
+        g = Graph(n, edges)
+        assert missing_clique_pair(g, vertices) == reference_missing_pair(g, vertices)
+        assert verify_clique(g, vertices) == (reference_missing_pair(g, vertices) is None)
+
+    def test_first_pair_in_ascending_order_with_duplicates(self, c5):
+        # 0-1 and 1-2 are edges of the 5-cycle, 0-2 is the first that is not
+        assert missing_clique_pair(c5, [2, 1, 0, 2, 1]) == (0, 2)
+        assert missing_clique_pair(c5, [3, 4, 3]) is None
+        assert missing_clique_pair(c5, []) is None
+
+    @pytest.mark.parametrize("vertices", [[0, 5], [-1, 2], [5], [4, 4, 5]])
+    def test_out_of_range(self, c5, vertices):
+        with pytest.raises(ArgumentError):
+            missing_clique_pair(c5, vertices)
 
 
 class TestProductColoring:

@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from streamcolor import (
+    Coloring,
     DenseParams,
     Graph,
     LevelPlan,
     LevelSpec,
+    RecursiveInstance,
+    SimultaneousInstance,
+    TwoPlayerInstance,
     clusterpack,
     construct_dense,
     construct_lines_basic,
@@ -353,7 +357,7 @@ def reference_clique_edges(acc, clique):
 
 def reference_two_player(n, k, seed=None, ans_override=None):
     layout = LineLayout(n=n, k=k, r=k)
-    clusters = [layout.cluster_cliques(i) for i in range(layout.t_max)]
+    clusters = [layout.cluster(i).tolist() for i in range(layout.t_max)]
     rng = rng_for(seed, 10)
     i_star = int(rng.integers(len(clusters)))
     x = rng.integers(0, 2, size=len(clusters)).astype(np.uint8)
@@ -411,7 +415,7 @@ def reference_recursive(p, k, plan, seed=None, ans_override=None):
     for i in range(t):
         for j in sets[i]:
             if x[i, j]:
-                reference_clique_edges(e1, layout.clique(cluster_ids[i], j))
+                reference_clique_edges(e1, layout.cluster(cluster_ids[i])[j].tolist())
     inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
     inner_parts, inner_spec, _ = reference_recursive(p - 1, k, inner_plan, seed=seed, ans_override=ans)
     others = [v for v in range(inner_n) if v not in set(inner_spec)]
@@ -419,7 +423,7 @@ def reference_recursive(p, k, plan, seed=None, ans_override=None):
     pool = sorted(set(big_t) - set(intersection))
     rest_targets = [pool[int(i)] for i in rng.permutation(len(pool))]
     sigma = dict(zip(sorted(inner_spec), spec_targets)) | dict(zip(others, rest_targets))
-    istar_cliques = layout.cluster_cliques(cluster_ids[i_star])
+    istar_cliques = layout.cluster(cluster_ids[i_star]).tolist()
     join_parts = []
     for part in inner_parts:
         acc = []
@@ -501,6 +505,139 @@ class TestAgreesWithLoopReferences:
         assert join_cliques(a, b).tolist() == [list(e) for e in reference_join([], a.tolist(), b.tolist())]
 
 
+# ---------------------------------------------------------------------------
+# the per-vertex witness loops that the array writes replaced, kept as
+# references; like the witnesses, each reads only the instance's structure
+# ---------------------------------------------------------------------------
+
+
+def reference_witness_two_player(inst):
+    k = inst.k
+    layer_size = inst.n // k
+    colors = k + (np.arange(inst.n, dtype=np.int64) // layer_size)
+    for j, clique in enumerate(inst.host.clusters[inst.i_star]):
+        for v in clique:
+            colors[v] = j
+    return Coloring.from_array(colors)
+
+
+def reference_witness_recursive(inst):
+    if isinstance(inst, TwoPlayerInstance):
+        return reference_witness_two_player(inst)
+    k, p = inst.k, inst.p
+    inner_colors = reference_witness_recursive(inst.inner)
+    layer_size = inst.n // k
+    colors = k * (p - 1) + (np.arange(inst.n, dtype=np.int64) // layer_size)
+    istar_cliques = inst.level.istar_cliques().tolist()
+    for v in range(len(inst.level.sigma)):
+        j = inst.level.sigma[v]
+        c = int(inner_colors.colors[v])
+        for w in istar_cliques[j]:
+            colors[w] = c
+    return Coloring.from_array(colors)
+
+
+def reference_witness_simultaneous(inst):
+    colors = np.zeros(inst.n, dtype=np.int64)
+    left = set(inst.sigma[: inst.n_base - 1])
+    right = set(inst.sigma[inst.n_base - 1 : 2 * (inst.n_base - 1)])
+    for v in range(inst.n):
+        if v in left:
+            colors[v] = 0
+        elif v in right:
+            colors[v] = 1
+        else:
+            colors[v] = 2
+    return Coloring.from_array(colors)
+
+
+def cleared(inst):
+    """`inst` with its answer bit, and those of its inner instances, set to 0."""
+    if isinstance(inst, SimultaneousInstance):
+        return dataclasses.replace(inst, theta=0)
+    if isinstance(inst, RecursiveInstance):
+        return dataclasses.replace(inst, ans=0, inner=cleared(inst.inner))
+    return dataclasses.replace(inst, ans=0)
+
+
+class TestWitnessesMatchLoopReferences:
+    """At either bit, the witness of the instance's structure equals the loop
+    reference; with the bit set, both the witness and the gap check refuse it."""
+
+    @staticmethod
+    def check(inst, bit, witness, reference):
+        if bit:
+            with pytest.raises(ArgumentError):
+                witness(inst)
+        inst = cleared(inst)
+        got, want = witness(inst), reference(inst)
+        assert got == want and got.num_colors == want.num_colors
+
+    @given(st.sampled_from([(16, 2), (64, 2), (108, 3)]), seeds, st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_two_player(self, nk, seed, bit):
+        inst = gen_two_player(*nk, seed=seed, ans_override=bit)
+        self.check(inst, bit, witness_coloring_two_player, reference_witness_two_player)
+
+    @given(st.sampled_from([SMALL_PLAN, default_level_plan(3, 2)]), seeds, st.sampled_from([0, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_recursive(self, plan, seed, bit):
+        inst = gen_recursive(3, 2, plan=plan, seed=seed, ans_override=bit)
+        self.check(inst, bit, witness_coloring_recursive, reference_witness_recursive)
+
+    @given(st.sampled_from([(4, 3), (4, 6), (4, 10), (5, 8), (6, 5)]), seeds, st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_simultaneous(self, kn, seed, theta):
+        inst = gen_simultaneous(*kn, seed=seed, theta_override=theta)
+        self.check(inst, theta, witness_coloring_simultaneous, reference_witness_simultaneous)
+
+
+class TestReportText:
+    """The report rows of one tampered instance per family, frozen as text."""
+
+    def test_two_player_missing_clique_edge(self):
+        inst = gen_two_player(64, 2, seed=4, ans_override=1)
+        victim = inst.spec[:2]
+        tampered = dataclasses.replace(
+            inst, e1=inst.e1[(inst.e1 != victim).any(1)], e2=inst.e2[(inst.e2 != victim).any(1)]
+        )
+        assert str(verify_instance(tampered)).splitlines() == [
+            "player1-edges: pass",
+            "player2-edges: FAIL (e2 mismatch, e.g. [(14, 15)])",
+            "edge-disjoint: pass",
+            "ans-bit: pass",
+            "special-set: pass",
+            "gap-clique: FAIL (special set misses edge (14, 15))",
+        ]
+
+    def test_recursive_unbalanced_row(self):
+        inst = gen_recursive(3, 2, seed=5, ans_override=1)
+        x = inst.level.x.copy()
+        x[1, list(inst.level.sets[1])] = 1
+        tampered = dataclasses.replace(inst, level=dataclasses.replace(inst.level, x=x))
+        assert str(verify_instance(tampered)).splitlines() == [
+            "eq1-chain: pass",
+            "intersection-size: pass",
+            "set-sizes: pass",
+            "row-balance: FAIL (row 1 has 64 ones inside S_i, expected 32)",
+            "answer-anchoring: pass",
+            "special-set: pass",
+            "sigma-bijection: pass",
+            "gap-clique: pass",
+        ] + [f"inner-{name}: pass" for name in (
+            "player1-edges", "player2-edges", "edge-disjoint", "ans-bit", "special-set", "gap-clique"
+        )]
+
+    def test_simultaneous_flipped_theta(self):
+        inst = gen_simultaneous(4, 6, seed=5, theta_override=0)
+        assert str(verify_instance(dataclasses.replace(inst, theta=1))).splitlines() == [
+            "theta-anchoring: FAIL (some x[i, j*] != theta)",
+            "relabel-consistency: pass",
+            "bipartite-part: pass",
+            "gap-clique: FAIL (v_clique misses edge (4, 6))",
+        ]
+
+
 class TestNoEdgeFrozenset:
     def test_verifiers_never_read_graph_edges(self, monkeypatch):
         def forbidden(self):
@@ -564,6 +701,30 @@ class TestInstanceSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             read_instance(str(path))
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: gen_two_player(16, 2, seed=1), "seed", 1.5),
+        (lambda: gen_two_player(16, 2, seed=1), "seed", True),
+        (lambda: gen_two_player(16, 2, seed=1), ("params", "n"), 16.0),
+        (lambda: gen_recursive(3, 2, plan=SMALL_PLAN, seed=1, ans_override=1), "ans_override", True),
+        (lambda: gen_simultaneous(4, 3, seed=1, theta_override=0), "theta_override", 0.0),
+    ])
+    def test_non_integer_fields_rejected(self, tmp_path, make, field, value):
+        # each payload regenerates the same edges through int(), so only the
+        # field types tell it from the file that was written
+        path = tmp_path / "inst.json"
+        write_instance(make(), str(path))
+        payload = json.loads(path.read_text())
+        *outer, last = field if isinstance(field, tuple) else (field,)
+        target = payload
+        for key in outer:
+            target = target[key]
+        assert target[last] == int(value)
+        target[last] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="must be integers"):
+            read_instance(str(path))
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 3
 
     def test_tampered_file_rejected(self, tmp_path):
         inst = gen_two_player(64, 2, seed=8)
