@@ -5,16 +5,18 @@ stream order, with array operations and no per-event Python loop; the
 multi-pass runner gets each pass from a `StreamSource`. The dynamic runner
 needs one pair-level pass, not one per trial: a trial sees either every
 event of a pair or none, so each trial's signed counter for a pair equals
-the pair's delta sum over the whole stream. All three answer
-the q vs large distinguishing problem with a one-sided "large": whenever
-they say "large" they hold a stored subgraph of the input whose chromatic
-number exceeds q. Per-round chromatic numbers are computed with the exact
-solver capped at q, which never changes a verdict but avoids searching
-above the cap.
+the pair's delta sum over the whole stream. The offline coloring and both
+insertion runners share one round loop and differ only in how a round
+stores its edges. All three runners answer the q vs large distinguishing
+problem with a one-sided "large": whenever they say "large" they hold a
+stored subgraph of the input whose chromatic number exceeds q. Per-round
+chromatic numbers are computed with the exact solver capped at q, which
+never changes a verdict but avoids searching above the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +73,34 @@ class OfflineColoringRun:
     cap_exceeded_round: int | None = None
 
 
+def _sparsify(n: int, t: int, color, store) -> tuple[Coloring | None, Evidence | None, list[int]]:
+    """Rounds 1..t: ``store(coloring)`` gives the rows kept of M_i (None ends
+    the run), ``color`` colors them and the coloring is refined; a round that
+    `color` refuses (None) ends the run with its graph as evidence. Returns
+    the coloring (None after a refused round), the evidence and each round's
+    color count."""
+    coloring = uniform_coloring(n)
+    round_colors: list[int] = []
+    for i in range(1, t + 1):
+        rows = store(coloring)
+        if rows is None:
+            break
+        h = Graph(n, rows)
+        ci = color(h)
+        if ci is None:
+            return None, Evidence("round", i, h), round_colors
+        round_colors.append(max(ci.num_colors, 1))
+        coloring = product_coloring(coloring, ci)
+    return coloring, None, round_colors
+
+
+def _verdict(
+    meta: dict, evidence: Evidence | None = None, coloring: Coloring | None = None
+) -> Verdict:
+    """A runner's verdict: "large" exactly when it holds evidence."""
+    return Verdict("small" if evidence is None else "large", coloring, evidence, meta)
+
+
 def offline_iterative_coloring(
     g: Graph,
     t: int,
@@ -91,42 +121,27 @@ def offline_iterative_coloring(
         raise ArgumentError("iteration count t must be >= 2")
     if colorer not in ("exact", "dsatur"):
         raise ArgumentError(f"unknown colorer {colorer!r}")
-    n = g.n
-    budget = default_budget(n, t, budget_multiplier)
+    budget = default_budget(g.n, t, budget_multiplier)
     rng = rng_for(seed, 41)
-    current = g.edge_array()
-    m_sizes = [current.shape[0]]
-    round_colors: list[int] = []
-    coloring = uniform_coloring(n)
-    for i in range(1, t + 1):
-        if current.shape[0] <= budget:
-            sample = current
-        else:
-            idx = rng.choice(current.shape[0], size=budget, replace=False)
-            sample = current[np.sort(idx)]
-        h = Graph(n, sample)
-        if colorer == "dsatur" and chi_cap is None:
-            ci = dsatur_coloring(h)
-        else:
-            ci = color_with_cap(h, chi_cap)
-        if ci is None:
-            return OfflineColoringRun(
-                coloring=None,
-                m_sizes=tuple(m_sizes),
-                round_colors=tuple(round_colors),
-                budget=budget,
-                cap_exceeded_round=i,
-            )
-        round_colors.append(max(ci.num_colors, 1))
-        coloring = product_coloring(coloring, ci)
-        current = monochromatic_edges(current, ci)
+    current = g.edge_array()  # M_1; each later M_i refines M_{i-1}, not all of g
+    m_sizes: list[int] = []
+
+    def store(coloring: Coloring) -> np.ndarray:
+        nonlocal current
+        if m_sizes:  # M_{i-1} is monochromatic under every round before i - 1
+            current = monochromatic_edges(current, coloring)
         m_sizes.append(current.shape[0])
-    return OfflineColoringRun(
-        coloring=coloring,
-        m_sizes=tuple(m_sizes),
-        round_colors=tuple(round_colors),
-        budget=budget,
-    )
+        if current.shape[0] <= budget:
+            return current
+        return current[np.sort(rng.choice(current.shape[0], size=budget, replace=False))]
+
+    exact = colorer == "exact" or chi_cap is not None
+    color = functools.partial(color_with_cap, cap=chi_cap) if exact else dsatur_coloring
+    coloring, evidence, round_colors = _sparsify(g.n, t, color, store)
+    if coloring is not None:
+        m_sizes.append(monochromatic_edges(current, coloring).shape[0])
+    exceeded = None if evidence is None else evidence.index  # the round over the cap
+    return OfflineColoringRun(coloring, tuple(m_sizes), tuple(round_colors), budget, exceeded)
 
 
 def run_random_order(
@@ -143,51 +158,28 @@ def run_random_order(
         raise ArgumentError("run_random_order needs an insertion-only stream")
     if q < 2 or t < 2:
         raise ArgumentError("need q >= 2 and t >= 2")
-    n = stream.n
+    n, events = stream.n, stream.events
     budget = default_budget(n, t, budget_multiplier)
-    coloring = uniform_coloring(n)
-    events = stream.events
-    events_read = 0
-    peak_edges = 0
-    rounds_used = 0
-    exhausted = False
-    for i in range(1, t + 1):
-        rest = events[events_read:]
+    meta = {"budget": budget, "rounds_used": 0, "events_read": 0,
+            "peak_stored_edges": 0, "stream_exhausted": False}
+
+    def store(coloring: Coloring) -> np.ndarray | None:
+        if meta["stream_exhausted"]:
+            return None
+        rest = events[meta["events_read"]:]
         mono = np.flatnonzero(coloring.colors[rest[:, 0]] == coloring.colors[rest[:, 1]])
         if len(mono) >= budget:  # the budget fills at the budget-th hit
             mono = mono[:budget]
-            events_read += int(mono[-1]) + 1
+            meta["events_read"] += int(mono[-1]) + 1
         else:
-            events_read += len(rest)
-            exhausted = True
-        rounds_used = i
-        peak_edges = max(peak_edges, len(mono))
-        h = Graph(n, rest[mono, :2])
-        ci = color_with_cap(h, q)
-        if ci is None:
-            return Verdict(
-                label="large",
-                evidence=Evidence("round", i, h),
-                metadata=_ro_meta(budget, rounds_used, events_read, peak_edges, exhausted),
-            )
-        coloring = product_coloring(coloring, ci)
-        if exhausted:
-            break
-    return Verdict(
-        label="small",
-        coloring=coloring,
-        metadata=_ro_meta(budget, rounds_used, events_read, peak_edges, exhausted),
-    )
+            meta["events_read"] += len(rest)
+            meta["stream_exhausted"] = True
+        meta["rounds_used"] += 1
+        meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(mono))
+        return rest[mono, :2]
 
-
-def _ro_meta(budget, rounds, events, peak, exhausted) -> dict:
-    return {
-        "budget": budget,
-        "rounds_used": rounds,
-        "events_read": events,
-        "peak_stored_edges": peak,
-        "stream_exhausted": exhausted,
-    }
+    coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
+    return _verdict(meta, evidence, coloring)
 
 
 def run_multipass(
@@ -213,12 +205,15 @@ def run_multipass(
     n = source.stream.n
     budget = default_budget(n, t, budget_multiplier)
     rng = rng_for(seed, 42)
-    coloring = uniform_coloring(n)
-    passes_used = 0
-    peak_edges = 0
-    for i in range(1, t + 1):
+    meta = {"budget": budget, "passes_used": 0, "peak_stored_edges": 0}
+    more = True  # False once a pass stored all of M_i, so M_{i+1} is empty
+
+    def store(coloring: Coloring) -> np.ndarray | None:
+        nonlocal more
+        if not more:
+            return None
         events = source.open()  # PassLimitError propagates to the caller
-        passes_used += 1
+        meta["passes_used"] += 1
         mono = np.flatnonzero(coloring.colors[events[:, 0]] == coloring.colors[events[:, 1]])
         mono_seen = len(mono)
         reservoir = mono[:budget]
@@ -229,29 +224,12 @@ def run_multipass(
             hit = np.flatnonzero(j < budget)[::-1]
             slots, last = np.unique(j[hit], return_index=True)  # the latest hit wins
             reservoir[slots] = mono[budget + hit[last]]
-        peak_edges = max(peak_edges, len(reservoir))
-        if mono_seen == 0:
-            break
-        h = Graph(n, events[reservoir, :2])
-        ci = color_with_cap(h, q)
-        if ci is None:
-            return Verdict(
-                label="large",
-                evidence=Evidence("round", i, h),
-                metadata=_mp_meta(budget, passes_used, peak_edges),
-            )
-        coloring = product_coloring(coloring, ci)
-        if mono_seen <= budget:
-            break  # the pass stored all of M_i, so M_{i+1} is empty
-    return Verdict(
-        label="small",
-        coloring=coloring,
-        metadata=_mp_meta(budget, passes_used, peak_edges),
-    )
+        meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(reservoir))
+        more = mono_seen > budget
+        return events[reservoir, :2]
 
-
-def _mp_meta(budget, passes, peak) -> dict:
-    return {"budget": budget, "passes_used": passes, "peak_stored_edges": peak}
+    coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
+    return _verdict(meta, evidence, coloring)
 
 
 def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verdict:
@@ -276,21 +254,20 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         raise ArgumentError("need q >= 2 and t >= 1")
     n = stream.n
     if n <= 1:
-        return Verdict(label="small", metadata={"mode": "degenerate"})
+        return _verdict({"mode": "degenerate"})
     pairs, totals = pair_totals(n, stream.events)
     positive = totals > 0
     regime_floor = 4 * math.log2(n)
     if t < regime_floor:
         final = Graph(n, pairs[positive])
-        ci = color_with_cap(final, q)
         meta = {
             "mode": "full-graph-fallback",
             "regime_floor": regime_floor,
             "stored_pairs": final.num_edges,
         }
-        if ci is None:
-            return Verdict(label="large", evidence=Evidence("final", 0, final), metadata=meta)
-        return Verdict(label="small", metadata=meta)
+        if color_with_cap(final, q) is None:
+            return _verdict(meta, Evidence("final", 0, final))
+        return _verdict(meta)
 
     p = 4.0 * math.log(n) / t
     k_trials = math.ceil(2 * math.log2(n))
@@ -309,5 +286,5 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         h = Graph(n, pairs[kept])
         ci = color_with_cap(h, q)
         if ci is None:
-            return Verdict(label="large", evidence=Evidence("trial", tr, h), metadata=meta)
-    return Verdict(label="small", metadata=meta)
+            return _verdict(meta, Evidence("trial", tr, h))
+    return _verdict(meta)

@@ -24,14 +24,13 @@ from .errors import (
     StreamValidationError,
     UnsupportedInputError,
 )
-from .graph import is_proper_coloring, read_coloring, read_graph, read_json, write_graph
+from .graph import canonical_json, is_proper_coloring, read_coloring, read_graph, read_json
+from .graph import write_graph, write_text
 from .harness import (
-    ExperimentResult,
     GraphSpec,
     experiment_distinguisher,
     experiment_edge_shrinkage,
     experiment_vertex_sampling,
-    write_result,
 )
 from .streams import read_stream, to_dynamic_stream, to_insertion_stream, write_stream
 
@@ -199,8 +198,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        write_text(text, path)
 
 
 def _family_from_args(args) -> clusterpack.SetFamily:
@@ -241,7 +239,7 @@ def _verdict_json(verdict: Verdict) -> str:
             "index": verdict.evidence.index,
             "subgraph_edges": verdict.evidence.subgraph.edge_array().tolist(),
         }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(payload)
 
 
 def _dispatch(args) -> int:
@@ -304,7 +302,7 @@ def _dispatch_gen(args) -> int:
             "theta": fam.theta,
             "sets": [list(s) for s in fam.sets],
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _emit(canonical_json(payload), args.out)
     elif args.target == "two-player":
         inst = instances.gen_two_player(args.n, args.k, seed=args.seed, ans_override=args.ans)
         _emit(instances.instance_to_json(inst), args.out)
@@ -382,16 +380,8 @@ def _dispatch_experiment(args) -> int:
             extra_pairs=args.extra_pairs,
             cycles=args.cycles,
         )
-    _emit_result(result, args)
+    _emit(result.to_json() if args.format == "json" else result.to_csv(), args.out)
     return EXIT_OK
-
-
-def _emit_result(result: ExperimentResult, args) -> None:
-    if args.out is None:
-        text = result.to_json() if args.format == "json" else result.to_csv()
-        sys.stdout.write(text)
-    else:
-        write_result(result, args.out, fmt=args.format)
 
 
 def main(argv: list[str] | None = None) -> int:

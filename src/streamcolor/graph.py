@@ -309,6 +309,17 @@ GRAPH_HEADER = "#graph v1"
 _INTEGER = re.compile(r"[+-]?[0-9]{1,18}")
 
 
+def canonical_json(payload) -> str:
+    """`payload` as JSON with sorted keys, no spaces and one trailing newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_text(text: str, path: str) -> None:
+    """`text` as UTF-8 with ``\\n`` line ends, as every JSON and CSV output is written."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
 def read_json(path: str):
     """A JSON file's value; bytes that are not UTF-8 raise `FormatError` at their line."""
     with open(path, "rb") as f:
@@ -521,13 +532,11 @@ def read_graph(path: str) -> Graph:
 
 
 def coloring_to_json(c: Coloring) -> str:
-    payload = {"n": c.n, "num_colors": c.num_colors, "colors": c.colors.tolist()}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json({"n": c.n, "num_colors": c.num_colors, "colors": c.colors.tolist()})
 
 
 def write_coloring(c: Coloring, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(coloring_to_json(c))
+    write_text(coloring_to_json(c), path)
 
 
 def read_coloring(path: str) -> Coloring:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 from .algorithms import offline_iterative_coloring, run_dynamic, run_multipass, run_random_order
 from .errors import ArgumentError
 from .exact import chromatic_number
-from .graph import Graph, induced_subgraph
+from .graph import Graph, canonical_json, induced_subgraph
 from .seeds import child_seed, rng_for
 from .streams import to_dynamic_stream, to_insertion_stream
 
@@ -28,6 +27,14 @@ from .streams import to_dynamic_stream, to_insertion_stream
 # graph specs
 # ---------------------------------------------------------------------------
 
+# each kind's fields, in the order `GraphSpec.describe` writes them
+_SPEC_FIELDS = {
+    "gnm": ("n", "m"),
+    "planted": ("n", "clique"),
+    "bipartite": ("n", "m", "left"),
+    "empty": ("n",),
+}
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -35,7 +42,8 @@ class GraphSpec:
 
     Kinds: ``gnm`` (uniform n-vertex m-edge), ``planted`` (a clique on
     ``clique`` random vertices, everything else isolated, so chi is known
-    exactly), ``bipartite`` (m uniform left-right edges), ``empty``.
+    exactly), ``bipartite`` (m uniform left-right edges), ``empty``. Each kind
+    takes only its own fields, each at most once.
     """
 
     kind: str
@@ -57,17 +65,26 @@ class GraphSpec:
             if "=" not in item:
                 raise ArgumentError(f"bad graph-spec field {item!r}")
             key, val = item.split("=", 1)
+            key = key.strip()
+            if key in fields:
+                raise ArgumentError(f"graph-spec field {key!r} given twice")
             try:
-                fields[key.strip()] = int(val)
+                fields[key] = int(val)
             except ValueError:
                 raise ArgumentError(f"graph-spec field {item!r} is not an integer")
         return GraphSpec.make(kind, **fields)
 
     @staticmethod
-    def make(kind: str, **fields: int) -> "GraphSpec":
+    def make(kind: str, /, **fields: int) -> "GraphSpec":
+        if kind not in _SPEC_FIELDS:
+            raise ArgumentError(f"unknown graph-spec kind {kind!r}")
+        unknown = sorted(set(fields) - set(_SPEC_FIELDS[kind]))
+        if unknown:
+            raise ArgumentError(f"{kind} spec has no field {unknown[0]!r}")
+        negative = [key for key, value in fields.items() if value < 0]
+        if negative:
+            raise ArgumentError(f"graph-spec field {negative[0]!r} must be >= 0")
         n = fields.get("n", 0)
-        if n < 0:
-            raise ArgumentError("n must be >= 0")
         if kind == "gnm":
             spec = GraphSpec(kind="gnm", n=n, m=fields.get("m", 0))
         elif kind == "planted":
@@ -81,22 +98,15 @@ class GraphSpec:
             spec = GraphSpec(kind="bipartite", n=n, m=fields.get("m", 0), left=left)
             if spec.m > left * (n - left):
                 raise ArgumentError("m exceeds the bipartite pair count")
-        elif kind == "empty":
-            spec = GraphSpec(kind="empty", n=n)
         else:
-            raise ArgumentError(f"unknown graph-spec kind {kind!r}")
+            spec = GraphSpec(kind="empty", n=n)
         if spec.kind == "gnm" and spec.m > n * (n - 1) // 2:
             raise ArgumentError("m exceeds the pair count")
         return spec
 
     def describe(self) -> str:
-        if self.kind == "gnm":
-            return f"gnm:n={self.n},m={self.m}"
-        if self.kind == "planted":
-            return f"planted:n={self.n},clique={self.clique}"
-        if self.kind == "bipartite":
-            return f"bipartite:n={self.n},m={self.m},left={self.left}"
-        return f"empty:n={self.n}"
+        fields = ",".join(f"{key}={getattr(self, key)}" for key in _SPEC_FIELDS[self.kind])
+        return f"{self.kind}:{fields}"
 
     @property
     def known_chi(self) -> int | None:
@@ -162,7 +172,7 @@ class ExperimentResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_dict())
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -178,14 +188,6 @@ def _csv_cell(value):
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return value
-
-
-def write_result(result: ExperimentResult, path: str, fmt: str = "json") -> None:
-    if fmt not in ("json", "csv"):
-        raise ArgumentError(f"unknown format {fmt!r}")
-    text = result.to_json() if fmt == "json" else result.to_csv()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
 
 
 # ---------------------------------------------------------------------------

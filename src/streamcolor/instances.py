@@ -19,7 +19,7 @@ overrides exist so tests can exercise both branches deterministically.
 
 from __future__ import annotations
 
-import json
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +39,7 @@ from .clusterpack import (
 )
 from .exact import find_k_coloring
 from .graph import Coloring, Graph, induced_subgraph, int_rows, is_proper_coloring, read_json
-from .graph import missing_clique_pair
+from .graph import canonical_json, missing_clique_pair, write_text
 from .seeds import rng_for
 
 WITNESS_VERTEX_LIMIT = 50_000_000
@@ -313,6 +313,23 @@ def _validate_level(a: int, k: int, n: int, r: int, t_override: int) -> LineLayo
     return layout
 
 
+def _recursive_parts(
+    host: LineLayout, cluster_ids, sets, x: np.ndarray, i_star: int, sigma, inner_parts
+) -> tuple[np.ndarray, ...]:
+    """Player 1 holds clique j of materialized cluster i when j is in S_i and
+    ``x[i, j] = 1``; player a >= 2 holds, for each edge (u, v) of inner player
+    a - 1, the biclique between cliques sigma(u) and sigma(v) of the hidden
+    cluster."""
+    clusters = np.stack([host.cluster(c) for c in cluster_ids])
+    inside = np.zeros(x.shape, dtype=bool)
+    for i, s_i in enumerate(sets):
+        inside[i, list(s_i)] = True
+    e1 = _clique_edges(host.n, clusters[inside & (x == 1)])
+    to_clique = np.array(sigma, np.int64)
+    joins = (_bicliques(host.n, clusters[i_star], to_clique[part]) for part in inner_parts)
+    return (e1, *joins)
+
+
 def gen_recursive(
     p: int,
     k: int,
@@ -354,7 +371,6 @@ def gen_recursive(
 
     sets: list[tuple[int, ...]] = []
     x = np.zeros((t, r), dtype=np.uint8)
-    inside = np.zeros((t, r), dtype=bool)
     for i in range(t):
         if i == i_star:
             s_i = s_istar
@@ -363,7 +379,6 @@ def gen_recursive(
                 sorted(int(j) for j in rng.choice(r, size=r // 4, replace=False))
             )
         sets.append(s_i)
-        inside[i, list(s_i)] = True
         # balanced ones inside S_i, uniform bits outside
         if i == i_star:
             forced = list(intersection)
@@ -380,10 +395,6 @@ def gen_recursive(
         x[i, ones] = 1
         out_cols = sorted(set(range(r)) - set(s_i))
         x[i, out_cols] = rng.integers(0, 2, size=len(out_cols)).astype(np.uint8)
-
-    # player 1's edges: cliques j in S_i with bit one, over materialized clusters
-    clusters = np.stack([layout.cluster(c) for c in cluster_ids])
-    e1 = _clique_edges(layout.n, clusters[inside & (x == 1)])
 
     # the embedded smaller instance, sampled forward with the same answer bit
     inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
@@ -403,12 +414,8 @@ def gen_recursive(
         sigma_map[v] = j
     sigma = tuple(sigma_map[v] for v in range(inner_n))
 
-    # join operations: inner edge (u, v) -> biclique between cliques
-    # sigma(u), sigma(v) of the hidden cluster, kept with the inner holder
-    cliques, to_clique = clusters[i_star], np.array(sigma)
-    join_parts = tuple(_bicliques(layout.n, cliques, to_clique[part]) for part in inner.edge_parts())
-
-    spec = _spec(cliques[list(intersection)])
+    parts = _recursive_parts(layout, cluster_ids, sets, x, i_star, sigma, inner.edge_parts())
+    spec = _spec(layout.cluster(cluster_ids[i_star])[list(intersection)])
     level = RecursiveLevel(
         a=p,
         host=layout,
@@ -422,8 +429,8 @@ def gen_recursive(
         intersection=intersection,
         x=x,
         sigma=sigma,
-        e1=e1,
-        join_parts=join_parts,
+        e1=parts[0],
+        join_parts=parts[1:],
         spec=spec,
     )
     return RecursiveInstance(
@@ -609,11 +616,12 @@ def _gap(graph: Graph, bit: int, what: str, special, witness, inst, colors: int)
     )
 
 
-def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
+def _player_checks(n: int, parts, expected) -> list[CheckResult]:
+    """One ``player{i}-edges`` row per part, stored or expected: the stored
+    part equals the expected one (a missing part counts as empty)."""
     checks = []
-    n = inst.n
-    expected = _two_player_parts(inst.host, inst.x, inst.i_star)
-    for i, (got, want) in enumerate(zip(inst.edge_parts(), expected), 1):
+    none = np.empty((0, 2), np.int64)
+    for i, (got, want) in enumerate(itertools.zip_longest(parts, expected, fillvalue=none), 1):
         diff = np.setxor1d(_keys(got, n), _keys(want, n))
         checks.append(
             _check(
@@ -622,8 +630,14 @@ def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
                 f"e{i} mismatch, e.g. {[_pair(key, n) for key in diff[:1]]}",
             )
         )
+    return checks
+
+
+def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
+    n = inst.n
+    expected = _two_player_parts(inst.host, inst.x, inst.i_star)
     shared = np.intersect1d(_keys(inst.e1, n), _keys(inst.e2, n))
-    return checks + [
+    return _player_checks(n, inst.edge_parts(), expected) + [
         _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}"),
         _check("ans-bit", inst.ans == int(inst.x[inst.i_star])),
         _check("special-set", inst.spec == _spec(inst.host.clusters[inst.i_star])),
@@ -646,7 +660,10 @@ def _verify_recursive(inst: RecursiveInstance) -> list[CheckResult]:
         and set(lvl.sigma) == set(lvl.big_t)
         and {lvl.sigma[v] for v in inst.inner.spec} == set(lvl.intersection)
     )
-    checks = [
+    expected = _recursive_parts(
+        lvl.host, lvl.cluster_ids, lvl.sets, lvl.x, lvl.i_star, lvl.sigma, inst.inner.edge_parts()
+    )
+    checks = _player_checks(inst.n, inst.edge_parts(), expected) + [
         _check("eq1-chain", inst.inner.n == inner_n,
                f"inner instance has n={inst.inner.n}, expected r/4={inner_n}"),
         _check("intersection-size", inter == lvl.intersection and len(inter) == k ** (p - 1),
@@ -743,12 +760,11 @@ def instance_to_dict(inst) -> dict:
 
 
 def instance_to_json(inst) -> str:
-    return json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(instance_to_dict(inst))
 
 
 def write_instance(inst, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(instance_to_json(inst))
+    write_text(instance_to_json(inst), path)
 
 
 def _integers(value) -> bool:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
@@ -23,9 +23,9 @@ from streamcolor import (
     to_insertion_stream,
 )
 from streamcolor import algorithms
-from streamcolor.algorithms import Evidence, Verdict, uniform_coloring
+from streamcolor.algorithms import Evidence, OfflineColoringRun, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
-from streamcolor.exact import color_with_cap
+from streamcolor.exact import color_with_cap, dsatur_coloring
 from streamcolor.graph import monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
 from streamcolor.streams import pair_totals
@@ -181,6 +181,93 @@ class TestRunMultipass:
         assert verdict.metadata["passes_used"] <= 3
 
 
+def reference_offline(g, t, seed, colorer, chi_cap, budget_multiplier):
+    """The offline round loop written out on its own: M_{i+1} is M_i refined
+    by round i's coloring, not by the accumulated one."""
+    n = g.n
+    budget = default_budget(n, t, budget_multiplier)
+    rng = rng_for(seed, 41)
+    current = g.edge_array()
+    m_sizes = [current.shape[0]]
+    round_colors = []
+    coloring = uniform_coloring(n)
+    for i in range(1, t + 1):
+        if current.shape[0] <= budget:
+            sample = current
+        else:
+            idx = rng.choice(current.shape[0], size=budget, replace=False)
+            sample = current[np.sort(idx)]
+        h = Graph(n, sample)
+        if colorer == "dsatur" and chi_cap is None:
+            ci = dsatur_coloring(h)
+        else:
+            ci = color_with_cap(h, chi_cap)
+        if ci is None:
+            return OfflineColoringRun(None, tuple(m_sizes), tuple(round_colors), budget, i)
+        round_colors.append(max(ci.num_colors, 1))
+        coloring = product_coloring(coloring, ci)
+        current = monochromatic_edges(current, ci)
+        m_sizes.append(current.shape[0])
+    return OfflineColoringRun(coloring, tuple(m_sizes), tuple(round_colors), budget)
+
+
+@st.composite
+def offline_cases(draw):
+    n = draw(st.integers(0, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                          max_size=120 if n > 1 else 0))
+    return (
+        Graph(n, [(u, v) for u, v in pairs if u != v]),
+        draw(st.integers(2, 5)),
+        draw(st.integers(0, 2**16)),
+        draw(st.sampled_from(("exact", "dsatur"))),
+        draw(st.sampled_from((None, 1, 2, 3))),
+        draw(st.sampled_from((0.002, 0.01, 0.03, 0.1, 0.3, 1.0))),
+    )
+
+
+def assert_same_run(got, want):
+    assert got.coloring == want.coloring
+    assert got.m_sizes == want.m_sizes
+    assert got.round_colors == want.round_colors
+    assert got.budget == want.budget
+    assert got.cap_exceeded_round == want.cap_exceeded_round
+
+
+class TestOfflineMatchesPerRoundRefinement:
+    @settings(max_examples=200, deadline=None)
+    @given(offline_cases())
+    def test_random_cases(self, case):
+        g, t, seed, colorer, chi_cap, mult = case
+        got = offline_iterative_coloring(
+            g, t, seed=seed, colorer=colorer, chi_cap=chi_cap, budget_multiplier=mult
+        )
+        assert_same_run(got, reference_offline(g, t, seed, colorer, chi_cap, mult))
+
+    @pytest.mark.parametrize("colorer", ["exact", "dsatur"])
+    def test_edgeless_graph(self, colorer):
+        for g in (Graph(0), Graph(1), Graph(12)):
+            got = offline_iterative_coloring(g, 3, seed=1, colorer=colorer)
+            assert_same_run(got, reference_offline(g, 3, 1, colorer, None, 1.0))
+            assert got.m_sizes == (0, 0, 0, 0)
+            assert got.round_colors == (1, 1, 1)
+
+    @pytest.mark.parametrize("colorer, chi_cap", [("exact", None), ("dsatur", None), ("exact", 2)])
+    def test_m_empties_before_round_t(self, colorer, chi_cap):
+        # the budget holds all of M_1, so round 1 colors every edge and the
+        # later rounds color an empty graph
+        g = bipartite(40, 150, seed=3)
+        got = offline_iterative_coloring(g, 4, seed=3, colorer=colorer, chi_cap=chi_cap)
+        assert_same_run(got, reference_offline(g, 4, 3, colorer, chi_cap, 1.0))
+        assert got.m_sizes == (150, 0, 0, 0, 0)
+
+    def test_m_empties_after_sampled_rounds(self):
+        g = bipartite(60, 400, seed=7)
+        got = offline_iterative_coloring(g, 5, seed=7, budget_multiplier=0.05)
+        assert_same_run(got, reference_offline(g, 5, 7, "exact", None, 0.05))
+        assert got.m_sizes[1] > 0 and got.m_sizes[-2] == 0
+
+
 def reference_random_order(stream, q, t, budget_multiplier):
     """The per-event fill loop: one Python step per event read."""
     n = stream.n
@@ -316,6 +403,17 @@ class TestInsertionRunnersMatchPerEventLoops:
             run_multipass(stream, 2, 2, seed=9, budget_multiplier=0.01),
             reference_multipass(stream, 2, 2, 9, 0.01),
         )
+
+
+class TestMultipassOpensPassesOnlyWhileRunning:
+    @settings(max_examples=100, deadline=None)
+    @given(runner_cases())
+    @example((bipartite(40, 100), 2, 2, 3, 1.0))  # the first pass stores all of M_1
+    def test_no_pass_opened_after_an_early_stop(self, case):
+        g, seed, q, t, mult = case
+        source = StreamSource(to_insertion_stream(g, "shuffled", seed=seed), max_passes=t)
+        verdict = run_multipass(source, q, t, seed=seed, budget_multiplier=mult)
+        assert source.passes_opened == verdict.metadata["passes_used"] <= t
 
 
 class TestRunDynamic:

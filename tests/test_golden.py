@@ -130,7 +130,8 @@ def test_output_digest(digests, name):
 REPORTS = {
     "two-player.json": ["player1-edges", "player2-edges", "edge-disjoint", "ans-bit",
                         "special-set", "gap-clique"],
-    "recursive.json": ["eq1-chain", "intersection-size", "set-sizes", "row-balance",
+    "recursive.json": ["player1-edges", "player2-edges", "player3-edges",
+                       "eq1-chain", "intersection-size", "set-sizes", "row-balance",
                        "answer-anchoring", "special-set", "sigma-bijection",
                        "gap-witness-coloring", "inner-player1-edges", "inner-player2-edges",
                        "inner-edge-disjoint", "inner-ans-bit", "inner-special-set",

@@ -616,6 +616,9 @@ class TestReportText:
         x[1, list(inst.level.sets[1])] = 1
         tampered = dataclasses.replace(inst, level=dataclasses.replace(inst.level, x=x))
         assert str(verify_instance(tampered)).splitlines() == [
+            "player1-edges: FAIL (e1 mismatch, e.g. [(24582, 156166)])",
+            "player2-edges: pass",
+            "player3-edges: pass",
             "eq1-chain: pass",
             "intersection-size: pass",
             "set-sizes: pass",
@@ -627,6 +630,26 @@ class TestReportText:
         ] + [f"inner-{name}: pass" for name in (
             "player1-edges", "player2-edges", "edge-disjoint", "ans-bit", "special-set", "gap-clique"
         )]
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_recursive_player_parts_compared(self, bit):
+        inst = gen_recursive(3, 2, seed=5, ans_override=bit)
+        level = inst.level
+        assert verify_instance(inst).ok
+        cut_e1 = dataclasses.replace(level, e1=level.e1[1:])
+        failed = [c.name for c in verify_instance(dataclasses.replace(inst, level=cut_e1)).checks
+                  if not c.passed]
+        assert failed == ["player1-edges"]
+        for i, part in enumerate(level.join_parts):
+            joins = level.join_parts[:i] + (part[5:],) + level.join_parts[i + 1:]
+            cut = dataclasses.replace(inst, level=dataclasses.replace(level, join_parts=joins))
+            report = verify_instance(cut)
+            assert [c.name for c in report.checks if not c.passed][0] == f"player{i + 2}-edges"
+            assert not report.ok
+        fewer = dataclasses.replace(level, join_parts=level.join_parts[:1])
+        failed = [c.name for c in verify_instance(dataclasses.replace(inst, level=fewer)).checks
+                  if not c.passed]
+        assert failed[0] == "player3-edges"
 
     def test_simultaneous_flipped_theta(self):
         inst = gen_simultaneous(4, 6, seed=5, theta_override=0)

@@ -14,6 +14,7 @@ from streamcolor import (
     experiment_vertex_sampling,
     wilson_interval,
 )
+from streamcolor.cli import main as cli_main
 from streamcolor.errors import ArgumentError
 from streamcolor.seeds import rng_for
 
@@ -51,6 +52,40 @@ class TestGraphSpec:
                      "planted:n=3,clique=7", "gnm:n=3,m=x"):
             with pytest.raises(ArgumentError):
                 GraphSpec.parse(text)
+
+    @pytest.mark.parametrize("text, field", [
+        ("gnm:n=10,mm=5", "mm"),
+        ("gnm:n=10,clique=3", "clique"),
+        ("planted:n=10,m=3", "m"),
+        ("empty:n=5,left=2", "left"),
+        ("gnm:kind=3,n=4", "kind"),
+        ("gnm:n=10,n=20,m=3", "n"),
+        ("bipartite:n=10,m=3,m=4", "m"),
+        ("gnm:n=10,m=-1", "m"),
+        ("planted:n=10,clique=-2", "clique"),
+        ("bipartite:n=10,m=-3", "m"),
+        ("empty:n=-1", "n"),
+    ])
+    def test_bad_fields_named(self, tmp_path, capsys, text, field):
+        with pytest.raises(ArgumentError, match=f"'{field}'"):
+            GraphSpec.parse(text)
+        out = tmp_path / "g.graph"
+        assert cli_main(["gen", "graph", "--spec", text, "-o", str(out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_describe_text(self):
+        # experiment params carry this text, so it is part of their bytes
+        for text, want in [
+            ("gnm:n=30,m=5", "gnm:n=30,m=5"),
+            ("planted: n=30 , clique=4", "planted:n=30,clique=4"),
+            ("bipartite:n=30,m=5", "bipartite:n=30,m=5,left=15"),
+            ("bipartite:left=3,n=30", "bipartite:n=30,m=0,left=3"),
+            ("empty:n=30", "empty:n=30"),
+            ("gnm:", "gnm:n=0,m=0"),
+        ]:
+            assert GraphSpec.parse(text).describe() == want
+            assert GraphSpec.parse(want).describe() == want
 
     def test_deterministic_builds(self):
         spec = GraphSpec.parse("gnm:n=40,m=100")

@@ -938,11 +938,14 @@ def same_bytes(write, reference, obj, directory) -> bool:
         return a.read() == b.read()
 
 
-@st.composite
-def vertex_id(draw, n: int) -> int:
-    """Ids at digit-count boundaries and anywhere below `n`."""
+@functools.cache
+def vertex_pairs(n: int):
+    """Lists of up to 12 pairs of distinct ids below `n`, each id at a
+    digit-count boundary or anywhere, reduced mod `n`; built once per `n`."""
     edge_ids = [0, 9, 10, 99, 100, MAX_VERTICES - 1]
-    return draw(st.one_of(st.sampled_from(edge_ids), st.integers(0, MAX_VERTICES - 1))) % n
+    vertex_id = st.one_of(st.sampled_from(edge_ids), st.integers(0, MAX_VERTICES - 1))
+    vertex_id = vertex_id.map(lambda v: v % n)
+    return st.lists(st.tuples(vertex_id, vertex_id).filter(lambda p: p[0] != p[1]), max_size=12)
 
 
 @pytest.fixture(scope="module")
@@ -954,14 +957,14 @@ class TestWritersMatchFStringReferences:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([0, 1, 2, 11, 101, MAX_VERTICES]), st.data())
     def test_graph_and_streams(self, directory, n, data):
-        pair = st.tuples(vertex_id(n), vertex_id(n)).filter(lambda p: p[0] != p[1])
-        pairs = data.draw(st.lists(pair, max_size=12)) if n > 1 else []
+        pairs = data.draw(vertex_pairs(n)) if n > 1 else []
         g = Graph(n, pairs)
         assert same_bytes(write_graph, reference_write_graph, g, directory)
         inserted = Stream(n, "ins", [(*p, 1) for p in dict.fromkeys(map(tuple, map(sorted, pairs)))])
         assert same_bytes(write_stream, reference_write_stream, inserted, directory)
         events = [(u, v, 1) for u, v in pairs]
-        events += [(u, v, -1) for u, v in pairs if data.draw(st.booleans())]
+        deleted = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        events += [(u, v, -1) for (u, v), gone in zip(pairs, deleted) if gone]
         dynamic = Stream(n, "dyn", events)
         assert same_bytes(write_stream, reference_write_stream, dynamic, directory)
 
