@@ -31,10 +31,9 @@ from .errors import (
 )
 from .exact import find_k_coloring
 from .graph import Coloring, Graph, Rows, format_rows, header_int, is_proper_coloring
-from .graph import find_keys, read_header, repeats
+from .graph import MAX_VERTICES, find_keys, read_header, repeats
 from .seeds import rng_for
 
-MAX_VERTICES = 1 << 40
 MAX_CLIQUES = 5_000_000
 # the edges a packing may imply, checked before its pairs are built, by every
 # construction and by `read_cpg` alike, so whatever a construction writes can
@@ -103,12 +102,11 @@ def gen_intersection_family(
     count: int,
     seed: int | None = None,
     mode: str = "random",
-    retry_budget: int | None = None,
 ) -> SetFamily:
     """Sample `count` w-subsets of [d] with pairwise intersections <= theta.
 
     Candidates are drawn uniformly among w-subsets and rejected against the
-    accepted prefix; generation fails once the retry budget is exhausted.
+    accepted prefix; generation fails after ``max(1000, 200 * count)`` draws.
     `mode="fano"` returns the deterministic Fano fixture instead (requires
     d=7, w=3, theta >= 1, count <= 7).
     """
@@ -125,7 +123,7 @@ def gen_intersection_family(
     if mode != "random":
         raise ArgumentError(f"unknown mode {mode!r}")
     rng = rng_for(seed, 0)
-    budget = retry_budget if retry_budget is not None else max(1000, 200 * count)
+    budget = max(1000, 200 * count)
     accepted: list[tuple[int, ...]] = []
     accepted_sets: list[set[int]] = []
     last_conflict: tuple[tuple[int, ...], int] | None = None
@@ -167,12 +165,29 @@ class LineLayout:
     Vertices split into k layers of n/k; each layer into groups of size r.
     Cluster (b, q) consists of the r cliques on lines that start in group b
     of layer 0 and advance q groups per layer; two distinct lines meet in at
-    most one vertex, which is what makes every cluster induced.
+    most one vertex, which is what makes every cluster induced. Parameters
+    that leave no line, or do not tile n, raise `ArgumentError` at construction.
     """
 
     n: int
     k: int
     r: int
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ArgumentError("clique size k must be >= 2")
+        if self.r < 1:
+            raise ArgumentError("cluster size r must be >= 1")
+        if self.n % (self.k * self.r) != 0:
+            raise ArgumentError(f"k*r = {self.k * self.r} must divide n = {self.n}")
+        if self.b_range < 1 or self.q_range < 1:
+            raise ArgumentError(
+                f"line ranges empty: floor(n/2kr) = {self.b_range}, "
+                f"floor(n/2k^2r) = {self.q_range}"
+            )
+        # lines must stay inside the group range
+        top = (self.b_range - 1) + (self.k - 1) * (self.q_range - 1)
+        assert top < self.groups_per_layer
 
     @property
     def layer_size(self) -> int:
@@ -193,22 +208,6 @@ class LineLayout:
     @property
     def t_max(self) -> int:
         return self.b_range * self.q_range
-
-    def validate(self) -> None:
-        if self.k < 2:
-            raise ArgumentError("clique size k must be >= 2")
-        if self.r < 1:
-            raise ArgumentError("cluster size r must be >= 1")
-        if self.n % (self.k * self.r) != 0:
-            raise ArgumentError(f"k*r = {self.k * self.r} must divide n = {self.n}")
-        if self.b_range < 1 or self.q_range < 1:
-            raise ArgumentError(
-                f"line ranges empty: floor(n/2kr) = {self.b_range}, "
-                f"floor(n/2k^2r) = {self.q_range}"
-            )
-        # lines must stay inside the group range
-        top = (self.b_range - 1) + (self.k - 1) * (self.q_range - 1)
-        assert top < self.groups_per_layer
 
     def cluster(self, index: int) -> np.ndarray:
         """The ``(r, k)`` cliques of cluster `index`, one row each, one vertex per layer."""
@@ -332,6 +331,9 @@ class DenseLayout:
 # the cluster packing graph type and its constructors
 # ---------------------------------------------------------------------------
 
+# the constructions a packing's ``layout`` may name; each has a layer coloring
+_LAYOUTS = ("basic", "grouped", "dense", "lifted")
+
 
 @dataclass(frozen=True)
 class ClusterPackingGraph:
@@ -417,18 +419,14 @@ def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGr
 
 def construct_lines_basic(n: int, k: int) -> ClusterPackingGraph:
     """Cluster packing graph with r = k and t = floor(n/2k^2)*floor(n/2k^3)."""
-    layout = LineLayout(n=n, k=k, r=k)
-    layout.validate()
-    return _build_cpg(layout, k, k, "basic")
+    return _build_cpg(LineLayout(n=n, k=k, r=k), k, k, "basic")
 
 
 def construct_lines_grouped(n: int, r: int, k: int) -> ClusterPackingGraph:
     """Cluster packing graph with free r and t = floor(n/2kr)*floor(n/2k^2r)."""
     if r * k * r * k > n:
         raise ArgumentError(f"need r*k <= sqrt(n): r*k = {r * k}, n = {n}")
-    layout = LineLayout(n=n, k=k, r=r)
-    layout.validate()
-    return _build_cpg(layout, k, r, "grouped")
+    return _build_cpg(LineLayout(n=n, k=k, r=r), k, r, "grouped")
 
 
 def construct_dense(params: DenseParams) -> ClusterPackingGraph:
@@ -457,7 +455,7 @@ def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:
 
 def canonical_coloring(cpg: ClusterPackingGraph) -> Coloring:
     """The k-coloring by layer (or by copy, for lifted graphs)."""
-    if cpg.layout not in ("basic", "grouped", "dense", "lifted"):
+    if cpg.layout not in _LAYOUTS:
         raise UnsupportedInputError(
             f"layout metadata {cpg.layout!r} does not expose layers"
         )
@@ -647,7 +645,7 @@ def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
     # (5) k-colorability
     color_ok = True
     detail = ""
-    if cpg.layout in ("basic", "grouped", "dense", "lifted"):
+    if cpg.layout in _LAYOUTS:
         coloring = canonical_coloring(cpg)
         if coloring.num_colors > cpg.k or not is_proper_coloring(g, coloring):
             color_ok = False
@@ -669,14 +667,18 @@ def verify_cluster_packing(cpg: ClusterPackingGraph) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 CPG_HEADER = "#cpg v1"
-_LAYOUTS = ("basic", "grouped", "dense", "lifted")
 _CLIQUE = {0: ("C",)}  # the literal that starts each clique row
 
 
 def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
-    """CPG text format: header, then one ``C <cluster> <clique> v...`` per clique."""
-    layout = cpg.layout if cpg.layout in _LAYOUTS else "basic"
-    header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
+    """CPG text format: header, then one ``C <cluster> <clique> v...`` per clique.
+
+    The header names the layout, so a packing whose ``layout`` is not one of
+    the constructions raises `ArgumentError`.
+    """
+    if cpg.layout not in _LAYOUTS:
+        raise ArgumentError(f"cannot write layout {cpg.layout!r}; need one of {_LAYOUTS}")
+    header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={cpg.layout}\n"
     t, r, k = cpg.clusters.shape
     ci, ji = np.divmod(np.arange(t * r), r)
     rows = np.column_stack((np.zeros_like(ci), ci, ji, cpg.clusters.reshape(t * r, k)))

@@ -18,7 +18,7 @@ import numpy as np
 from .algorithms import offline_iterative_coloring, run_dynamic, run_multipass, run_random_order
 from .errors import ArgumentError
 from .exact import chromatic_number
-from .graph import Graph, canonical_json, induced_subgraph
+from .graph import _INTEGER, Graph, canonical_json, induced_subgraph
 from .seeds import child_seed, rng_for
 from .streams import to_dynamic_stream, to_insertion_stream
 
@@ -43,7 +43,8 @@ class GraphSpec:
     Kinds: ``gnm`` (uniform n-vertex m-edge), ``planted`` (a clique on
     ``clique`` random vertices, everything else isolated, so chi is known
     exactly), ``bipartite`` (m uniform left-right edges), ``empty``. Each kind
-    takes only its own fields, each at most once.
+    takes only its own fields, each at most once, each an integer
+    ``[+-]?[0-9]{1,18}`` as in the text formats.
     """
 
     kind: str
@@ -68,10 +69,9 @@ class GraphSpec:
             key = key.strip()
             if key in fields:
                 raise ArgumentError(f"graph-spec field {key!r} given twice")
-            try:
-                fields[key] = int(val)
-            except ValueError:
-                raise ArgumentError(f"graph-spec field {item!r} is not an integer")
+            if not _INTEGER.fullmatch(val.strip()):
+                raise ArgumentError(f"graph-spec field {key!r} is not an integer: {val.strip()!r}")
+            fields[key] = int(val)
         return GraphSpec.make(kind, **fields)
 
     @staticmethod

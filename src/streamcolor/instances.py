@@ -22,24 +22,15 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import clusterpack
 from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
-from .clusterpack import (
-    CheckResult,
-    ClusterPackingGraph,
-    LineLayout,
-    VerificationReport,
-    _clique_pairs,
-    _pair,
-    construct_lines_basic,
-)
+from .clusterpack import CheckResult, LineLayout, VerificationReport, _clique_pairs, _pair
 from .exact import find_k_coloring
 from .graph import Coloring, Graph, induced_subgraph, int_rows, is_proper_coloring, read_json
-from .graph import canonical_json, missing_clique_pair, write_text
+from .graph import canonical_json, find_keys, missing_clique_pair, write_text
 from .seeds import rng_for
 
 WITNESS_VERTEX_LIMIT = 50_000_000
@@ -89,11 +80,6 @@ def _bicliques(n: int, cliques: np.ndarray, joins: np.ndarray) -> np.ndarray:
     return _edges(n, np.stack((u, v), axis=-1))
 
 
-@lru_cache(maxsize=8)
-def _cached_basic_cpg(n: int, k: int) -> ClusterPackingGraph:
-    return construct_lines_basic(n, k)
-
-
 # ---------------------------------------------------------------------------
 # two-player instances
 # ---------------------------------------------------------------------------
@@ -105,7 +91,7 @@ class TwoPlayerInstance:
     k: int
     seed: int | None
     ans_override: int | None
-    host: ClusterPackingGraph
+    host: LineLayout  # the basic lines layout, r = k
     i_star: int
     x: np.ndarray  # shape (t,), 0/1
     ans: int
@@ -115,7 +101,7 @@ class TwoPlayerInstance:
 
     @property
     def t(self) -> int:
-        return self.host.t
+        return self.host.t_max
 
     def edge_parts(self) -> tuple[np.ndarray, ...]:
         return (self.e1, self.e2)
@@ -124,14 +110,12 @@ class TwoPlayerInstance:
         return Graph(self.n, np.concatenate(self.edge_parts()))
 
 
-def _two_player_parts(
-    host: ClusterPackingGraph, x: np.ndarray, i_star: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _two_player_parts(host: LineLayout, x: np.ndarray, i_star: int) -> tuple[np.ndarray, np.ndarray]:
     """Player 1 holds the cliques of every cluster whose bit is one; player 2
     the join of every two cliques of the hidden cluster."""
-    n, joins = host.graph.n, np.column_stack(np.triu_indices(host.r, 1))
-    e1 = _clique_edges(n, host.clusters[x != 0].reshape(-1, host.k))
-    return e1, _bicliques(n, host.clusters[i_star], joins)
+    joins = np.column_stack(np.triu_indices(host.r, 1))
+    e1 = _clique_edges(host.n, host.clusters()[x != 0].reshape(-1, host.k))
+    return e1, _bicliques(host.n, host.cluster(i_star), joins)
 
 
 def gen_two_player(
@@ -146,10 +130,11 @@ def gen_two_player(
     """
     if ans_override not in (None, 0, 1):
         raise ArgumentError("ans_override must be None, 0, or 1")
-    host = _cached_basic_cpg(n, k)
+    host = LineLayout(n=n, k=k, r=k)
+    clusterpack._check_edges(host.t_max, k, k)
     rng = rng_for(seed, 10)
-    i_star = int(rng.integers(host.t))
-    x = rng.integers(0, 2, size=host.t).astype(np.uint8)
+    i_star = int(rng.integers(host.t_max))
+    x = rng.integers(0, 2, size=host.t_max).astype(np.uint8)
     if ans_override is not None:
         x[i_star] = ans_override
     ans = int(x[i_star])
@@ -165,7 +150,7 @@ def gen_two_player(
         ans=ans,
         e1=e1,
         e2=e2,
-        spec=_spec(host.clusters[i_star]),
+        spec=_spec(host.cluster(i_star)),
     )
 
 
@@ -178,7 +163,7 @@ def witness_coloring_two_player(inst: TwoPlayerInstance) -> Coloring:
     """
     if inst.ans != 0:
         raise ArgumentError("witness coloring requires ans = 0")
-    cliques = inst.host.clusters[inst.i_star]
+    cliques = inst.host.cluster(inst.i_star)
     return _layer_coloring(inst.n, inst.k, inst.k, cliques, np.arange(len(cliques)))
 
 
@@ -301,9 +286,8 @@ def _validate_level(a: int, k: int, n: int, r: int, t_override: int) -> LineLayo
         raise ArgumentError(
             f"level {a}: grouped host needs k*r <= sqrt(n); k*r = {k * r}, n = {n}"
         )
-    layout = LineLayout(n=n, k=k, r=r)
     try:
-        layout.validate()
+        layout = LineLayout(n=n, k=k, r=r)
     except ArgumentError as exc:
         raise ArgumentError(f"level {a}: {exc}")
     if not 1 <= t_override <= layout.t_max:
@@ -618,17 +602,15 @@ def _gap(graph: Graph, bit: int, what: str, special, witness, inst, colors: int)
 
 def _player_checks(n: int, parts, expected) -> list[CheckResult]:
     """One ``player{i}-edges`` row per part, stored or expected: the stored
-    part equals the expected one (a missing part counts as empty)."""
+    part equals the expected one (a missing part counts as empty). Only a
+    part that differs has its first differing pair looked up."""
     checks = []
     none = np.empty((0, 2), np.int64)
     for i, (got, want) in enumerate(itertools.zip_longest(parts, expected, fillvalue=none), 1):
-        diff = np.setxor1d(_keys(got, n), _keys(want, n))
+        same = np.array_equal(got, want)
+        diff = [] if same else np.setxor1d(_keys(got, n), _keys(want, n))[:1]
         checks.append(
-            _check(
-                f"player{i}-edges",
-                np.array_equal(got, want),
-                f"e{i} mismatch, e.g. {[_pair(key, n) for key in diff[:1]]}",
-            )
+            _check(f"player{i}-edges", same, f"e{i} mismatch, e.g. {[_pair(key, n) for key in diff]}")
         )
     return checks
 
@@ -636,11 +618,12 @@ def _player_checks(n: int, parts, expected) -> list[CheckResult]:
 def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
     n = inst.n
     expected = _two_player_parts(inst.host, inst.x, inst.i_star)
-    shared = np.intersect1d(_keys(inst.e1, n), _keys(inst.e2, n))
+    keys2 = _keys(inst.e2, n)
+    shared = np.sort(keys2[find_keys(np.sort(_keys(inst.e1, n)), keys2) >= 0])
     return _player_checks(n, inst.edge_parts(), expected) + [
         _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}"),
         _check("ans-bit", inst.ans == int(inst.x[inst.i_star])),
-        _check("special-set", inst.spec == _spec(inst.host.clusters[inst.i_star])),
+        _check("special-set", inst.spec == _spec(inst.host.cluster(inst.i_star))),
         _gap(inst.union_graph(), inst.ans, "special set", inst.spec,
              witness_coloring_two_player, inst, 2 * inst.k),
     ]

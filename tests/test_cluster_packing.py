@@ -37,6 +37,7 @@ from streamcolor.errors import (
     ArgumentError,
     FormatError,
     GenerationError,
+    ResourceLimitError,
     UnsupportedInputError,
 )
 
@@ -152,6 +153,16 @@ class TestLinesGrouped:
         for index in (-1, layout.t_max):
             with pytest.raises(ArgumentError, match="out of range"):
                 layout.cluster(index)
+
+    @pytest.mark.parametrize("n, k, r, match", [
+        (64, 1, 2, "k must be >= 2"),
+        (64, 2, 0, "r must be >= 1"),
+        (66, 2, 2, "must divide n"),
+        (8, 2, 2, "line ranges empty"),
+    ])
+    def test_invalid_layout_raises_at_construction(self, n, k, r, match):
+        with pytest.raises(ArgumentError, match=match):
+            LineLayout(n=n, k=k, r=r)
 
     def test_lines_pairwise_share_at_most_one_vertex(self):
         cpg = construct_lines_grouped(64, 2, 2)
@@ -293,6 +304,11 @@ class TestLift:
         assert lifted.graph.n == 3
         assert np.array_equal(lifted.clusters, base.clusters)
         assert lifted.graph.num_edges == 0
+
+    def test_lift_past_the_vertex_limit_raises_resource_limit(self):
+        base = ClusterPackingGraph(Graph(2_000_000_000, [(0, 1)]), k=2, r=1, t=1, clusters=[[[0, 1]]])
+        with pytest.raises(ResourceLimitError, match="lifted n = 4000000000"):
+            lift_to_k_colorable(base)
 
     def test_lift_preserves_verification(self):
         for cpg in (construct_lines_basic(64, 2), construct_lines_grouped(64, 2, 2)):
@@ -667,6 +683,18 @@ class TestCpgSerialization:
         path.write_text("#cpg v1 n=4 k=2\nC 0 0 0 1\n")
         with pytest.raises(FormatError):
             read_cpg(str(path))
+
+    @pytest.mark.parametrize("layout", [None, "other"])
+    def test_writer_refuses_an_unknown_layout(self, tmp_path, layout):
+        # the header would name a construction whose layer coloring this packing lacks
+        cpg = ClusterPackingGraph(
+            Graph(4, [(0, 1), (2, 3)]), k=2, r=2, t=1, clusters=[[[0, 1], [2, 3]]], layout=layout
+        )
+        assert verify_cluster_packing(cpg).ok
+        path = tmp_path / "a.cpg"
+        with pytest.raises(ArgumentError, match=f"layout {layout!r}"):
+            write_cpg(cpg, str(path))
+        assert not path.exists()
 
     def test_layout_survives_round_trip_for_coloring(self, tmp_path):
         lifted = lift_to_k_colorable(construct_lines_grouped(36, 2, 3))

@@ -133,6 +133,26 @@ class TestTwoPlayer:
         gap = [c for c in report.checks if c.name == "gap-clique"][0]
         assert not gap.passed and str(victim[0]) in gap.detail
 
+    @pytest.mark.parametrize("n, k", [(16, 2), (64, 2), (108, 3), (512, 4)])
+    def test_host_is_the_basic_lines_layout(self, n, k):
+        inst = gen_two_player(n, k, seed=3)
+        cpg = construct_lines_basic(n, k)
+        assert np.array_equal(inst.host.clusters(), cpg.clusters)
+        assert inst.t == cpg.t
+
+    def test_edge_guard_refuses_before_drawing(self, monkeypatch):
+        # gen_two_player(64, 2) holds 32 clusters of two one-edge cliques
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 64)
+        assert verify_instance(gen_two_player(64, 2, seed=5)).ok
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 63)
+
+        def no_draws(*path):
+            raise AssertionError("the guard must refuse before any draw")
+
+        monkeypatch.setattr(instances, "rng_for", no_draws)
+        with pytest.raises(ResourceLimitError):
+            gen_two_player(64, 2, seed=5)
+
 
 class TestRecursive:
     def test_p2_is_exactly_two_player(self):
@@ -515,7 +535,7 @@ def reference_witness_two_player(inst):
     k = inst.k
     layer_size = inst.n // k
     colors = k + (np.arange(inst.n, dtype=np.int64) // layer_size)
-    for j, clique in enumerate(inst.host.clusters[inst.i_star]):
+    for j, clique in enumerate(inst.host.cluster(inst.i_star)):
         for v in clique:
             colors[v] = j
     return Coloring.from_array(colors)
@@ -608,6 +628,19 @@ class TestReportText:
             "ans-bit: pass",
             "special-set: pass",
             "gap-clique: FAIL (special set misses edge (14, 15))",
+        ]
+
+    def test_two_player_shared_edge(self):
+        # player 1 also holds two of player 2's edges, the larger key first
+        inst = gen_two_player(64, 2, seed=4, ans_override=1)
+        tampered = dataclasses.replace(inst, e1=np.concatenate((inst.e1, inst.e2[3:1:-1])))
+        assert str(verify_instance(tampered)).splitlines() == [
+            "player1-edges: FAIL (e1 mismatch, e.g. [(15, 46)])",
+            "player2-edges: pass",
+            "edge-disjoint: FAIL (shared edge [(15, 46)])",
+            "ans-bit: pass",
+            "special-set: pass",
+            "gap-clique: pass",
         ]
 
     def test_recursive_unbalanced_row(self):

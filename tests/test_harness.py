@@ -65,6 +65,8 @@ class TestGraphSpec:
         ("planted:n=10,clique=-2", "clique"),
         ("bipartite:n=10,m=-3", "m"),
         ("empty:n=-1", "n"),
+        ("gnm:n=1_0,m=3", "n"),
+        ("gnm:n=10,m=\u0663", "m"),
     ])
     def test_bad_fields_named(self, tmp_path, capsys, text, field):
         with pytest.raises(ArgumentError, match=f"'{field}'"):

@@ -921,8 +921,7 @@ def reference_write_stream(stream: Stream, path: str) -> None:
 
 
 def reference_write_cpg(cpg, path: str) -> None:
-    layout = cpg.layout if cpg.layout in ("basic", "grouped", "dense", "lifted") else "basic"
-    header = f"#cpg v1 n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={layout}\n"
+    header = f"#cpg v1 n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={cpg.layout}\n"
     t, r, k = cpg.clusters.shape
     ci, ji = np.divmod(np.arange(t * r), r)
     rows = np.column_stack((ci, ji, cpg.clusters.reshape(t * r, k))).tolist()
@@ -975,7 +974,7 @@ class TestWritersMatchFStringReferences:
         n = sc.clusterpack.MAX_VERTICES
         ids = st.one_of(st.sampled_from([0, 9, 10, n - 1]), st.integers(0, n - 1))
         clusters = np.array(data.draw(st.lists(ids, min_size=t * r * k, max_size=t * r * k)), np.int64)
-        layout = data.draw(st.sampled_from(["basic", "grouped", "dense", "lifted", None, "other"]))
+        layout = data.draw(st.sampled_from(["basic", "grouped", "dense", "lifted"]))
         cpg = SimpleNamespace(graph=SimpleNamespace(n=n), k=k, r=r, t=t, layout=layout,
                               clusters=clusters.reshape(t, r, k))
         assert same_bytes(sc.write_cpg, reference_write_cpg, cpg, directory)
