@@ -36,9 +36,8 @@ print("== recursive instances (p=3, k=2) ==")
 for ans in (1, 0):
     inst = gen_recursive(3, 2, seed=7, ans_override=ans)
     union = inst.union_graph()
-    lvl = inst.level
-    print(f"ans={ans}: host n={inst.n}, r={lvl.r}, materialized clusters={lvl.t}")
-    print(f"  |T| = {len(lvl.big_t)}, |S* cap T| = {len(lvl.intersection)} = k^(p-1)")
+    print(f"ans={ans}: host n={inst.n}, r={inst.r}, materialized clusters={inst.t}")
+    print(f"  |T| = {len(inst.big_t)}, |S* cap T| = {len(inst.intersection)} = k^(p-1)")
     if ans == 1:
         print(f"  special 8 vertices form a K_8: {verify_clique(union, inst.spec)}")
     else:

@@ -48,7 +48,6 @@ from .instances import (
     gen_recursive,
     gen_simultaneous,
     gen_two_player,
-    join_cliques,
     read_instance,
     verify_instance,
     witness_coloring_recursive,

@@ -9,7 +9,10 @@ the pair's delta sum over the whole stream. The offline coloring and both
 insertion runners share one round loop and differ only in how a round
 stores its edges. All three runners answer the q vs large distinguishing
 problem with a one-sided "large": whenever they say "large" they hold a
-stored subgraph of the input whose chromatic number exceeds q. Per-round
+stored subgraph of the input whose chromatic number exceeds q, and an
+insertion runner says "small" only with a proper coloring of the input;
+when its rounds end before every monochromatic edge was colored it says
+"inconclusive" and carries no coloring. Per-round
 chromatic numbers are computed with the exact solver capped at q, which
 never changes a verdict but avoids searching above the cap.
 """
@@ -51,7 +54,7 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Verdict:
-    label: str  # "small" | "large"
+    label: str  # "small" | "large" | "inconclusive"
     coloring: Coloring | None = None
     evidence: Evidence | None = None
     metadata: dict = field(default_factory=dict)
@@ -62,15 +65,13 @@ class OfflineColoringRun:
     """Output of the offline iterative-sparsification coloring.
 
     ``m_sizes`` holds |M_1| .. |M_{t+1}|: the monochromatic-edge counts
-    before each round and after the last. ``coloring`` is None only when a
-    chi cap was supplied and some sampled round exceeded it.
+    before each round and after the last.
     """
 
-    coloring: Coloring | None
+    coloring: Coloring
     m_sizes: tuple[int, ...]
     round_colors: tuple[int, ...]
     budget: int
-    cap_exceeded_round: int | None = None
 
 
 def _sparsify(n: int, t: int, color, store) -> tuple[Coloring | None, Evidence | None, list[int]]:
@@ -106,7 +107,6 @@ def offline_iterative_coloring(
     t: int,
     seed: int | None = None,
     colorer: str = "exact",
-    chi_cap: int | None = None,
     budget_multiplier: float = 1.0,
 ) -> OfflineColoringRun:
     """t rounds of: sample a budget of monochromatic edges, color, refine.
@@ -135,13 +135,10 @@ def offline_iterative_coloring(
             return current
         return current[np.sort(rng.choice(current.shape[0], size=budget, replace=False))]
 
-    exact = colorer == "exact" or chi_cap is not None
-    color = functools.partial(color_with_cap, cap=chi_cap) if exact else dsatur_coloring
-    coloring, evidence, round_colors = _sparsify(g.n, t, color, store)
-    if coloring is not None:
-        m_sizes.append(monochromatic_edges(current, coloring).shape[0])
-    exceeded = None if evidence is None else evidence.index  # the round over the cap
-    return OfflineColoringRun(coloring, tuple(m_sizes), tuple(round_colors), budget, exceeded)
+    color = color_with_cap if colorer == "exact" else dsatur_coloring
+    coloring, _, round_colors = _sparsify(g.n, t, color, store)
+    m_sizes.append(monochromatic_edges(current, coloring).shape[0])
+    return OfflineColoringRun(coloring, tuple(m_sizes), tuple(round_colors), budget)
 
 
 def run_random_order(
@@ -152,7 +149,9 @@ def run_random_order(
     Round i stores edges monochromatic under the accumulated coloring until
     the budget fills (or the stream ends), then colors them; the verdict is
     "large" the moment a stored round needs more than q colors, with the
-    stored subgraph as evidence. Deterministic given the stream.
+    stored subgraph as evidence. When round t ends before the stream does,
+    the unread edges may be monochromatic and the verdict is "inconclusive".
+    Deterministic given the stream.
     """
     if stream.model != INSERTION:
         raise ArgumentError("run_random_order needs an insertion-only stream")
@@ -179,6 +178,8 @@ def run_random_order(
         return rest[mono, :2]
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
+    if evidence is None and meta["events_read"] < len(events):
+        return Verdict("inconclusive", metadata=meta)
     return _verdict(meta, evidence, coloring)
 
 
@@ -195,6 +196,8 @@ def run_multipass(
     monochromatic under the accumulated coloring; verdict semantics match
     `run_random_order`. Stops early once a pass sees no more monochromatic
     edges than the budget (the remaining passes could not change anything).
+    When pass t saw more, the edges it left out may be monochromatic and the
+    verdict is "inconclusive".
     """
     if isinstance(source, Stream):
         source = StreamSource(source, max_passes=t)
@@ -229,6 +232,8 @@ def run_multipass(
         return events[reservoir, :2]
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
+    if evidence is None and more:
+        return Verdict("inconclusive", metadata=meta)
     return _verdict(meta, evidence, coloring)
 
 

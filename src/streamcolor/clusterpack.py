@@ -18,7 +18,7 @@ so serialized graphs are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,18 +229,23 @@ class LineLayout:
 
 @dataclass(frozen=True)
 class DenseParams:
-    """Parameters for the dense layered construction.
+    """The dense layered construction: its parameters and its cluster accessor.
 
     Layers are [p]^d; for a set S the weight w_S(x) = sum of S-coordinates
     splits each layer into groups of width |S|, colored cyclically
     (c_1, white, c_2, white, ..., c_k, white). Inducedness needs the strict
-    bound theta < w/2 and lines need p >= 2k + 1.
+    bound theta < w/2 and lines need p >= 2k + 1. Invalid parameters raise
+    `ArgumentError`, and sizes past `MAX_VERTICES` vertices or `MAX_CLIQUES`
+    cliques raise `ResourceLimitError`, at construction.
     """
 
     k: int
     d: int
     p: int
     family: SetFamily
+    r: int = field(init=False)  # cliques per cluster
+    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -258,6 +263,23 @@ class DenseParams:
             )
         if self.p < 2 * self.k + 1:
             raise ArgumentError(f"need p >= 2k+1 = {2 * self.k + 1}, got p={self.p}")
+        if self.n > MAX_VERTICES:
+            raise ResourceLimitError(f"n = {self.n} exceeds guard {MAX_VERTICES}")
+        w = self.family.w
+        # the S-coordinate tuples that are colored c_1 and leave room for the
+        # line: each coordinate z_i of a start satisfies z_i + 2k <= p
+        starts = [
+            z for z in itertools.product(range(1, self.p - 2 * self.k + 1), repeat=w)
+            if (sum(z) // w - 1) % (2 * self.k) == 0
+        ]
+        object.__setattr__(self, "_starts", np.array(starts, np.int64).reshape(-1, w))
+        object.__setattr__(self, "_powers", self.p ** np.arange(self.d - 1, -1, -1, dtype=np.int64))
+        object.__setattr__(self, "r", len(starts) * self.p ** (self.d - w))
+        total = self.r * self.t_max
+        if total > MAX_CLIQUES:
+            raise ResourceLimitError(
+                f"construction would materialize {total} cliques (guard {MAX_CLIQUES})"
+            )
 
     @property
     def layer_size(self) -> int:
@@ -267,63 +289,27 @@ class DenseParams:
     def n(self) -> int:
         return self.k * self.layer_size
 
-
-class DenseLayout:
-    """Lazy cluster accessor for the dense construction."""
-
-    def __init__(self, params: DenseParams):
-        self.params = params
-        if params.n > MAX_VERTICES:
-            raise ResourceLimitError(f"n = {params.n} exceeds guard {MAX_VERTICES}")
-        self._powers = [params.p ** (params.d - 1 - j) for j in range(params.d)]
-        self._starts = self._line_start_weights()
-        free = params.d - params.family.w
-        self.cluster_size = len(self._starts) * params.p**free
-        total = self.cluster_size * len(params.family)
-        if total > MAX_CLIQUES:
-            raise ResourceLimitError(
-                f"construction would materialize {total} cliques (guard {MAX_CLIQUES})"
-            )
-
-    def _line_start_weights(self) -> list[tuple[int, ...]]:
-        """S-coordinate tuples that are colored c_1 and leave room for the line."""
-        p, k, w = self.params.p, self.params.k, self.params.family.w
-        hi = p - 2 * k  # coordinates of a start must satisfy z_i + 2k <= p
-        valid = []
-        for z in itertools.product(range(1, hi + 1), repeat=w):
-            group = sum(z) // w
-            if (group - 1) % (2 * k) == 0:
-                valid.append(z)
-        return valid
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
     @property
     def t_max(self) -> int:
-        return len(self.params.family)
+        return len(self.family)
 
     def cluster(self, index: int) -> np.ndarray:
-        """The ``(cluster_size, k)`` cliques of cluster `index`, one row each.
+        """The ``(r, k)`` cliques of cluster `index`, one row each.
 
         Rows run over the line starts, then the free coordinates in
         lexicographic order; the vertex on layer a of a line adds
         ``a * (layer_size + 2 * sum of the S-powers)`` to its layer-0 id.
         """
-        params = self.params
-        s = list(params.family.sets[index])
-        powers = np.array(self._powers, np.int64)
-        starts = np.array(self._starts, np.int64).reshape(-1, params.family.w)
-        ids = (starts - 1) @ powers[s]
-        for pos in (j for j in range(params.d) if j not in s):
-            ids = (ids[:, None] + np.arange(params.p) * powers[pos]).ravel()
-        step = params.layer_size + 2 * int(powers[s].sum())
-        return ids[:, None] + np.arange(params.k) * step
+        s = list(self.family.sets[index])
+        ids = (self._starts - 1) @ self._powers[s]
+        for pos in (j for j in range(self.d) if j not in s):
+            ids = (ids[:, None] + np.arange(self.p) * self._powers[pos]).ravel()
+        step = self.layer_size + 2 * int(self._powers[s].sum())
+        return ids[:, None] + np.arange(self.k) * step
 
     def clusters(self) -> np.ndarray:
-        """All t_max clusters as one ``(t_max, cluster_size, k)`` int64 array."""
-        shape = (self.t_max, self.cluster_size, self.params.k)
+        """All t_max clusters as one ``(t_max, r, k)`` int64 array."""
+        shape = (self.t_max, self.r, self.k)
         return np.array([self.cluster(i) for i in range(self.t_max)], np.int64).reshape(shape)
 
 
@@ -412,27 +398,27 @@ def _check_edges(t: int, r: int, k: int) -> None:
         )
 
 
-def _build_cpg(layout_obj, k: int, r: int, layout_name: str) -> ClusterPackingGraph:
-    _check_edges(layout_obj.t_max, r, k)
-    return _assemble(layout_obj.n, layout_obj.clusters(), layout_name)
+def _build_cpg(layout: "LineLayout | DenseParams", name: str) -> ClusterPackingGraph:
+    """The packing of every cluster of `layout`, named `name`; refuses more than `MAX_EDGES` edges."""
+    _check_edges(layout.t_max, layout.r, layout.k)
+    return _assemble(layout.n, layout.clusters(), name)
 
 
 def construct_lines_basic(n: int, k: int) -> ClusterPackingGraph:
     """Cluster packing graph with r = k and t = floor(n/2k^2)*floor(n/2k^3)."""
-    return _build_cpg(LineLayout(n=n, k=k, r=k), k, k, "basic")
+    return _build_cpg(LineLayout(n=n, k=k, r=k), "basic")
 
 
 def construct_lines_grouped(n: int, r: int, k: int) -> ClusterPackingGraph:
     """Cluster packing graph with free r and t = floor(n/2kr)*floor(n/2k^2r)."""
     if r * k * r * k > n:
         raise ArgumentError(f"need r*k <= sqrt(n): r*k = {r * k}, n = {n}")
-    return _build_cpg(LineLayout(n=n, k=k, r=r), k, r, "grouped")
+    return _build_cpg(LineLayout(n=n, k=k, r=r), "grouped")
 
 
 def construct_dense(params: DenseParams) -> ClusterPackingGraph:
     """Dense construction: one cluster per family set, on n = k*p^d vertices."""
-    layout = DenseLayout(params)
-    return _build_cpg(layout, params.k, layout.cluster_size, "dense")
+    return _build_cpg(params, "dense")
 
 
 def lift_to_k_colorable(cpg: ClusterPackingGraph) -> ClusterPackingGraph:

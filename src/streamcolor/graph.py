@@ -4,12 +4,12 @@ Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
 read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
 and without repeats, built by deduplicating the 1-D keys ``u * n + v``. The
 frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
-are views derived from that array on first use; `has_edge`, `degree` and the
-exact solver above two colors read the CSR. Graphs and colorings are
-immutable after construction and safe to share across threads. Isolated
-vertices are implicit: a graph may have millions of vertices but only the
-edge set is materialized. The text formats `.graph`, `.stream` and `.cpg` share one
-header parser (`read_header`), one row parser (`Rows`) and one row writer
+are views derived from that array on first use; the exact solver above two
+colors reads the CSR. Graphs and colorings are immutable after construction
+and safe to share across threads. Isolated vertices are implicit: a graph
+may have millions of vertices but only the edge set is materialized. The
+text formats `.graph`, `.stream` and `.cpg` share one header parser
+(`read_header`), one row parser (`Rows`) and one row writer
 (`format_rows`), defined here, and one grammar: tokens are printable ASCII
 separated by spaces and tabs, lines end in ``\\n`` or ``\\r\\n``, and every
 integer is ``[+-]?[0-9]{1,18}``. `Rows` parses a body as numpy passes over
@@ -143,33 +143,6 @@ class Graph:
         verts, indptr, indices = self.csr()
         nbrs, bounds = verts[indices].tolist(), indptr.tolist()
         return {v: set(nbrs[lo:hi]) for v, lo, hi in zip(verts.tolist(), bounds, bounds[1:])}
-
-    def _local(self, v: int) -> int | None:
-        """`v`'s local id in `csr`, or None if `v` has no neighbours."""
-        verts = self.csr()[0]
-        i = int(np.searchsorted(verts, v))
-        return i if i < len(verts) and verts[i] == v else None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            raise ArgumentError(f"self-loop on vertex {u}")
-        u, v = min(u, v), max(u, v)
-        if u < 0 or v >= self.n:
-            return False
-        i, j = self._local(u), self._local(v)
-        if i is None or j is None:
-            return False
-        _, indptr, indices = self.csr()
-        row = indices[indptr[i] : indptr[i + 1]]
-        k = int(np.searchsorted(row, j))
-        return bool(k < len(row) and row[k] == j)
-
-    def degree(self, v: int) -> int:
-        i = self._local(v)
-        if i is None:
-            return 0
-        indptr = self.csr()[1]
-        return int(indptr[i + 1] - indptr[i])
 
     def __eq__(self, other: object) -> bool:
         return (

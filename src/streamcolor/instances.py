@@ -36,18 +36,6 @@ from .seeds import rng_for
 WITNESS_VERTEX_LIMIT = 50_000_000
 
 
-def join_cliques(clique_a, clique_b) -> np.ndarray:
-    """The complete biclique between two disjoint vertex sets, as ``(u, v)``
-    rows with ``u < v``, taking the vertices of each set in ascending order."""
-    a = np.unique(np.fromiter(clique_a, np.int64))
-    b = np.unique(np.fromiter(clique_b, np.int64))
-    both = np.intersect1d(a, b)
-    if both.size:
-        raise ArgumentError(f"cliques overlap on vertices {both.tolist()}")
-    u, v = np.repeat(a, len(b)), np.tile(b, len(a))
-    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
-
-
 def _edges(n: int, pairs: np.ndarray) -> np.ndarray:
     """`pairs` as a player part: the read-only, sorted, distinct ``(u, v)`` rows."""
     return Graph(n, pairs.reshape(-1, 2)).edge_array()
@@ -228,14 +216,16 @@ def sample_intersecting_sets(
 
 
 @dataclass(frozen=True)
-class RecursiveLevel:
-    """All random choices of one recursion level a >= 3."""
+class RecursiveInstance:
+    """The p-player instance: the random choices of level a = p, on a grouped
+    host of `t` materialized clusters, and the embedded (p-1)-player instance."""
 
-    a: int
-    host: LineLayout
-    n: int
-    r: int
-    t: int
+    p: int
+    k: int
+    seed: int | None
+    ans_override: int | None
+    plan: LevelPlan
+    host: LineLayout  # the grouped lines layout, r = 4 * inner.n
     cluster_ids: tuple[int, ...]
     i_star: int  # index into cluster_ids
     sets: tuple[tuple[int, ...], ...]  # S_i per materialized cluster
@@ -244,32 +234,29 @@ class RecursiveLevel:
     x: np.ndarray  # shape (t, r)
     sigma: tuple[int, ...]  # inner vertex -> clique index in T
     e1: np.ndarray  # read-only (m, 2) int64 rows, sorted
-    join_parts: tuple[np.ndarray, ...]  # players 2..a in outer ids
-    spec: tuple[int, ...]
-
-    def istar_cliques(self) -> np.ndarray:
-        """The ``(r, k)`` cliques of the hidden cluster, one row each."""
-        return self.host.cluster(self.cluster_ids[self.i_star])
-
-
-@dataclass(frozen=True)
-class RecursiveInstance:
-    p: int
-    k: int
-    seed: int | None
-    ans_override: int | None
-    plan: LevelPlan
-    level: RecursiveLevel
+    join_parts: tuple[np.ndarray, ...]  # players 2..p in outer ids
     inner: "RecursiveInstance | TwoPlayerInstance"
     ans: int
     spec: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return self.level.n
+        return self.host.n
+
+    @property
+    def r(self) -> int:
+        return self.host.r
+
+    @property
+    def t(self) -> int:
+        return len(self.cluster_ids)
+
+    def istar_cliques(self) -> np.ndarray:
+        """The ``(r, k)`` cliques of the hidden cluster, one row each."""
+        return self.host.cluster(self.cluster_ids[self.i_star])
 
     def edge_parts(self) -> tuple[np.ndarray, ...]:
-        return (self.level.e1,) + self.level.join_parts
+        return (self.e1,) + self.join_parts
 
     def union_graph(self) -> Graph:
         return Graph(self.n, np.concatenate(self.edge_parts()))
@@ -386,26 +373,22 @@ def gen_recursive(
 
     # sigma: bijection from inner vertices onto T's cliques, conditioned on
     # mapping the inner special set onto the intersection cliques
-    inner_spec = set(inner.spec)
-    others = [v for v in range(inner_n) if v not in inner_spec]
-    spec_targets = [intersection[int(i)] for i in rng.permutation(m)]
-    rest_targets_pool = sorted(set(big_t) - set(intersection))
-    rest_targets = [rest_targets_pool[int(i)] for i in rng.permutation(len(rest_targets_pool))]
-    sigma_map: dict[int, int] = {}
-    for v, j in zip(sorted(inner_spec), spec_targets):
-        sigma_map[v] = j
-    for v, j in zip(others, rest_targets):
-        sigma_map[v] = j
-    sigma = tuple(sigma_map[v] for v in range(inner_n))
+    in_spec = np.zeros(inner_n, dtype=bool)
+    in_spec[list(inner.spec)] = True
+    rest = np.setdiff1d(big_t, intersection)
+    sigma = np.empty(inner_n, dtype=np.int64)
+    sigma[in_spec] = np.array(intersection, np.int64)[rng.permutation(m)]
+    sigma[~in_spec] = rest[rng.permutation(len(rest))]
+    sigma = tuple(sigma.tolist())
 
-    parts = _recursive_parts(layout, cluster_ids, sets, x, i_star, sigma, inner.edge_parts())
-    spec = _spec(layout.cluster(cluster_ids[i_star])[list(intersection)])
-    level = RecursiveLevel(
-        a=p,
+    e1, *join_parts = _recursive_parts(layout, cluster_ids, sets, x, i_star, sigma, inner.edge_parts())
+    return RecursiveInstance(
+        p=p,
+        k=k,
+        seed=seed,
+        ans_override=ans_override,
+        plan=plan,
         host=layout,
-        n=spec_level.n,
-        r=r,
-        t=t,
         cluster_ids=cluster_ids,
         i_star=i_star,
         sets=tuple(sets),
@@ -413,20 +396,11 @@ def gen_recursive(
         intersection=intersection,
         x=x,
         sigma=sigma,
-        e1=parts[0],
-        join_parts=parts[1:],
-        spec=spec,
-    )
-    return RecursiveInstance(
-        p=p,
-        k=k,
-        seed=seed,
-        ans_override=ans_override,
-        plan=plan,
-        level=level,
+        e1=e1,
+        join_parts=tuple(join_parts),
         inner=inner,
         ans=ans,
-        spec=spec,
+        spec=_spec(layout.cluster(cluster_ids[i_star])[list(intersection)]),
     )
 
 
@@ -448,7 +422,7 @@ def witness_coloring_recursive(
             f"witness coloring materializes {inst.n} colors (guard {WITNESS_VERTEX_LIMIT})"
         )
     inner = witness_coloring_recursive(inst.inner)
-    cliques = inst.level.istar_cliques()[list(inst.level.sigma)]
+    cliques = inst.istar_cliques()[list(inst.sigma)]
     return _layer_coloring(inst.n, inst.k, inst.k * (inst.p - 1), cliques, inner.colors)
 
 
@@ -630,27 +604,27 @@ def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
 
 
 def _verify_recursive(inst: RecursiveInstance) -> list[CheckResult]:
-    lvl, k, p = inst.level, inst.k, inst.p
-    inner_n, half = lvl.r // 4, lvl.r // 8
-    inter = tuple(sorted(set(lvl.sets[lvl.i_star]) & set(lvl.big_t)))
-    sizes_ok = all(len(s) == inner_n for s in lvl.sets) and len(lvl.big_t) == inner_n
-    ones = np.array([lvl.x[i, list(s)].sum() for i, s in enumerate(lvl.sets)], np.int64)
+    k, p = inst.k, inst.p
+    inner_n, half = inst.r // 4, inst.r // 8
+    inter = tuple(sorted(set(inst.sets[inst.i_star]) & set(inst.big_t)))
+    sizes_ok = all(len(s) == inner_n for s in inst.sets) and len(inst.big_t) == inner_n
+    ones = np.array([inst.x[i, list(s)].sum() for i, s in enumerate(inst.sets)], np.int64)
     off = np.flatnonzero(ones != half)[:1]
-    anchored = all(int(lvl.x[lvl.i_star, j]) == inst.ans for j in lvl.intersection)
-    expected_spec = _spec(lvl.istar_cliques()[list(lvl.intersection)])
+    anchored = all(int(inst.x[inst.i_star, j]) == inst.ans for j in inst.intersection)
+    expected_spec = _spec(inst.istar_cliques()[list(inst.intersection)])
     sigma_ok = (
-        len(lvl.sigma) == inner_n
-        and set(lvl.sigma) == set(lvl.big_t)
-        and {lvl.sigma[v] for v in inst.inner.spec} == set(lvl.intersection)
+        len(inst.sigma) == inner_n
+        and set(inst.sigma) == set(inst.big_t)
+        and {inst.sigma[v] for v in inst.inner.spec} == set(inst.intersection)
     )
     expected = _recursive_parts(
-        lvl.host, lvl.cluster_ids, lvl.sets, lvl.x, lvl.i_star, lvl.sigma, inst.inner.edge_parts()
+        inst.host, inst.cluster_ids, inst.sets, inst.x, inst.i_star, inst.sigma, inst.inner.edge_parts()
     )
     checks = _player_checks(inst.n, inst.edge_parts(), expected) + [
         _check("eq1-chain", inst.inner.n == inner_n,
                f"inner instance has n={inst.inner.n}, expected r/4={inner_n}"),
-        _check("intersection-size", inter == lvl.intersection and len(inter) == k ** (p - 1),
-               f"re-derived intersection {inter} vs stored {lvl.intersection}"),
+        _check("intersection-size", inter == inst.intersection and len(inter) == k ** (p - 1),
+               f"re-derived intersection {inter} vs stored {inst.intersection}"),
         _check("set-sizes", sizes_ok, "some S_i or T has the wrong size"),
         _check("row-balance", not off.size,
                "".join(f"row {i} has {ones[i]} ones inside S_i, expected {half}" for i in off)),
@@ -704,31 +678,6 @@ def verify_instance(inst) -> VerificationReport:
 
 
 def instance_to_dict(inst) -> dict:
-    if isinstance(inst, TwoPlayerInstance):
-        return {
-            "variant": "two-player",
-            "params": {"n": inst.n, "k": inst.k},
-            "seed": inst.seed,
-            "ans_override": inst.ans_override,
-            "ans": inst.ans,
-            "spec": list(inst.spec),
-            "players": [part.tolist() for part in inst.edge_parts()],
-        }
-    if isinstance(inst, RecursiveInstance):
-        return {
-            "variant": "recursive",
-            "params": {
-                "p": inst.p,
-                "k": inst.k,
-                "n2": inst.plan.n2,
-                "levels": [{"n": lv.n, "t": lv.t} for lv in inst.plan.levels],
-            },
-            "seed": inst.seed,
-            "ans_override": inst.ans_override,
-            "ans": inst.ans,
-            "spec": list(inst.spec),
-            "players": [part.tolist() for part in inst.edge_parts()],
-        }
     if isinstance(inst, SimultaneousInstance):
         return {
             "variant": "simultaneous",
@@ -739,7 +688,22 @@ def instance_to_dict(inst) -> dict:
             "v_clique": list(inst.v_clique),
             "players": [part.tolist() for part in inst.edge_parts()],
         }
-    raise ArgumentError(f"not a hard instance: {type(inst).__name__}")
+    if isinstance(inst, TwoPlayerInstance):
+        variant, params = "two-player", {"n": inst.n, "k": inst.k}
+    elif isinstance(inst, RecursiveInstance):
+        levels = [{"n": lv.n, "t": lv.t} for lv in inst.plan.levels]
+        variant, params = "recursive", {"p": inst.p, "k": inst.k, "n2": inst.plan.n2, "levels": levels}
+    else:
+        raise ArgumentError(f"not a hard instance: {type(inst).__name__}")
+    return {
+        "variant": variant,
+        "params": params,
+        "seed": inst.seed,
+        "ans_override": inst.ans_override,
+        "ans": inst.ans,
+        "spec": list(inst.spec),
+        "players": [part.tolist() for part in inst.edge_parts()],
+    }
 
 
 def instance_to_json(inst) -> str:

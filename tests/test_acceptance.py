@@ -339,3 +339,32 @@ def test_criterion_9_determinism_and_formats(tmp_path):
         problems.append("stream round trip")
 
     _report(9, "determinism-and-formats", not problems, "; ".join(problems))
+
+
+def test_criterion_10_runners_on_hard_instances():
+    # each family at its witness bound q: the bit set means chi > q, the bit
+    # clear means a witness coloring with q colors exists
+    start = time.time()
+    cases = (
+        ("two-player", 6, lambda seed, bit: gen_two_player(972, 3, seed=seed, ans_override=bit).union_graph()),
+        ("recursive", 6, lambda seed, bit: gen_recursive(3, 2, seed=seed, ans_override=bit).union_graph()),
+        ("simultaneous", 3, lambda seed, bit: gen_simultaneous(4, 10, seed=seed, theta_override=bit).final_graph()),
+    )
+    runs, wrong = 0, []
+    for name, q, union in cases:
+        for seed in range(1, 6):
+            for bit in (0, 1):
+                g = union(seed, bit)
+                stream = to_insertion_stream(g, "shuffled", seed=seed)
+                for t in (2, 3):
+                    for algo, verdict in (
+                        ("random-order", run_random_order(stream, q, t)),
+                        ("multipass", run_multipass(stream, q, t, seed=seed)),
+                    ):
+                        runs += 1
+                        right = "large" if bit else "small"
+                        if verdict.label != right or (not bit and not is_proper_coloring(g, verdict.coloring)):
+                            wrong.append(f"{name} seed={seed} bit={bit} {algo} t={t}: {verdict.label}")
+    elapsed = time.time() - start
+    ok = not wrong and runs == 120
+    _report(10, "runners-on-hard-instances", ok, "; ".join(wrong[:3]) or f"{runs} runs, {elapsed:.1f}s")

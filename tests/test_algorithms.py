@@ -93,18 +93,6 @@ class TestOfflineIterativeColoring:
         with pytest.raises(ArgumentError):
             offline_iterative_coloring(Graph(4), 1)
 
-    def test_chi_cap_hit_reported(self):
-        g = planted(100, 20)
-        run = offline_iterative_coloring(g, 2, seed=9, chi_cap=2)
-        assert run.coloring is None
-        assert run.cap_exceeded_round == 1
-
-    def test_chi_cap_not_hit(self):
-        g = bipartite(60, 200, seed=9)
-        run = offline_iterative_coloring(g, 2, seed=9, chi_cap=2)
-        assert run.coloring is not None
-        assert run.cap_exceeded_round is None
-
 
 class TestRunRandomOrder:
     def test_bipartite_always_small(self):
@@ -181,7 +169,7 @@ class TestRunMultipass:
         assert verdict.metadata["passes_used"] <= 3
 
 
-def reference_offline(g, t, seed, colorer, chi_cap, budget_multiplier):
+def reference_offline(g, t, seed, colorer, budget_multiplier):
     """The offline round loop written out on its own: M_{i+1} is M_i refined
     by round i's coloring, not by the accumulated one."""
     n = g.n
@@ -198,12 +186,7 @@ def reference_offline(g, t, seed, colorer, chi_cap, budget_multiplier):
             idx = rng.choice(current.shape[0], size=budget, replace=False)
             sample = current[np.sort(idx)]
         h = Graph(n, sample)
-        if colorer == "dsatur" and chi_cap is None:
-            ci = dsatur_coloring(h)
-        else:
-            ci = color_with_cap(h, chi_cap)
-        if ci is None:
-            return OfflineColoringRun(None, tuple(m_sizes), tuple(round_colors), budget, i)
+        ci = dsatur_coloring(h) if colorer == "dsatur" else color_with_cap(h)
         round_colors.append(max(ci.num_colors, 1))
         coloring = product_coloring(coloring, ci)
         current = monochromatic_edges(current, ci)
@@ -221,7 +204,6 @@ def offline_cases(draw):
         draw(st.integers(2, 5)),
         draw(st.integers(0, 2**16)),
         draw(st.sampled_from(("exact", "dsatur"))),
-        draw(st.sampled_from((None, 1, 2, 3))),
         draw(st.sampled_from((0.002, 0.01, 0.03, 0.1, 0.3, 1.0))),
     )
 
@@ -231,40 +213,37 @@ def assert_same_run(got, want):
     assert got.m_sizes == want.m_sizes
     assert got.round_colors == want.round_colors
     assert got.budget == want.budget
-    assert got.cap_exceeded_round == want.cap_exceeded_round
 
 
 class TestOfflineMatchesPerRoundRefinement:
     @settings(max_examples=200, deadline=None)
     @given(offline_cases())
     def test_random_cases(self, case):
-        g, t, seed, colorer, chi_cap, mult = case
-        got = offline_iterative_coloring(
-            g, t, seed=seed, colorer=colorer, chi_cap=chi_cap, budget_multiplier=mult
-        )
-        assert_same_run(got, reference_offline(g, t, seed, colorer, chi_cap, mult))
+        g, t, seed, colorer, mult = case
+        got = offline_iterative_coloring(g, t, seed=seed, colorer=colorer, budget_multiplier=mult)
+        assert_same_run(got, reference_offline(g, t, seed, colorer, mult))
 
     @pytest.mark.parametrize("colorer", ["exact", "dsatur"])
     def test_edgeless_graph(self, colorer):
         for g in (Graph(0), Graph(1), Graph(12)):
             got = offline_iterative_coloring(g, 3, seed=1, colorer=colorer)
-            assert_same_run(got, reference_offline(g, 3, 1, colorer, None, 1.0))
+            assert_same_run(got, reference_offline(g, 3, 1, colorer, 1.0))
             assert got.m_sizes == (0, 0, 0, 0)
             assert got.round_colors == (1, 1, 1)
 
-    @pytest.mark.parametrize("colorer, chi_cap", [("exact", None), ("dsatur", None), ("exact", 2)])
-    def test_m_empties_before_round_t(self, colorer, chi_cap):
+    @pytest.mark.parametrize("colorer", ["exact", "dsatur"])
+    def test_m_empties_before_round_t(self, colorer):
         # the budget holds all of M_1, so round 1 colors every edge and the
         # later rounds color an empty graph
         g = bipartite(40, 150, seed=3)
-        got = offline_iterative_coloring(g, 4, seed=3, colorer=colorer, chi_cap=chi_cap)
-        assert_same_run(got, reference_offline(g, 4, 3, colorer, chi_cap, 1.0))
+        got = offline_iterative_coloring(g, 4, seed=3, colorer=colorer)
+        assert_same_run(got, reference_offline(g, 4, 3, colorer, 1.0))
         assert got.m_sizes == (150, 0, 0, 0, 0)
 
     def test_m_empties_after_sampled_rounds(self):
         g = bipartite(60, 400, seed=7)
         got = offline_iterative_coloring(g, 5, seed=7, budget_multiplier=0.05)
-        assert_same_run(got, reference_offline(g, 5, 7, "exact", None, 0.05))
+        assert_same_run(got, reference_offline(g, 5, 7, "exact", 0.05))
         assert got.m_sizes[1] > 0 and got.m_sizes[-2] == 0
 
 
@@ -295,6 +274,8 @@ def reference_random_order(stream, q, t, budget_multiplier):
         coloring = product_coloring(coloring, ci)
         if meta["stream_exhausted"]:
             break
+    if meta["events_read"] < len(stream):  # round t left events unread
+        return Verdict("inconclusive", metadata=meta)
     return Verdict("small", coloring=coloring, metadata=meta)
 
 
@@ -329,6 +310,8 @@ def reference_multipass(stream, q, t, seed, budget_multiplier):
         coloring = product_coloring(coloring, ci)
         if mono_seen <= budget:
             break
+    if mono_seen > budget:  # pass t left monochromatic edges out
+        return Verdict("inconclusive", metadata=meta)
     return Verdict("small", coloring=coloring, metadata=meta)
 
 
@@ -403,6 +386,33 @@ class TestInsertionRunnersMatchPerEventLoops:
             run_multipass(stream, 2, 2, seed=9, budget_multiplier=0.01),
             reference_multipass(stream, 2, 2, 9, 0.01),
         )
+
+
+class TestSmallVerdictsAreProper:
+    @pytest.mark.parametrize("mult", [0.001, 0.0005])
+    def test_rounds_ending_early_are_inconclusive(self, mult):
+        # an odd cycle: each stored round is a 2-colorable forest, but round 2
+        # ends with monochromatic edges of C_1001 left uncolored
+        n = 1001
+        stream = to_insertion_stream(Graph(n, [(v, (v + 1) % n) for v in range(n)]), "shuffled", seed=2)
+        ro = run_random_order(stream, 2, 2, budget_multiplier=mult)
+        mp = run_multipass(stream, 2, 2, seed=0, budget_multiplier=mult)
+        assert ro.metadata["events_read"] < len(stream)
+        for verdict in (ro, mp):
+            assert (verdict.label, verdict.coloring, verdict.evidence) == ("inconclusive", None, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(runner_cases())
+    def test_every_small_verdict_is_proper(self, case):
+        g, seed, q, t, mult = case
+        stream = to_insertion_stream(g, "shuffled", seed=seed)
+        for verdict in (
+            run_random_order(stream, q, t, budget_multiplier=mult),
+            run_multipass(stream, q, t, seed=seed, budget_multiplier=mult),
+        ):
+            assert verdict.label in ("small", "large", "inconclusive")
+            if verdict.label == "small":
+                assert is_proper_coloring(stream.final_graph(), verdict.coloring)
 
 
 class TestMultipassOpensPassesOnlyWhileRunning:

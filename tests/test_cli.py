@@ -62,6 +62,12 @@ class TestGen:
                     "--fano", "3", "-o", str(dense)]) == 0
         assert run(["verify", "cpg", "--file", str(dense)]) == 0
 
+    @pytest.mark.parametrize("p", ["20", "21"])  # too many cliques, too many vertices
+    def test_dense_guards_exit_2(self, tmp_path, p):
+        out = tmp_path / "dense.cpg"
+        assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", p, "--fano", "3", "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_dense_needs_family_or_fano(self, tmp_path):
         assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", "5",
                     "-o", str(tmp_path / "x.cpg")]) == 2

@@ -28,7 +28,6 @@ from streamcolor import (
 from streamcolor.clusterpack import (
     EXACT_FALLBACK_LIMIT,
     CheckResult,
-    DenseLayout,
     LineLayout,
     SetFamily,
 )
@@ -184,11 +183,9 @@ class TestDense:
         # with p = 5, k = 2, a start must have x_i + 4 <= 5 on S, so x_i = 1;
         # its layer-1 partner has weight 3w and lands in group 3, color c_2
         params = DenseParams(k=2, d=7, p=5, family=fano_family(1))
-        layout = DenseLayout(params)
-        assert layout._starts == [(1, 1, 1)]
-        assert layout.cluster_size == 5**4
-        s = params.family.sets[0]
-        cliques = layout.cluster(0).tolist()
+        assert params._starts.tolist() == [[1, 1, 1]]
+        assert params.r == 5**4
+        cliques = params.cluster(0).tolist()
         for clique in cliques[:50]:
             start, partner = clique
             assert start // params.layer_size == 0
@@ -199,6 +196,12 @@ class TestDense:
         slot = [f"c{j // 2 + 1}" if j % 2 == 0 else "white" for j in range(2 * params.k)]
         assert slot[(1 - 1) % (2 * params.k)] == "c1"
         assert slot[(3 - 1) % (2 * params.k)] == "c2"
+
+    @pytest.mark.parametrize("p, what", [(20, "cliques"), (21, "n = ")])
+    def test_guards_raise_at_construction(self, p, what):
+        # p = 20 gives n = 2 * 20^7 vertices but about 1.6e8 cliques per set
+        with pytest.raises(ResourceLimitError, match=what):
+            DenseParams(k=2, d=7, p=p, family=fano_family(3))
 
     def test_p_too_small_rejected(self):
         with pytest.raises(ArgumentError):
@@ -216,11 +219,10 @@ class TestDense:
         params = DenseParams(k=3, d=5, p=7, family=SetFamily(
             d=5, w=3, theta=1, sets=((0, 1, 2), (2, 3, 4))
         ))
-        layout = DenseLayout(params)
         cpg = construct_dense(params)
         for ci, s in enumerate(params.family.sets):
             for clique in cpg.clusters[ci][:30]:
-                coords = [_decode(layout, v) for v in clique]
+                coords = [_decode(params, v) for v in clique]
                 for (li, xi), (lj, xj) in itertools.combinations(coords, 2):
                     wi = sum(xi[c] for c in s)
                     wj = sum(xj[c] for c in s)
@@ -231,7 +233,6 @@ class TestDense:
         # with x_i + 2k <= p on S coordinates
         fam = SetFamily(d=3, w=3, theta=1, sets=((0, 1, 2),))
         params = DenseParams(k=2, d=3, p=9, family=fam)
-        layout = DenseLayout(params)
         count = 0
         for x in itertools.product(range(1, 10), repeat=3):
             if any(xi + 4 > 9 for xi in x):
@@ -239,16 +240,16 @@ class TestDense:
             group = sum(x) // 3
             if (group - 1) % 4 == 0:
                 count += 1
-        assert layout.cluster_size == count
+        assert params.r == count
         cpg = construct_dense(params)
         assert cpg.r == count
         assert verify_cluster_packing(cpg).ok
 
 
-def _decode(layout: DenseLayout, v: int) -> tuple[int, tuple[int, ...]]:
-    layer, idx = divmod(v, layout.params.layer_size)
+def _decode(params: DenseParams, v: int) -> tuple[int, tuple[int, ...]]:
+    layer, idx = divmod(v, params.layer_size)
     coords = []
-    for power in layout._powers:
+    for power in params._powers.tolist():
         q, idx = divmod(idx, power)
         coords.append(q + 1)
     return layer, tuple(coords)

@@ -32,7 +32,6 @@ from streamcolor import (
     gen_two_player,
     is_proper_coloring,
     instances,
-    join_cliques,
     lift_to_k_colorable,
     read_instance,
     verify_clique,
@@ -51,23 +50,6 @@ from streamcolor.instances import (
     witness_coloring_two_player,
 )
 from streamcolor.seeds import rng_for
-
-
-class TestJoinCliques:
-    def test_singletons(self):
-        assert join_cliques({0}, {1}).tolist() == [[0, 1]]
-
-    def test_two_by_two(self):
-        got = join_cliques({0, 1}, {2, 3})
-        assert got.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
-
-    def test_three_by_three_count(self):
-        got = join_cliques({0, 1, 2}, {3, 4, 5})
-        assert got.shape == (9, 2)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ArgumentError):
-            join_cliques({0, 1}, {1, 2})
 
 
 class TestTwoPlayer:
@@ -181,12 +163,12 @@ class TestRecursive:
         # T-clique vertices only use the first k(p-1) colors
         inst = gen_recursive(3, 2, seed=2, ans_override=0)
         w = witness_coloring_recursive(inst)
-        istar_cliques = inst.level.istar_cliques()
+        istar_cliques = inst.istar_cliques()
         k, p = inst.k, inst.p
         raw = k * (p - 1)  # fresh palette starts here before canonicalization
         pushed = {
             int(w.colors[v])
-            for j in inst.level.sigma
+            for j in inst.sigma
             for v in istar_cliques[j]
         }
         # canonicalization may relabel, so compare class counts instead:
@@ -197,21 +179,19 @@ class TestRecursive:
 
     def test_intersection_rederivation(self):
         inst = gen_recursive(3, 2, seed=5)
-        lvl = inst.level
-        inter = tuple(sorted(set(lvl.sets[lvl.i_star]) & set(lvl.big_t)))
-        assert inter == lvl.intersection
+        inter = tuple(sorted(set(inst.sets[inst.i_star]) & set(inst.big_t)))
+        assert inter == inst.intersection
         assert len(inter) == inst.k ** (inst.p - 1)
 
     def test_row_balance(self):
         inst = gen_recursive(3, 2, seed=6)
-        lvl = inst.level
-        for i, s in enumerate(lvl.sets):
-            assert sum(int(lvl.x[i, j]) for j in s) == lvl.r // 8
+        for i, s in enumerate(inst.sets):
+            assert sum(int(inst.x[i, j]) for j in s) == inst.r // 8
 
     def test_spec_is_union_of_indexed_cliques(self):
         inst = gen_recursive(3, 2, seed=7)
-        cliques = inst.level.istar_cliques()
-        expected = sorted(v for j in inst.level.intersection for v in cliques[j])
+        cliques = inst.istar_cliques()
+        expected = sorted(v for j in inst.intersection for v in cliques[j])
         assert list(inst.spec) == expected
 
     def test_verify_50_seeds_per_branch_smallest_params(self):
@@ -517,12 +497,23 @@ class TestAgreesWithLoopReferences:
         assert rows_of(inst) == [[list(e) for e in part] for part in parts]
         assert (inst.v_clique, inst.theta) == (v_clique, answer)
 
-    @given(seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_join_cliques(self, seed):
+    @given(seeds, st.integers(1, 4), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_bicliques(self, seed, k, count):
         rng = rng_for(seed, 0)
-        a, b = rng.choice(50, size=(2, 5), replace=False)
-        assert join_cliques(a, b).tolist() == [list(e) for e in reference_join([], a.tolist(), b.tolist())]
+        cliques = rng.choice(60, size=(count, k), replace=False)
+        joins = np.array([rng.choice(count, size=2, replace=False) for _ in range(3)])
+        expected = []
+        for a, b in joins:
+            reference_join(expected, cliques[a].tolist(), cliques[b].tolist())
+        got = instances._bicliques(60, cliques, joins)
+        assert got.tolist() == [list(e) for e in sorted(set(expected))]
+
+
+def test_bicliques_two_by_two():
+    cliques = np.array([[0, 1], [2, 3]])
+    got = instances._bicliques(4, cliques, np.array([[0, 1]]))
+    assert got.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +539,9 @@ def reference_witness_recursive(inst):
     inner_colors = reference_witness_recursive(inst.inner)
     layer_size = inst.n // k
     colors = k * (p - 1) + (np.arange(inst.n, dtype=np.int64) // layer_size)
-    istar_cliques = inst.level.istar_cliques().tolist()
-    for v in range(len(inst.level.sigma)):
-        j = inst.level.sigma[v]
+    istar_cliques = inst.istar_cliques().tolist()
+    for v in range(len(inst.sigma)):
+        j = inst.sigma[v]
         c = int(inner_colors.colors[v])
         for w in istar_cliques[j]:
             colors[w] = c
@@ -645,9 +636,9 @@ class TestReportText:
 
     def test_recursive_unbalanced_row(self):
         inst = gen_recursive(3, 2, seed=5, ans_override=1)
-        x = inst.level.x.copy()
-        x[1, list(inst.level.sets[1])] = 1
-        tampered = dataclasses.replace(inst, level=dataclasses.replace(inst.level, x=x))
+        x = inst.x.copy()
+        x[1, list(inst.sets[1])] = 1
+        tampered = dataclasses.replace(inst, x=x)
         assert str(verify_instance(tampered)).splitlines() == [
             "player1-edges: FAIL (e1 mismatch, e.g. [(24582, 156166)])",
             "player2-edges: pass",
@@ -667,21 +658,17 @@ class TestReportText:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_recursive_player_parts_compared(self, bit):
         inst = gen_recursive(3, 2, seed=5, ans_override=bit)
-        level = inst.level
         assert verify_instance(inst).ok
-        cut_e1 = dataclasses.replace(level, e1=level.e1[1:])
-        failed = [c.name for c in verify_instance(dataclasses.replace(inst, level=cut_e1)).checks
+        failed = [c.name for c in verify_instance(dataclasses.replace(inst, e1=inst.e1[1:])).checks
                   if not c.passed]
         assert failed == ["player1-edges"]
-        for i, part in enumerate(level.join_parts):
-            joins = level.join_parts[:i] + (part[5:],) + level.join_parts[i + 1:]
-            cut = dataclasses.replace(inst, level=dataclasses.replace(level, join_parts=joins))
-            report = verify_instance(cut)
+        for i, part in enumerate(inst.join_parts):
+            joins = inst.join_parts[:i] + (part[5:],) + inst.join_parts[i + 1:]
+            report = verify_instance(dataclasses.replace(inst, join_parts=joins))
             assert [c.name for c in report.checks if not c.passed][0] == f"player{i + 2}-edges"
             assert not report.ok
-        fewer = dataclasses.replace(level, join_parts=level.join_parts[:1])
-        failed = [c.name for c in verify_instance(dataclasses.replace(inst, level=fewer)).checks
-                  if not c.passed]
+        fewer = dataclasses.replace(inst, join_parts=inst.join_parts[:1])
+        failed = [c.name for c in verify_instance(fewer).checks if not c.passed]
         assert failed[0] == "player3-edges"
 
     def test_simultaneous_flipped_theta(self):
