@@ -24,7 +24,7 @@ for ans in (1, 0):
     inst = gen_two_player(64, 2, seed=7, ans_override=ans)
     union = inst.union_graph()
     print(f"ans={ans}: player edges {len(inst.e1)} + {len(inst.e2)}, "
-          f"special set {inst.spec}")
+          f"special set {inst.spec.tolist()}")
     if ans == 1:
         print(f"  special set is a K_4: {verify_clique(union, inst.spec)}")
     else:

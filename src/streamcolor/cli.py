@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import clusterpack, instances
@@ -32,6 +31,7 @@ from .harness import (
     experiment_edge_shrinkage,
     experiment_vertex_sampling,
 )
+from .seeds import rng_for
 from .streams import read_stream, to_dynamic_stream, to_insertion_stream, write_stream
 
 EXIT_OK = 0
@@ -55,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     g_basic = gen_sub.add_parser("basic", help="lines construction with r = k")
     g_basic.add_argument("--n", type=int, required=True)
     g_basic.add_argument("--k", type=int, required=True)
-    _out(g_basic)
+    _out(g_basic, required=True)
 
     g_grouped = gen_sub.add_parser("grouped", help="lines construction with free r")
     g_grouped.add_argument("--n", type=int, required=True)
     g_grouped.add_argument("--r", type=int, required=True)
     g_grouped.add_argument("--k", type=int, required=True)
-    _out(g_grouped)
+    _out(g_grouped, required=True)
 
     g_dense = gen_sub.add_parser("dense", help="dense construction from a set family")
     g_dense.add_argument("--k", type=int, required=True)
@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_dense.add_argument("--p", type=int, required=True)
     g_dense.add_argument("--family", type=str, help="set-family JSON produced by 'gen family'")
     g_dense.add_argument("--fano", type=int, metavar="COUNT", help="use COUNT Fano lines")
-    _out(g_dense)
+    _out(g_dense, required=True)
 
     g_lift = gen_sub.add_parser("lift", help="k-colorability lift of a CPG file")
     g_lift.add_argument("--input", "-i", dest="input", type=str, required=True)
-    _out(g_lift)
+    _out(g_lift, required=True)
 
     g_family = gen_sub.add_parser("family", help="low-intersection set family")
     g_family.add_argument("--d", type=int, required=True)
@@ -117,20 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
     g_graph = gen_sub.add_parser("graph", help="graph from a spec string")
     g_graph.add_argument("--spec", type=str, required=True, help="e.g. gnm:n=300,m=20000")
     g_graph.add_argument("--seed", type=int, default=None)
-    _out(g_graph)
+    _out(g_graph, required=True)
 
     st = sub.add_parser("stream", help="build streams from graph files")
     st_sub = st.add_subparsers(dest="target", required=True)
     s_shuffle = st_sub.add_parser("shuffle", help="seeded random-order insertion stream")
     s_shuffle.add_argument("--graph", type=str, required=True)
     s_shuffle.add_argument("--seed", type=int, default=None)
-    _out(s_shuffle)
+    _out(s_shuffle, required=True)
     s_dyn = st_sub.add_parser("dynamic", help="dynamic stream with churn")
     s_dyn.add_argument("--graph", type=str, required=True)
     s_dyn.add_argument("--extra-pairs", type=int, default=0)
     s_dyn.add_argument("--cycles", type=int, default=1)
     s_dyn.add_argument("--seed", type=int, default=None)
-    _out(s_dyn)
+    _out(s_dyn, required=True)
 
     run = sub.add_parser("run", help="run a distinguishing algorithm on a stream file")
     run_sub = run.add_subparsers(dest="target", required=True)
@@ -185,8 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out(p: argparse.ArgumentParser) -> None:
+def _out(p: argparse.ArgumentParser, required: bool = False) -> None:
+    """Add ``-o``; a command whose output only goes to a file sets `required`."""
     p.add_argument("-o", "--out", type=str, default=None, help="output path")
+    p.set_defaults(out_required=required)
 
 
 def _fmt(p: argparse.ArgumentParser) -> None:
@@ -222,12 +224,6 @@ def _family_from_args(args) -> clusterpack.SetFamily:
     )
 
 
-def _save_cpg(cpg, path: str | None) -> None:
-    if path is None:
-        raise ArgumentError("cluster packing graphs need -o <path>")
-    clusterpack.write_cpg(cpg, path)
-
-
 def _verdict_json(verdict: Verdict) -> str:
     payload: dict = {"label": verdict.label, "metadata": verdict.metadata}
     if verdict.coloring is not None:
@@ -243,6 +239,8 @@ def _verdict_json(verdict: Verdict) -> str:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "out_required", False) and args.out is None:
+        raise ArgumentError(f"{args.command} {args.target} needs -o <path>")
     if args.command == "gen":
         return _dispatch_gen(args)
     if args.command == "stream":
@@ -253,8 +251,6 @@ def _dispatch(args) -> int:
             stream = to_dynamic_stream(
                 g, extra_pairs=args.extra_pairs, cycles=args.cycles, seed=args.seed
             )
-        if args.out is None:
-            raise ArgumentError("stream subcommands need -o <path>")
         write_stream(stream, args.out)
         return EXIT_OK
     if args.command == "run":
@@ -274,28 +270,30 @@ def _dispatch(args) -> int:
         return EXIT_OK
     if args.command == "verify":
         return _dispatch_verify(args)
-    if args.command == "experiment":
-        return _dispatch_experiment(args)
-    raise ArgumentError(f"unknown command {args.command!r}")
+    return _dispatch_experiment(args)
 
 
 def _dispatch_gen(args) -> int:
     if args.target == "basic":
-        _save_cpg(clusterpack.construct_lines_basic(args.n, args.k), args.out)
+        clusterpack.write_cpg(clusterpack.construct_lines_basic(args.n, args.k), args.out)
     elif args.target == "grouped":
-        _save_cpg(clusterpack.construct_lines_grouped(args.n, args.r, args.k), args.out)
+        clusterpack.write_cpg(clusterpack.construct_lines_grouped(args.n, args.r, args.k), args.out)
     elif args.target == "dense":
         family = _family_from_args(args)
         params = clusterpack.DenseParams(k=args.k, d=args.d, p=args.p, family=family)
-        _save_cpg(clusterpack.construct_dense(params), args.out)
+        clusterpack.write_cpg(clusterpack.construct_dense(params), args.out)
     elif args.target == "lift":
         cpg = clusterpack.read_cpg(args.input)
-        _save_cpg(clusterpack.lift_to_k_colorable(cpg), args.out)
+        clusterpack.write_cpg(clusterpack.lift_to_k_colorable(cpg), args.out)
     elif args.target == "family":
-        mode = "fano" if args.fano else "random"
-        fam = clusterpack.gen_intersection_family(
-            args.d, args.w, args.theta, args.count, seed=args.seed, mode=mode
-        )
+        if args.fano:
+            if (args.d, args.w) != (7, 3) or args.theta < 1:
+                raise ArgumentError("fano mode requires d=7, w=3, theta >= 1")
+            fam = clusterpack.fano_family(args.count)
+        else:
+            fam = clusterpack.gen_intersection_family(
+                args.d, args.w, args.theta, args.count, seed=args.seed
+            )
         payload = {
             "d": fam.d,
             "w": fam.w,
@@ -320,15 +318,7 @@ def _dispatch_gen(args) -> int:
         )
         _emit(instances.instance_to_json(inst), args.out)
     elif args.target == "graph":
-        spec = GraphSpec.parse(args.spec)
-        from .seeds import rng_for
-
-        g = spec.build(rng_for(args.seed, 0))
-        if args.out is None:
-            raise ArgumentError("gen graph needs -o <path>")
-        write_graph(g, args.out)
-    else:
-        raise ArgumentError(f"unknown gen target {args.target!r}")
+        write_graph(GraphSpec.parse(args.spec).build(rng_for(args.seed, 0)), args.out)
     return EXIT_OK
 
 
@@ -343,16 +333,14 @@ def _dispatch_verify(args) -> int:
         report = instances.verify_instance(inst)
         print(report)
         return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
-    if args.target == "coloring":
-        g = read_graph(args.graph)
-        c = read_coloring(args.coloring)
-        if c.n != g.n:
-            print(f"coloring has n={c.n}, graph has n={g.n}: FAIL")
-            return EXIT_VERIFY_FAIL
-        ok = is_proper_coloring(g, c)
-        print(f"proper: {'pass' if ok else 'FAIL'} ({c.num_colors} colors)")
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
-    raise ArgumentError(f"unknown verify target {args.target!r}")
+    g = read_graph(args.graph)
+    c = read_coloring(args.coloring)
+    if c.n != g.n:
+        print(f"coloring has n={c.n}, graph has n={g.n}: FAIL")
+        return EXIT_VERIFY_FAIL
+    ok = is_proper_coloring(g, c)
+    print(f"proper: {'pass' if ok else 'FAIL'} ({c.num_colors} colors)")
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _dispatch_experiment(args) -> int:
@@ -392,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ArgumentError, GenerationError, ResourceLimitError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
-    except (FormatError, StreamValidationError, PassLimitError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, StreamValidationError, PassLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -101,14 +101,12 @@ def gen_intersection_family(
     theta: int,
     count: int,
     seed: int | None = None,
-    mode: str = "random",
 ) -> SetFamily:
     """Sample `count` w-subsets of [d] with pairwise intersections <= theta.
 
     Candidates are drawn uniformly among w-subsets and rejected against the
     accepted prefix; generation fails after ``max(1000, 200 * count)`` draws.
-    `mode="fano"` returns the deterministic Fano fixture instead (requires
-    d=7, w=3, theta >= 1, count <= 7).
+    `fano_family` gives the deterministic Fano fixture instead.
     """
     if not (1 <= w <= d):
         raise ArgumentError(f"need 1 <= w <= d, got w={w}, d={d}")
@@ -116,12 +114,6 @@ def gen_intersection_family(
         raise ArgumentError(f"need 0 <= theta < w, got theta={theta}")
     if count < 1:
         raise ArgumentError("count must be >= 1")
-    if mode == "fano":
-        if (d, w) != (7, 3) or theta < 1:
-            raise ArgumentError("fano mode requires d=7, w=3, theta >= 1")
-        return fano_family(count)
-    if mode != "random":
-        raise ArgumentError(f"unknown mode {mode!r}")
     rng = rng_for(seed, 0)
     budget = max(1000, 200 * count)
     accepted: list[tuple[int, ...]] = []
@@ -166,7 +158,8 @@ class LineLayout:
     Cluster (b, q) consists of the r cliques on lines that start in group b
     of layer 0 and advance q groups per layer; two distinct lines meet in at
     most one vertex, which is what makes every cluster induced. Parameters
-    that leave no line, or do not tile n, raise `ArgumentError` at construction.
+    that leave no line, or do not tile n, raise `ArgumentError`, and n past
+    `MAX_VERTICES` raises `ResourceLimitError`, at construction.
     """
 
     n: int
@@ -185,6 +178,8 @@ class LineLayout:
                 f"line ranges empty: floor(n/2kr) = {self.b_range}, "
                 f"floor(n/2k^2r) = {self.q_range}"
             )
+        if self.n > MAX_VERTICES:
+            raise ResourceLimitError(f"n = {self.n} exceeds guard {MAX_VERTICES}")
         # lines must stay inside the group range
         top = (self.b_range - 1) + (self.k - 1) * (self.q_range - 1)
         assert top < self.groups_per_layer

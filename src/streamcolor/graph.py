@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -175,24 +175,19 @@ class Coloring:
 
     Canonical form means color ids are exactly ``{0..num_colors-1}`` and are
     assigned in order of first appearance by vertex index, so equal
-    partitions compare equal.
+    partitions compare equal. `from_array` canonicalizes any labels; the
+    constructor stores its fields as given.
     """
 
     n: int
     colors: np.ndarray
-    num_colors: int = field(default=-1)
+    num_colors: int
 
     @staticmethod
     def from_array(colors: Iterable[int]) -> "Coloring":
         arr = np.asarray(list(colors) if not isinstance(colors, np.ndarray) else colors)
         canon, k = _canonicalize(arr)
         return Coloring(n=len(canon), colors=canon, num_colors=k)
-
-    def __post_init__(self):
-        if self.num_colors < 0:
-            canon, k = _canonicalize(np.asarray(self.colors))
-            object.__setattr__(self, "colors", canon)
-            object.__setattr__(self, "num_colors", k)
 
     def __eq__(self, other: object) -> bool:
         return (

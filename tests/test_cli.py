@@ -37,6 +37,22 @@ class TestGen:
         assert run(["gen", "basic", "--n", "8", "--k", "2", "-o", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "basic", "--n", "64", "--k", "2"],
+        ["gen", "lift", "-i", "{missing}"],
+        ["gen", "graph", "--spec", "gnm:n=5,m=3"],
+        ["stream", "shuffle", "--graph", "{missing}"],
+        ["stream", "dynamic", "--graph", "{missing}"],
+    ])
+    def test_missing_out_refused_before_reading_or_building(self, tmp_path, monkeypatch, capsys, argv):
+        def no_build(*args):
+            raise AssertionError("a command without -o must not build its output")
+
+        monkeypatch.setattr(streamcolor.clusterpack, "construct_lines_basic", no_build)
+        missing = str(tmp_path / "missing")
+        assert run([arg.replace("{missing}", missing) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} {argv[1]} needs -o <path>\n"
+
     def test_grouped_and_lift(self, tmp_path):
         cpg = tmp_path / "g.cpg"
         lifted = tmp_path / "l.cpg"
@@ -55,6 +71,14 @@ class TestGen:
         assert run(["gen", "dense", "--k", "2", "--d", "7", "--p", "5",
                     "--family", str(fam), "-o", str(dense)]) == 0
         assert "t=3" in dense.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("d, w, theta", [(8, 3, 1), (7, 4, 1), (7, 3, 0)])
+    def test_family_fano_needs_the_fano_parameters(self, tmp_path, capsys, d, w, theta):
+        out = tmp_path / "fam.json"
+        assert run(["gen", "family", "--d", str(d), "--w", str(w), "--theta", str(theta),
+                    "--count", "3", "--fano", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: fano mode requires d=7, w=3, theta >= 1\n"
+        assert not out.exists()
 
     def test_dense_fano_direct(self, tmp_path):
         dense = tmp_path / "dense.cpg"

@@ -40,6 +40,7 @@ from streamcolor.errors import (
     UnsupportedInputError,
 )
 
+from streamcolor.graph import MAX_VERTICES
 from oracles import brute_induced_edges
 
 
@@ -65,10 +66,6 @@ class TestSetFamilies:
             assert len(set(fam.sets[i])) == 3
             for j in range(i + 1, 7):
                 assert len(set(fam.sets[i]) & set(fam.sets[j])) == 1
-
-    def test_fano_mode_through_generator(self):
-        fam = gen_intersection_family(7, 3, 1, 7, mode="fano")
-        assert fam.sets == fano_family(7).sets
 
     def test_random_family_verified_exhaustively(self):
         fam = gen_intersection_family(100, 33, 14, 50, seed=1)
@@ -162,6 +159,13 @@ class TestLinesGrouped:
     def test_invalid_layout_raises_at_construction(self, n, k, r, match):
         with pytest.raises(ArgumentError, match=match):
             LineLayout(n=n, k=k, r=r)
+
+    def test_vertex_guard_raises_at_construction(self):
+        # both sizes tile k * r = 4 and leave lines; only the first fits the guard
+        fits = MAX_VERTICES // 4 * 4
+        assert LineLayout(n=fits, k=2, r=2).t_max > 0
+        with pytest.raises(ResourceLimitError, match=f"n = {fits + 4} exceeds guard"):
+            LineLayout(n=fits + 4, k=2, r=2)
 
     def test_lines_pairwise_share_at_most_one_vertex(self):
         cpg = construct_lines_grouped(64, 2, 2)

@@ -13,6 +13,8 @@ import json
 
 import pytest
 
+from streamcolor import gen_recursive, gen_simultaneous, gen_two_player, verify_instance
+from streamcolor.instances import instance_to_json
 from streamcolor.cli import main as cli_main
 
 # (output name, argv); "{name}" in an argument is the path of an earlier output
@@ -157,3 +159,28 @@ def test_verify_instance_report(tmp_path, capsys, name):
     assert capsys.readouterr() == (
         "", "error: stored edge lists do not match the regenerated instance\n"
     )
+
+
+# the instance JSON, then the `verify_instance` text, of each of 182 instances:
+# five families at seeds 0-11 and every answer-bit override, then two p = 3,
+# k = 3 recursive instances
+INSTANCES = "ca72b59dd2ba43b303ce2ad33817de03170337beedda07d2bd36a32e80839e04"
+
+
+def test_instance_json_and_reports():
+    def family(seed, bit):
+        return [
+            gen_two_player(64, 2, seed=seed, ans_override=bit),
+            gen_two_player(108, 3, seed=seed, ans_override=bit),
+            gen_recursive(3, 2, seed=seed, ans_override=bit),
+            gen_simultaneous(4, 6, seed=seed, theta_override=bit),
+            gen_simultaneous(5, 4, seed=seed, theta_override=bit),
+        ]
+
+    insts = [inst for seed in range(12) for bit in (None, 0, 1) for inst in family(seed, bit)]
+    insts += [gen_recursive(3, 3, seed=seed) for seed in (0, 1)]
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(instance_to_json(inst).encode())
+        digest.update(str(verify_instance(inst)).encode())
+    assert len(insts) == 182 and digest.hexdigest() == INSTANCES

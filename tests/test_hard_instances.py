@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import itertools
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from streamcolor import (
     witness_coloring_simultaneous,
     write_instance,
 )
+from streamcolor import exact
 from streamcolor.cli import main as cli_main
 from streamcolor.errors import ArgumentError, FormatError, ResourceLimitError
 from streamcolor.clusterpack import LineLayout
@@ -180,7 +183,7 @@ class TestRecursive:
     def test_intersection_rederivation(self):
         inst = gen_recursive(3, 2, seed=5)
         inter = tuple(sorted(set(inst.sets[inst.i_star]) & set(inst.big_t)))
-        assert inter == inst.intersection
+        assert inter == tuple(inst.intersection.tolist())
         assert len(inter) == inst.k ** (inst.p - 1)
 
     def test_row_balance(self):
@@ -215,6 +218,20 @@ class TestRecursive:
             gen_recursive(3, 2, plan=plan, seed=0)
         assert "level 3" in str(err.value)
 
+    def test_level_past_vertex_guard_refused_before_drawing(self, tmp_path, monkeypatch):
+        # the default plan puts level 4 at n_4 = (2 * 4 * 262144)^2 = 4.4e12 vertices
+        def no_draws(*path):
+            raise AssertionError("the guard must refuse before any draw")
+
+        monkeypatch.setattr(instances, "rng_for", no_draws)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="level 4: n = 4398046511104 exceeds guard"):
+            gen_recursive(4, 2, seed=1)
+        assert time.perf_counter() - start < 1.0
+        out = tmp_path / "rec.json"
+        assert cli_main(["gen", "recursive", "--p", "4", "--k", "2", "--seed", "1", "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_intersection_uniform_over_subsets(self):
         # the helper behind Part 1 (iv): S cap T uniform over subsets of T
         counts = collections.Counter()
@@ -222,11 +239,24 @@ class TestRecursive:
         for i in range(draws):
             rng = rng_for(123, i)
             big_t, inter, _ = sample_intersecting_sets(rng, 12, 3, 2)
-            positions = tuple(sorted(big_t.index(j) for j in inter))
+            positions = tuple(sorted(big_t.tolist().index(j) for j in inter))
             counts[positions] += 1
         assert len(counts) == 3  # C(3, 2) position patterns
         _, pvalue = stats.chisquare(list(counts.values()))
         assert pvalue > 1e-4
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.data())
+@settings(max_examples=80, deadline=None)
+def test_intersecting_sets_are_sorted_int64_arrays(seed, universe, data):
+    size = data.draw(st.integers(0, universe))
+    overlap = data.draw(st.integers(max(0, 2 * size - universe), size))
+    big_t, inter, s = sample_intersecting_sets(rng_for(seed, 0), universe, size, overlap)
+    for got in (big_t, inter, s):
+        assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+        assert ((0 <= got) & (got < universe)).all()
+    assert (len(big_t), len(inter), len(s)) == (size, overlap, size)
+    assert np.array_equal(np.intersect1d(big_t, s), inter)
 
 
 class TestSimultaneous:
@@ -479,7 +509,7 @@ class TestAgreesWithLoopReferences:
         inst = gen_two_player(*nk, seed=seed, ans_override=ans)
         parts, spec, answer = reference_two_player(*nk, seed=seed, ans_override=ans)
         assert rows_of(inst) == [[list(e) for e in part] for part in parts]
-        assert (inst.spec, inst.ans) == (spec, answer)
+        assert (tuple(inst.spec.tolist()), inst.ans) == (spec, answer)
 
     @given(st.sampled_from([SMALL_PLAN, default_level_plan(3, 2)]), seeds, bits)
     @settings(max_examples=30, deadline=None)
@@ -487,7 +517,7 @@ class TestAgreesWithLoopReferences:
         inst = gen_recursive(3, 2, plan=plan, seed=seed, ans_override=ans)
         parts, spec, answer = reference_recursive(3, 2, plan, seed=seed, ans_override=ans)
         assert rows_of(inst) == [[list(e) for e in part] for part in parts]
-        assert (inst.spec, inst.ans) == (spec, answer)
+        assert (tuple(inst.spec.tolist()), inst.ans) == (spec, answer)
 
     @given(st.sampled_from([(4, 3), (4, 6), (4, 10), (5, 4), (5, 8), (6, 5)]), seeds, bits)
     @settings(max_examples=60, deadline=None)
@@ -495,7 +525,7 @@ class TestAgreesWithLoopReferences:
         inst = gen_simultaneous(*kn, seed=seed, theta_override=theta)
         parts, v_clique, answer = reference_simultaneous(*kn, seed=seed, theta_override=theta)
         assert rows_of(inst) == [[list(e) for e in part] for part in parts]
-        assert (inst.v_clique, inst.theta) == (v_clique, answer)
+        assert (tuple(inst.v_clique.tolist()), inst.theta) == (v_clique, answer)
 
     @given(seeds, st.integers(1, 4), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -715,6 +745,42 @@ class TestNoEdgeFrozenset:
         victim = gen_two_player(64, 2, seed=4, ans_override=1)
         cut = dataclasses.replace(victim, e2=victim.e2[1:])
         assert not verify_instance(cut).ok
+
+
+class TestVerifyCallsNoSolver:
+    def test_verify_instance_reads_certificates_only(self, monkeypatch):
+        # every exact or greedy solver raises wherever a streamcolor module binds it
+        solvers = [getattr(exact, name)
+                   for name in ("find_k_coloring", "color_with_cap", "dsatur_coloring", "_search")]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_instance must not call a solver")
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "streamcolor":
+                for key, value in list(vars(module).items()):
+                    if any(value is solver for solver in solvers):
+                        monkeypatch.setattr(module, key, forbidden)
+        with pytest.raises(AssertionError, match="must not call a solver"):
+            exact.find_k_coloring(Graph(2, [[0, 1]]), 2)
+        for bit in (0, 1):
+            for inst in (
+                gen_two_player(64, 2, seed=1, ans_override=bit),
+                gen_recursive(3, 2, plan=SMALL_PLAN, seed=1, ans_override=bit),
+                gen_recursive(3, 2, seed=1, ans_override=bit),
+                gen_simultaneous(4, 6, seed=1, theta_override=bit),
+                gen_simultaneous(5, 8, seed=1, theta_override=bit),
+            ):
+                assert verify_instance(inst).ok
+
+    def test_bipartite_part_refuses_an_edge_inside_one_side(self):
+        inst = gen_simultaneous(4, 6, seed=1, theta_override=0)
+        left = np.sort(inst.sigma[:2])
+        parts = (np.concatenate((inst.player_edges[0], [left])),) + inst.player_edges[1:]
+        report = verify_instance(dataclasses.replace(inst, player_edges=parts))
+        assert [c.name for c in report.checks if not c.passed] == [
+            "relabel-consistency", "bipartite-part", "gap-witness-coloring"
+        ]
 
 
 class TestInstanceSerialization:
