@@ -5,16 +5,17 @@ stream order, with array operations and no per-event Python loop; the
 multi-pass runner gets each pass from a `StreamSource`. The dynamic runner
 needs one pair-level pass, not one per trial: a trial sees either every
 event of a pair or none, so each trial's signed counter for a pair equals
-the pair's delta sum over the whole stream. The offline coloring and both
-insertion runners share one round loop and differ only in how a round
-stores its edges. All three runners answer the q vs large distinguishing
-problem with a one-sided "large": whenever they say "large" they hold a
-stored subgraph of the input whose chromatic number exceeds q, and an
-insertion runner says "small" only with a proper coloring of the input;
-when its rounds end before every monochromatic edge was colored it says
-"inconclusive" and carries no coloring. Per-round
-chromatic numbers are computed with the exact solver capped at q, which
-never changes a verdict but avoids searching above the cap.
+the pair's delta sum over the whole stream (`Stream.pair_totals`, kept from
+validation), and one 2-coloring of the trials' union decides every trial
+when it succeeds. The offline coloring and both insertion runners share one
+round loop and differ only in how a round stores its edges. All three
+runners answer the q vs large distinguishing problem with a one-sided
+"large": whenever they say "large" they hold a stored subgraph of the input
+whose chromatic number exceeds q, and an insertion runner says "small" only
+with a proper coloring of the input; when its rounds end before every
+monochromatic edge was colored it says "inconclusive" and carries no
+coloring. Per-round chromatic numbers are computed with the exact solver
+capped at q, which never changes a verdict but avoids searching above the cap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import ArgumentError
 from .exact import color_with_cap, dsatur_coloring
 from .graph import Coloring, Graph, monochromatic_edges, product_coloring
 from .seeds import rng_for
-from .streams import INSERTION, Stream, StreamSource, pair_totals
+from .streams import INSERTION, Stream, StreamSource
 
 
 def default_budget(n: int, t: int, multiplier: float = 1.0) -> int:
@@ -250,17 +251,21 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
 
     Whether a trial sees an event depends only on the event's pair, so a
     trial's counter for a pair it sees ends at that pair's delta sum over
-    the whole stream. One `pair_totals` pass therefore gives every trial's
-    counters, and the fallback's final graph, at once. ``counters`` in the
-    metadata still counts per-trial counters (a pair seen by three trials
-    counts three times), which is the space the paper charges.
+    the whole stream. One `pair_totals` pass, kept from the stream's
+    validation, therefore gives every trial's counters, and the fallback's
+    final graph, at once. ``counters`` in the metadata still counts per-trial
+    counters (a pair seen by three trials counts three times), which is the
+    space the paper charges. Every trial graph is a subgraph of the trials'
+    union, so when the union 2-colors the verdict is "small" without coloring
+    any trial; otherwise the first trial needing more than q colors is the
+    evidence.
     """
     if q < 2 or t < 1:
         raise ArgumentError("need q >= 2 and t >= 1")
     n = stream.n
     if n <= 1:
         return _verdict({"mode": "degenerate"})
-    pairs, totals = pair_totals(n, stream.events)
+    pairs, totals = stream.pair_totals()
     positive = totals > 0
     regime_floor = 4 * math.log2(n)
     if t < regime_floor:
@@ -287,8 +292,11 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         "sampled_sizes": [int(member[tr].sum()) for tr in range(k_trials)],
         "counters": int(seen.sum()),
     }
-    for tr, kept in enumerate(seen & positive):
-        h = Graph(n, pairs[kept])
+    kept = seen & positive
+    if color_with_cap(Graph(n, pairs[kept.any(axis=0)]), 2) is not None:
+        return _verdict(meta)
+    for tr, row in enumerate(kept):
+        h = Graph(n, pairs[row])
         ci = color_with_cap(h, q)
         if ci is None:
             return _verdict(meta, Evidence("trial", tr, h))

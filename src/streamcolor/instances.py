@@ -426,7 +426,6 @@ class SimultaneousInstance:
     x: np.ndarray  # shape (p, t)
     sigma: np.ndarray  # permutation of [n]: left ids, right ids, clique ids, the rest
     player_edges: tuple[np.ndarray, ...]  # per player, relabeled to [n], in pair order
-    v_bipartite: np.ndarray  # sorted
     v_clique: np.ndarray  # sorted
 
     def edge_parts(self) -> tuple[np.ndarray, ...]:
@@ -493,7 +492,6 @@ def gen_simultaneous(
     x[:, j_star] = theta
 
     sigma = rng.permutation(n)
-    v_bipartite = np.sort(sigma[: 2 * (n_base - 1)])
     v_clique = np.sort(sigma[2 * (n_base - 1) : 2 * (n_base - 1) + k])
     return SimultaneousInstance(
         k=k,
@@ -508,7 +506,6 @@ def gen_simultaneous(
         x=x,
         sigma=sigma,
         player_edges=_player_edges(k, n_base, j_star, sigma, x),
-        v_bipartite=v_bipartite,
         v_clique=v_clique,
     )
 

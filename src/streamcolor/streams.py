@@ -29,7 +29,8 @@ class Stream:
     array or a sequence of ``(u, v, delta)`` triples in either endpoint
     order. Insertion-only streams carry only +1 events with no repeated
     pair; dynamic streams additionally allow deletions, with every prefix
-    keeping all multiplicities non-negative.
+    keeping all multiplicities non-negative. A dynamic stream keeps the pair
+    totals that its validation sort computes, served by `pair_totals`.
     """
 
     def __init__(self, n: int, model: str, events):
@@ -44,15 +45,17 @@ class Stream:
             raise ArgumentError(f"self-loop on vertex {u[u == v][0]}")
         self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
         self.events.flags.writeable = False
+        self._totals: tuple[np.ndarray, np.ndarray] | None = None
         self._validate()
 
     def _validate(self) -> None:
         """Delta, range and multiplicity checks as array passes.
 
         Multiplicities take a stable sort by pair and a per-pair running sum,
-        which also finds the earliest offending event. An insertion stream is
-        first checked with one plain sort for a repeated pair and runs that
-        pass only to name the repeat.
+        which also finds the earliest offending event; a dynamic stream keeps
+        each pair's final sum as its pair totals. An insertion stream is first
+        checked with one plain sort for a repeated pair and runs that pass
+        only to name the repeat.
         """
         u, v, delta = self.events.T
         allowed = (1,) if self.model == INSERTION else (1, -1)
@@ -80,6 +83,8 @@ class Stream:
             i = order[wrong].min()
             what = "inserted twice" if self.model == INSERTION else "deleted more than inserted"
             raise StreamValidationError(f"pair ({u[i]}, {v[i]}) {what}")
+        # first[0] is always set, so `first` rolled left by one marks each pair's last event
+        self._totals = _read_only(self.events[order[first], :2], running[np.roll(first, -1)])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -87,9 +92,15 @@ class Stream:
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return zip(*self.events.T.tolist())
 
+    def pair_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only `pair_totals` of the events, computed at most once."""
+        if self._totals is None:
+            self._totals = _read_only(*pair_totals(self.n, self.events))
+        return self._totals
+
     def final_graph(self) -> Graph:
         """The simple graph left after every event: pairs whose deltas sum above 0."""
-        pairs, totals = pair_totals(self.n, self.events)
+        pairs, totals = self.pair_totals()
         return Graph(self.n, pairs[totals > 0])
 
     def __eq__(self, other: object) -> bool:
@@ -102,11 +113,18 @@ class Stream:
 
 
 def pair_totals(n: int, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pairs of ``(u, v, delta)`` rows and each pair's delta sum."""
+    """The distinct pairs of ``(u, v, delta)`` rows, in key order, and their int64 delta sums."""
     _, first, slot = np.unique(
         events[:, 0] * n + events[:, 1], return_index=True, return_inverse=True
     )
-    return events[first, :2], np.bincount(slot, weights=events[:, 2], minlength=len(first))
+    totals = np.bincount(slot, weights=events[:, 2], minlength=len(first))
+    return events[first, :2], totals.astype(np.int64)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class StreamSource:
@@ -145,8 +163,8 @@ def to_dynamic_stream(
     """A dynamic stream whose final graph equals `g`.
 
     Churn: `extra_pairs` non-edges each get `cycles` insert/delete rounds
-    interleaved into the stream; the per-pair event order is preserved so
-    every prefix keeps non-negative multiplicities.
+    interleaved into the stream by one permutation; a churn pair's events
+    alternate +1 and -1 in stream order, so every prefix stays non-negative.
     """
     if extra_pairs < 0 or cycles < 0:
         raise ArgumentError("churn parameters must be >= 0")
@@ -155,17 +173,17 @@ def to_dynamic_stream(
     if extra_pairs and cycles:
         churn = _sample_non_edges(g, extra_pairs, rng)
     # one slot per event: each real edge owns one slot (+1), each churn pair
-    # owns 2 * cycles slots; the k-th slot of a pair in stream order carries
-    # +1 for even k and -1 for odd k
+    # owns 2 * cycles consecutive slots; a churn pair's k-th event in stream
+    # order carries +1 for even k and -1 for odd k
+    m = g.num_edges
     pairs = np.concatenate((g.edge_array(), churn))
-    lengths = np.r_[np.ones(g.num_edges, np.int64), np.full(len(churn), 2 * cycles)]
-    slots = np.repeat(np.arange(len(pairs)), lengths)
-    owner = slots[rng.permutation(len(slots))]
-    starts = np.cumsum(lengths) - lengths
-    rank = np.empty_like(slots)
-    rank[np.argsort(owner, kind="stable")] = np.arange(len(slots)) - starts[slots]
-    delta = np.where(rank % 2 == 0, 1, -1)
-    return Stream(g.n, DYNAMIC, np.column_stack((pairs[owner], delta)))
+    slots = np.r_[np.arange(m), np.repeat(np.arange(m, len(pairs)), 2 * cycles)]
+    perm = rng.permutation(len(slots))
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    delta = np.ones(len(slots), np.int64)
+    delta[np.sort(position[m:].reshape(len(churn), 2 * cycles), axis=1)[:, 1::2]] = -1
+    return Stream(g.n, DYNAMIC, np.column_stack((pairs[slots[perm]], delta)))
 
 
 def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:

@@ -22,7 +22,7 @@ from streamcolor import (
     to_dynamic_stream,
     to_insertion_stream,
 )
-from streamcolor import algorithms
+from streamcolor import algorithms, streams
 from streamcolor.algorithms import Evidence, OfflineColoringRun, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
 from streamcolor.exact import color_with_cap, dsatur_coloring
@@ -504,7 +504,8 @@ def reference_run_dynamic(stream, q, t, seed):
         return Verdict(label="small", metadata={"mode": "degenerate"})
     regime_floor = 4 * math.log2(n)
     if t < regime_floor:
-        final = stream.final_graph()
+        pairs, totals = pair_totals(n, stream.events)  # not the totals the stream kept
+        final = Graph(n, pairs[totals > 0])
         ci = color_with_cap(final, q)
         meta = {
             "mode": "full-graph-fallback",
@@ -536,11 +537,15 @@ def reference_run_dynamic(stream, q, t, seed):
 @st.composite
 def dynamic_cases(draw):
     """A graph on n <= 60 whose edges avoid the ids below `lo` and from `hi`
-    up, so isolated vertices sit at both ends, plus churn and runner settings."""
+    up, so isolated vertices sit at both ends, plus churn and runner settings.
+    Half the graphs are bipartite (each edge joins an even and an odd id), so
+    the runner's union 2-coloring often decides every trial."""
     n = draw(st.integers(2, 60))
     lo = draw(st.integers(0, n - 2))
     hi = draw(st.integers(lo + 2, n))
     a, b = np.triu_indices(hi - lo, 1)
+    if draw(st.booleans()):
+        a, b = a[(b - a) % 2 == 1], b[(b - a) % 2 == 1]
     m = draw(st.integers(0, min(len(a), 300)))
     pick = np.random.default_rng(draw(st.integers(0, 2**16))).choice(len(a), m, replace=False)
     g = Graph(n, np.column_stack((a[pick], b[pick])) + lo)
@@ -572,15 +577,46 @@ class TestRunDynamicMatchesPerTrialPass:
 
     @pytest.mark.parametrize("t, mode", [(32, "sampled"), (4, "full-graph-fallback")])
     def test_one_pair_totals_call(self, monkeypatch, t, mode):
-        calls = []
-
-        def counting(n, events):
-            calls.append(len(events))
-            return pair_totals(n, events)
-
-        monkeypatch.setattr(algorithms, "pair_totals", counting)
+        # the one pair-level pass is the stream's validation sort: the runner
+        # reads its totals and never sorts the events again
         g = planted(128, 14, seed=7)
         stream = to_dynamic_stream(g, extra_pairs=300, cycles=2, seed=7)
+        want = reference_run_dynamic(stream, 2, t, 7)
+
+        def refuse(n, events):
+            raise AssertionError("run_dynamic recomputed the pair totals")
+
+        for module in (streams, algorithms):
+            monkeypatch.setattr(module, "pair_totals", refuse, raising=False)
         verdict = run_dynamic(stream, 2, t, seed=7)
         assert verdict.metadata["mode"] == mode
-        assert calls == [len(stream)]
+        assert_same_verdict(verdict, want)
+
+    def count_colorings(self, monkeypatch):
+        caps = []
+
+        def counting(g, cap=None):
+            caps.append(cap)
+            return color_with_cap(g, cap)
+
+        monkeypatch.setattr(algorithms, "color_with_cap", counting)
+        return caps
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bipartite_union_colored_once(self, monkeypatch, q):
+        stream = to_dynamic_stream(bipartite(200, 5000, seed=1), extra_pairs=100, cycles=1, seed=1)
+        caps = self.count_colorings(monkeypatch)
+        verdict = run_dynamic(stream, q, 32, seed=1)
+        assert verdict.label == "small" and verdict.metadata["mode"] == "sampled"
+        assert caps == [2]
+
+    def test_planted_keeps_the_first_failing_trial(self, monkeypatch):
+        stream = to_dynamic_stream(planted(256, 64), extra_pairs=500, cycles=2, seed=1)
+        want = reference_run_dynamic(stream, 2, 32, 1)
+        caps = self.count_colorings(monkeypatch)
+        got = run_dynamic(stream, 2, 32, seed=1)
+        assert_same_verdict(got, want)
+        assert got.evidence.kind == "trial"
+        assert got.evidence.subgraph.edge_array().tobytes() == want.evidence.subgraph.edge_array().tobytes()
+        # the union fails to 2-color, then trials are colored up to the first failure
+        assert caps == [2] * (want.evidence.index + 2)

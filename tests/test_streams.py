@@ -21,7 +21,7 @@ from streamcolor import (
 from streamcolor.errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES
 from streamcolor.seeds import rng_for
-from streamcolor.streams import _sample_non_edges
+from streamcolor.streams import _sample_non_edges, pair_totals
 
 from oracles import ReplayMultigraph
 
@@ -146,6 +146,40 @@ def churn_cases(draw):
     return g, count, draw(st.integers(0, 2**32 - 1))
 
 
+def reference_dynamic_events(g, extra_pairs, cycles, seed):
+    """The stable-argsort churn construction: a stable sort of the stream by
+    owning pair ranks each pair's events, and even ranks carry +1."""
+    rng = rng_for(seed, 2)
+    churn = np.empty((0, 2), np.int64)
+    if extra_pairs and cycles:
+        churn = _sample_non_edges(g, extra_pairs, rng)
+    pairs = np.concatenate((g.edge_array(), churn))
+    lengths = np.r_[np.ones(g.num_edges, np.int64), np.full(len(churn), 2 * cycles)]
+    slots = np.repeat(np.arange(len(pairs)), lengths)
+    owner = slots[rng.permutation(len(slots))]
+    starts = np.cumsum(lengths) - lengths
+    rank = np.empty_like(slots)
+    rank[np.argsort(owner, kind="stable")] = np.arange(len(slots)) - starts[slots]
+    delta = np.where(rank % 2 == 0, 1, -1)
+    return np.column_stack((pairs[owner], delta))
+
+
+class TestDynamicStreamMatchesArgsortRanks:
+    @given(churn_cases(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases(self, case, cycles):
+        g, extra, seed = case
+        try:
+            want = reference_dynamic_events(g, extra, cycles, seed)
+        except ArgumentError:
+            with pytest.raises(ArgumentError):
+                to_dynamic_stream(g, extra_pairs=extra, cycles=cycles, seed=seed)
+            return
+        got = to_dynamic_stream(g, extra_pairs=extra, cycles=cycles, seed=seed).events
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSampleNonEdgesMatchesScalarLoop:
     def assert_same_draws(self, g, count, seed):
         want_rng, got_rng = rng_for(seed, 2), rng_for(seed, 2)
@@ -205,6 +239,30 @@ class TestStreamConstruction:
                 Stream(n, "dyn", events)
             return
         assert Stream(n, "dyn", events).final_graph() == Graph(n, reference.final_edges())
+
+    @given(event_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_dynamic_pair_totals_kept_from_validation(self, case):
+        n, events = case
+        try:
+            s = Stream(n, "dyn", events)
+        except StreamValidationError:
+            return
+        pairs, totals = s.pair_totals()
+        want_pairs, want_totals = pair_totals(n, s.events)
+        assert pairs.shape == want_pairs.shape and pairs.tobytes() == want_pairs.tobytes()
+        assert totals.dtype == want_totals.dtype == np.int64
+        assert totals.tolist() == want_totals.tolist()
+        assert not pairs.flags.writeable and not totals.flags.writeable
+        assert s.pair_totals() is s.pair_totals()
+
+    def test_insertion_pair_totals_computed_on_first_call(self):
+        s = to_insertion_stream(k3(), "shuffled", seed=1)
+        pairs, totals = s.pair_totals()
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]] and totals.tolist() == [1, 1, 1]
+        assert totals.dtype == np.int64
+        assert not pairs.flags.writeable and not totals.flags.writeable
+        assert s.pair_totals() is s.pair_totals()
 
     @given(event_lists(deltas=(1,)))
     @settings(max_examples=200, deadline=None)
