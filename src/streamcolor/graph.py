@@ -121,17 +121,26 @@ class Graph:
         ``verts`` holds the vertices of degree >= 1 in ascending order; a
         vertex's local id is its index there. Local vertex ``i`` has the
         local ids ``indices[indptr[i]:indptr[i + 1]]`` as neighbours, in
-        ascending order. All three arrays are read-only int64.
+        ascending order. All three arrays are read-only int64. Local ids come
+        from an n-entry lookup when ``n <= 2m``, a table no larger than the
+        arcs, and otherwise from a binary search in ``verts``.
         """
         if self._csr is None:
             a, n = self._edge_array, self.n
             # each edge in both directions, sorted by (source, target)
             keys = np.sort(np.concatenate((a[:, 0] * n + a[:, 1], a[:, 1] * n + a[:, 0])))
             src, dst = np.divmod(keys, max(n, 1))
-            first = np.diff(src, prepend=-1) != 0
+            first = np.empty(len(src), dtype=bool)  # the first arc of each source
+            first[:1] = True
+            np.not_equal(src[1:], src[:-1], out=first[1:])
             verts = src[first]
             indptr = np.append(np.flatnonzero(first), len(src))
-            indices = np.searchsorted(verts, dst)
+            if n <= len(src):
+                local = np.empty(n, dtype=np.int64)
+                local[verts] = np.arange(len(verts))
+                indices = local[dst]
+            else:
+                indices = np.searchsorted(verts, dst)
             for arr in (verts, indptr, indices):
                 arr.flags.writeable = False
             self._csr = verts, indptr, indices

@@ -44,7 +44,8 @@ class GraphSpec:
     ``clique`` random vertices, everything else isolated, so chi is known
     exactly), ``bipartite`` (m uniform left-right edges), ``empty``. Each kind
     takes only its own fields, each at most once, each an integer
-    ``[+-]?[0-9]{1,18}`` as in the text formats.
+    ``[+-]?[0-9]{1,18}`` as in the text formats. gnm sampling takes
+    O(n + m) memory: m drawn pair indices map to pairs by their row starts.
     """
 
     kind: str
@@ -130,10 +131,14 @@ class GraphSpec:
             right = self.n - self.left
             picks = rng.choice(self.left * right, size=self.m, replace=False)
             return Graph(self.n, np.column_stack((picks // right, self.left + picks % right)))
-        # gnm
-        iu, iv = np.triu_indices(self.n, k=1)
-        picks = rng.choice(len(iu), size=self.m, replace=False)
-        return Graph(self.n, np.column_stack((iu[picks], iv[picks])))
+        # gnm: pair index p lies in row u = max{u : starts[u] <= p}, the
+        # row of pairs (u, u+1..n-1), and names (u, p - starts[u] + u + 1)
+        n = self.n
+        picks = np.sort(rng.choice(n * (n - 1) // 2, size=self.m, replace=False))
+        rows = np.arange(n)
+        starts = rows * n - rows * (rows + 1) // 2
+        u = np.repeat(rows, np.diff(np.searchsorted(picks, starts), append=self.m))
+        return Graph(n, np.column_stack((u, picks - starts[u] + u + 1)))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:

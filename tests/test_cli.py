@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ import streamcolor.algorithms
 import streamcolor.cli
 from streamcolor import StreamSource
 from streamcolor.cli import main
-from streamcolor.graph import MAX_VERTICES
+from streamcolor.graph import MAX_VERTICES, read_graph
 
 
 def run(argv, capsys=None):
@@ -52,6 +53,16 @@ class TestGen:
         missing = str(tmp_path / "missing")
         assert run([arg.replace("{missing}", missing) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {argv[0]} {argv[1]} needs -o <path>\n"
+
+    def test_large_sparse_gnm(self, tmp_path):
+        # no table of the 5 * 10**9 vertex pairs: the build is O(n + m)
+        out = tmp_path / "g.graph"
+        start = time.perf_counter()
+        assert run(["gen", "graph", "--spec", "gnm:n=100000,m=10", "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 5
+        g = read_graph(str(out))
+        assert (g.n, g.num_edges) == (100000, 10)
+        assert len(out.read_bytes().splitlines()) == 11
 
     def test_grouped_and_lift(self, tmp_path):
         cpg = tmp_path / "g.cpg"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
@@ -163,6 +163,76 @@ class TestGraph:
         assert c5.csr()[2] is indices
         with pytest.raises(ValueError):
             indices[0] = 3
+
+
+def reference_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR built with `np.diff` row starts and a binary search in
+    ``verts`` for every local id."""
+    a, n = g.edge_array(), g.n
+    keys = np.sort(np.concatenate((a[:, 0] * n + a[:, 1], a[:, 1] * n + a[:, 0])))
+    src, dst = np.divmod(keys, max(n, 1))
+    first = np.diff(src, prepend=-1) != 0
+    verts = src[first]
+    return verts, np.append(np.flatnonzero(first), len(src)), np.searchsorted(verts, dst)
+
+
+def assert_csr_matches_reference(g: Graph) -> np.ndarray:
+    got = g.csr()
+    for arr, want in zip(got, reference_csr(g)):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert np.array_equal(arr, want)
+    return got[0]
+
+
+class TestCsrMatchesReference:
+    @given(
+        st.integers(0, 14).filter(lambda n: n != 1),
+        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_vertex_has_an_edge(self, n, pairs):
+        path = [(v, v + 1) for v in range(n - 1)]
+        g = Graph(n, path + [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+        verts = assert_csr_matches_reference(g)
+        assert verts.tolist() == list(range(n))
+
+    @given(st.data(), st.integers(4, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_isolated_vertices_with_n_at_most_twice_m(self, data, n):
+        hole = data.draw(st.integers(0, n - 1))
+        others = st.sampled_from([v for v in range(n) if v != hole])
+        pairs = data.draw(st.lists(st.tuples(others, others), min_size=n, max_size=3 * n))
+        g = Graph(n, [(u, v) for u, v in pairs if u != v])
+        assume(n <= 2 * g.num_edges)
+        verts = assert_csr_matches_reference(g)
+        assert hole not in verts
+
+    @given(
+        st.sampled_from([20, 10**9]),
+        st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=6),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_more_vertices_than_arcs(self, n, pairs, spread):
+        # at n = 10**9 the endpoints are spread across the whole range
+        scale = 1 if n == 20 else spread % (n // 20) + 1
+        g = Graph(n, [(u * scale, v * scale) for u, v in pairs if u != v])
+        assert n > 2 * g.num_edges
+        assert_csr_matches_reference(g)
+
+    def test_sparse_csr_allocates_nothing_by_n(self):
+        # a 1,000-edge path among 10**6 vertices: an n-entry lookup would be
+        # 8 MB, so the local ids must come from the binary search
+        path = np.arange(1001) * 997
+        g = Graph(10**6, np.column_stack((path[:-1], path[1:])))
+        tracemalloc.start()
+        try:
+            verts, _, _ = g.csr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verts.tolist() == path.tolist()
+        assert peak < 1_000_000
 
 
 class TestIsProperColoring:

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
+    Graph,
     GraphSpec,
     experiment_distinguisher,
     experiment_edge_shrinkage,
@@ -17,6 +22,13 @@ from streamcolor import (
 from streamcolor.cli import main as cli_main
 from streamcolor.errors import ArgumentError
 from streamcolor.seeds import rng_for
+
+
+def reference_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """gnm drawn from the table of all pairs (u, v), u < v, in row order."""
+    iu, iv = np.triu_indices(n, k=1)
+    picks = rng.choice(len(iu), size=m, replace=False)
+    return Graph(n, np.column_stack((iu[picks], iv[picks])))
 
 
 class TestGraphSpec:
@@ -92,6 +104,26 @@ class TestGraphSpec:
     def test_deterministic_builds(self):
         spec = GraphSpec.parse("gnm:n=40,m=100")
         assert spec.build(rng_for(7, 0)) == spec.build(rng_for(7, 0))
+
+    @given(st.data(), st.integers(0, 60), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_gnm_matches_pair_table_reference(self, data, n, seed):
+        m = data.draw(st.integers(0, n * (n - 1) // 2))
+        got = GraphSpec.make("gnm", n=n, m=m).build(rng_for(seed, 0))
+        want = reference_gnm(n, m, rng_for(seed, 0))
+        assert got.edge_array().tobytes() == want.edge_array().tobytes()
+
+    def test_sparse_gnm_allocates_no_pair_table(self):
+        # the 4.5 million pairs of n = 3000 as two int64 columns are 72 MB
+        spec = GraphSpec.parse("gnm:n=3000,m=10")
+        tracemalloc.start()
+        try:
+            g = spec.build(rng_for(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == 10
+        assert peak < 4_000_000
 
 
 class TestWilson:
