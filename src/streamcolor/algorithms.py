@@ -41,7 +41,8 @@ def default_budget(n: int, t: int, multiplier: float = 1.0) -> int:
 
 
 def uniform_coloring(n: int) -> Coloring:
-    return Coloring.from_array(np.zeros(n, dtype=np.int64))
+    # canonical as it stands: one color, none when there is no vertex
+    return Coloring(n=n, colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ desk scale). Two colors are decided from the edge array alone, by min-label
 propagation over the bipartite double cover on compact vertex ids, which
 keeps the q = 2 distinguishing workloads near-linear and never builds the
 CSR. Above two colors every routine reads the graph's cached CSR neighbour
-lists (`Graph.csr`) through numpy array passes: a greedy clique gives the
-lower bound and DSATUR (Brelaz 1979) the upper bound, and each k between
-them is tried once by `_search`, a per-component backtracking search in
-DSATUR's saturation order that lets each vertex open at most one new color
-class.
+lists (`Graph.csr`) through numpy array passes, in one engine: `_search`, a
+backtracking search in DSATUR's saturation order (Brelaz 1979) that lets
+each vertex open at most one new color class. Its first descent is DSATUR's
+coloring, so `dsatur_coloring` is the search with no bound on the colors
+and `find_k_coloring` is the search at k. A greedy clique gives the lower
+bound and DSATUR the upper bound, and each k between them is tried once.
 """
 
 from __future__ import annotations
@@ -88,42 +89,9 @@ def greedy_clique_lower_bound(g: Graph) -> list[int]:
 
 
 def dsatur_coloring(g: Graph) -> Coloring:
-    """Greedy DSATUR coloring; proper but not necessarily optimal.
-
-    Each step colors the uncolored vertex whose neighbours use the most
-    distinct colors (ties: higher degree, then lower id) with the smallest
-    color they do not use.
-    """
-    verts, indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    step = int(deg.max(initial=0)) + 1
-    closed = step * step  # above any saturation * step + degree
-    # one argmax picks the largest saturation * step + degree, the first
-    # (lowest) vertex on ties; a colored vertex's key is less `closed`
-    key = deg.copy()
-    # used[c, v]: a neighbour of v has color c. Rows from `opened` on are all
-    # False, so an argmin over rows 0..opened finds the smallest free color;
-    # the rows double as colors open, so a star gets 2 rows, not Δ + 1
-    used = np.zeros((2, len(verts)), dtype=bool)
-    opened = 0
-    local = np.zeros(len(verts), dtype=np.int64)
-    for _ in range(len(verts)):
-        v = int(key.argmax())
-        c = int(used[: opened + 1, v].argmin())
-        if c == opened:
-            opened += 1
-            if opened == len(used):
-                used = np.vstack((used, np.zeros_like(used)))
-        local[v] = c
-        key[v] -= closed
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        row = used[c]
-        fresh = nbrs[~row[nbrs]]
-        row[fresh] = True
-        key[fresh] += step
-    colors = np.zeros(g.n, dtype=np.int64)
-    colors[verts] = local
-    return Coloring.from_array(colors)
+    """Greedy DSATUR coloring (Brelaz 1979); proper but not necessarily
+    optimal: `_search`'s first descent, with no bound on the colors."""
+    return _search(g, None)
 
 
 def _two_coloring(g: Graph) -> np.ndarray | None:
@@ -156,51 +124,74 @@ def _two_coloring(g: Graph) -> np.ndarray | None:
     return colors
 
 
-def _search(g: Graph, k: int) -> Coloring | None:
-    """A k-coloring of `g` found by backtracking, or None if none exists.
+def _search(g: Graph, k: int | None) -> Coloring | None:
+    """A coloring of `g` with at most k colors, found by backtracking, or
+    None if there is none; with k None there is no bound, the search never
+    backtracks, and the coloring is DSATUR's.
 
-    Each connected component is searched on its own: a component that cannot
-    be k-colored then fails once, instead of once per coloring of the
-    components searched before it. Each step colors the uncolored vertex whose
-    neighbours use the most distinct colors (ties: higher degree, then lower
-    id), the order of `dsatur_coloring`. ``counts[c, v]`` is the number of v's
-    neighbours colored c, so a step is undone by decrementing. A vertex may
+    Each step colors the uncolored vertex whose neighbours use the most
+    distinct colors (ties: higher degree, then lower id) with the smallest
+    color they leave free, so the first descent is DSATUR's. A vertex may
     open at most one new color, since unused colors are interchangeable.
+    With k given, each connected component is searched on its own: a
+    component that cannot be k-colored then fails once, instead of once per
+    coloring of the components searched before it.
+
+    ``free[c, v]`` is False when a neighbour of v has color c. Two
+    invariants carry the search:
+    - row `opened` is all True on the current component's vertices, so an
+      argmax over rows ``0..opened`` finds the smallest free color, and
+      color k means none is left;
+    - backtracking is LIFO, so a step's marks are all still in place when it
+      is undone. The trail keeps each step's `fresh` neighbours, those whose
+      ``free[c]`` bit it cleared (O(m) marks in all at worst), and a pop sets
+      exactly those back. After a pop the next color to try is the argmax
+      over rows ``c+1..opened``.
     """
     verts, indptr, indices = g.csr()
     deg = np.diff(indptr)
     step = int(deg.max(initial=0)) + 1
     closed = step * step  # above any saturation * step + degree
-    # key = saturation * step + degree, less `closed` once the vertex is
-    # colored; an argmax over the component picks its first (lowest) vertex
-    # on ties, as the component's local ids ascend
+    # one argmax picks the largest saturation * step + degree, the first
+    # (lowest) vertex on ties, as a component's local ids ascend; a colored
+    # vertex's key is less `closed`
     key = deg.copy()
-    counts = np.zeros((k, len(verts)), dtype=np.int64)
+    # rows double as colors open, so a star gets 2 rows, not Δ + 1
+    free = np.ones((2, len(verts)), dtype=bool)
     local = np.zeros(len(verts), dtype=np.int64)
-    for comp in _components(g):
+    comps = [] if k is None else _components(g)
+    for comp in comps if len(comps) > 1 else [None]:
+        size = len(verts) if comp is None else len(comp)
         opened = 0  # colors 0..opened-1 are in use in this component
-        trail: list[tuple[int, list[int], int]] = []  # (vertex, colors left, opened before)
-        while len(trail) < len(comp):
-            v = int(comp[key[comp].argmax()])
-            tries = np.flatnonzero(counts[: min(k, opened + 1), v] == 0)[::-1].tolist()
-            while not tries:
+        trail: list[tuple[int, np.ndarray, int]] = []  # (vertex, fresh, opened before)
+        depth = 0
+        while depth < size:
+            v = int(key.argmax()) if comp is None else int(comp[key[comp].argmax()])
+            c = int(free[: opened + 1, v].argmax())
+            while c == k:
                 if not trail:
                     return None
-                v, tries, opened = trail.pop()
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                row = counts[local[v]]
-                row[nbrs] -= 1
-                key[nbrs[row[nbrs] == 0]] -= step
+                v, fresh, opened = trail.pop()
+                depth -= 1
+                c = int(local[v])
+                free[c, fresh] = True
+                key[fresh] -= step
                 key[v] += closed
-            c = tries.pop()
+                c = c + 1 + int(free[c + 1 : opened + 1, v].argmax()) if c < opened else k
             local[v] = c
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            row = counts[c]
-            key[nbrs[row[nbrs] == 0]] += step
-            row[nbrs] += 1
             key[v] -= closed
-            trail.append((v, tries, opened))
-            opened = max(opened, c + 1)
+            nbrs = indices[indptr[v] : indptr[v + 1]]
+            row = free[c]
+            fresh = nbrs[row[nbrs]]
+            row[fresh] = False
+            key[fresh] += step
+            if k is not None:  # unbounded, nothing is undone: keep no trail
+                trail.append((v, fresh, opened))
+            depth += 1
+            if c == opened:
+                opened += 1
+                if opened == len(free):
+                    free = np.vstack((free, np.ones_like(free)))
     colors = np.zeros(g.n, dtype=np.int64)
     colors[verts] = local
     return Coloring.from_array(colors)
@@ -211,8 +202,6 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     or None if impossible."""
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    if g.n == 0:
-        return Coloring.from_array(np.empty(0, dtype=np.int64))
     if g.num_edges == 0:
         return Coloring.from_array(np.zeros(g.n, dtype=np.int64))
     if k == 1:
@@ -221,9 +210,6 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
         # canonical as it stands: vertex 0 is colored 0, and an edge uses both colors
         two = _two_coloring(g)
         return None if two is None else Coloring(n=g.n, colors=two, num_colors=2)
-    greedy = dsatur_coloring(g)
-    if greedy.num_colors <= k:
-        return greedy
     return _search(g, k)
 
 

@@ -26,7 +26,7 @@ from streamcolor import algorithms, streams
 from streamcolor.algorithms import Evidence, OfflineColoringRun, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
 from streamcolor.exact import color_with_cap, dsatur_coloring
-from streamcolor.graph import monochromatic_edges, product_coloring
+from streamcolor.graph import Coloring, monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
 from streamcolor.streams import pair_totals
 
@@ -45,6 +45,15 @@ class TestBudget:
 
     def test_multiplier(self):
         assert default_budget(100, 2, 0.5) == math.ceil(100**1.5 * math.log(100) * 0.5)
+
+
+class TestUniformColoring:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_is_the_canonical_all_zero_coloring(self, n):
+        got, want = uniform_coloring(n), Coloring.from_array(np.zeros(n))
+        assert (got.n, got.num_colors) == (want.n, want.num_colors)
+        assert got.colors.dtype == want.colors.dtype == np.int64
+        assert got.colors.tobytes() == want.colors.tobytes()
 
 
 class TestOfflineIterativeColoring:

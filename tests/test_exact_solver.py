@@ -50,6 +50,15 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def traced_peak(run):
+    """What `run()` returns, and its peak traced allocation in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reference_k_coloring(n: int, edges, k: int) -> list[int] | None:
     """A k-coloring by a static-order bitmask backtracker, or None: the
     reference for the DSATUR-order search. Per component, vertices go in
@@ -479,6 +488,7 @@ class TestAgreesWithDictReferences:
     def test_search(self, g, k):
         if g.num_edges:
             assert same_coloring(_search(g, k), reference_search(g, k))
+        assert same_coloring(_search(g, None), reference_dsatur(g))
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +587,7 @@ class TestTwoColoringFromTheEdgeArray:
         # peak near 48 MB
         path = np.arange(1001) * 997
         g = Graph(1_000_000, np.stack((path[:-1], path[1:]), axis=1))
-        tracemalloc.start()
-        try:
-            colors = _two_coloring(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        colors, peak = traced_peak(lambda: _two_coloring(g))
         assert colors[path].tolist() == [i % 2 for i in range(1001)]
         assert peak <= 12 * 10**6
 
@@ -593,14 +598,20 @@ class TestStarWithManyLeaves:
         # bytes here (10^10 at 10^5 leaves); tracing 10^5 DSATUR steps
         # takes seconds, so the star has 10^4 leaves
         star = Graph(10_001, [(0, leaf) for leaf in range(1, 10_001)])
-        tracemalloc.start()
-        try:
-            got = find_k_coloring(star, 3)  # DSATUR's coloring fits in 3 colors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.num_colors == 2 and is_proper_coloring(star, got)
-        assert peak < 16 * 2**20
+        # DSATUR's coloring fits in 3 colors, so both are one descent
+        for solve in (lambda: find_k_coloring(star, 3), lambda: dsatur_coloring(star)):
+            got, peak = traced_peak(solve)
+            assert got.num_colors == 2 and is_proper_coloring(star, got)
+            assert peak < 16 * 2**20
+
+
+class TestColorRowsGrowWithTheColorsUsed:
+    def test_a_huge_k_costs_no_row_per_color(self, k4, petersen):
+        # a row per allowed color, k of them, took 30.5 MB for K4 at k = 10^6
+        got, peak = traced_peak(lambda: _search(k4, 10**6))
+        assert got.num_colors == 4 and is_proper_coloring(k4, got) and peak < 2**20
+        got, peak = traced_peak(lambda: find_k_coloring(petersen, 10**9))
+        assert got.num_colors == 3 and is_proper_coloring(petersen, got) and peak < 2**20
 
 
 class TestGreedyCliqueCost:
