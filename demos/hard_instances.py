@@ -13,7 +13,7 @@ from streamcolor import (
     gen_simultaneous,
     gen_two_player,
     is_proper_coloring,
-    verify_clique,
+    missing_clique_pair,
     verify_instance,
     witness_coloring_recursive,
     witness_coloring_simultaneous,
@@ -26,7 +26,7 @@ for ans in (1, 0):
     print(f"ans={ans}: player edges {len(inst.e1)} + {len(inst.e2)}, "
           f"special set {inst.spec.tolist()}")
     if ans == 1:
-        print(f"  special set is a K_4: {verify_clique(union, inst.spec)}")
+        print(f"  special set is a K_4: {missing_clique_pair(union, inst.spec) is None}")
     else:
         print(f"  4-colorable (exact): {find_k_coloring(union, 4) is not None}")
     print(f"  verify_instance: {verify_instance(inst).ok}")
@@ -39,7 +39,7 @@ for ans in (1, 0):
     print(f"ans={ans}: host n={inst.n}, r={inst.r}, materialized clusters={inst.t}")
     print(f"  |T| = {len(inst.big_t)}, |S* cap T| = {len(inst.intersection)} = k^(p-1)")
     if ans == 1:
-        print(f"  special 8 vertices form a K_8: {verify_clique(union, inst.spec)}")
+        print(f"  special 8 vertices form a K_8: {missing_clique_pair(union, inst.spec) is None}")
     else:
         w = witness_coloring_recursive(inst)
         print(f"  witness coloring: {w.num_colors} colors (<= k*p = 6), "
@@ -54,7 +54,7 @@ for theta in (1, 0):
     _, counts = np.unique(np.concatenate(inst.player_edges), axis=0, return_counts=True)
     print(f"theta={theta}: n={inst.n}, union multigraph has {(counts > 1).sum()} repeated pairs")
     if theta == 1:
-        print(f"  hidden K_4 present: {verify_clique(final, inst.v_clique)}")
+        print(f"  hidden K_4 present: {missing_clique_pair(final, inst.v_clique) is None}")
     else:
         w = witness_coloring_simultaneous(inst)
         print(f"  witness 3-coloring proper: {is_proper_coloring(final, w)}")

@@ -15,10 +15,10 @@ from .graph import (
     Graph,
     induced_subgraph,
     is_proper_coloring,
+    missing_clique_pair,
     product_coloring,
     read_coloring,
     read_graph,
-    verify_clique,
     write_coloring,
     write_graph,
 )

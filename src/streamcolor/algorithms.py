@@ -266,11 +266,9 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     n = stream.n
     if n <= 1:
         return _verdict({"mode": "degenerate"})
-    pairs, totals = stream.pair_totals()
-    positive = totals > 0
     regime_floor = 4 * math.log2(n)
     if t < regime_floor:
-        final = Graph(n, pairs[positive])
+        final = stream.final_graph()
         meta = {
             "mode": "full-graph-fallback",
             "regime_floor": regime_floor,
@@ -284,6 +282,7 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     k_trials = math.ceil(2 * math.log2(n))
     rng = rng_for(seed, 43)
     member = rng.random((k_trials, n)) < p
+    pairs, totals = stream.pair_totals()
     # seen[tr, i]: trial tr holds a counter for distinct pair i
     seen = member[:, pairs[:, 0]] & member[:, pairs[:, 1]]
     meta = {
@@ -293,12 +292,11 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         "sampled_sizes": [int(member[tr].sum()) for tr in range(k_trials)],
         "counters": int(seen.sum()),
     }
-    kept = seen & positive
+    kept = seen & (totals > 0)
     if color_with_cap(Graph(n, pairs[kept.any(axis=0)]), 2) is not None:
         return _verdict(meta)
     for tr, row in enumerate(kept):
         h = Graph(n, pairs[row])
-        ci = color_with_cap(h, q)
-        if ci is None:
+        if color_with_cap(h, q) is None:
             return _verdict(meta, Evidence("trial", tr, h))
     return _verdict(meta)

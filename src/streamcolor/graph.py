@@ -258,11 +258,6 @@ def missing_clique_pair(g: Graph, vertices: Iterable[int]) -> tuple[int, int] | 
     return (int(u[absent[0]]), int(v[absent[0]])) if absent.size else None
 
 
-def verify_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every pair in `vertices` is an edge of `g`."""
-    return missing_clique_pair(g, vertices) is None
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on `vertices` plus the old-id -> new-id relabel map."""
     vs = np.fromiter(vertices, dtype=np.int64)

@@ -322,9 +322,15 @@ def experiment_distinguisher(
     extra_pairs: int = 0,
     cycles: int = 1,
 ) -> ExperimentResult:
-    """Success rates of a runner on a (chi <= q, chi large) instance pair."""
+    """Success rates of a runner on a (chi <= q, chi large) instance pair.
+
+    `extra_pairs` and `cycles` set the dynamic streams' churn; any other
+    algorithm reads insertion streams and refuses values off their defaults.
+    """
     if algorithm not in ("random-order", "multipass", "dynamic"):
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
+    if algorithm != "dynamic" and (extra_pairs, cycles) != (0, 1):
+        raise ArgumentError(f"churn (extra_pairs, cycles) applies to dynamic, not {algorithm}")
     records = []
     small_ok = 0
     large_ok = 0

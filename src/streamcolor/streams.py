@@ -4,7 +4,10 @@ A stream is one ``(m, 3)`` int64 array of ``(u, v, delta)`` rows with
 ``u < v``. Streams are materialized in memory at desk scale; the runners
 read each pass as that read-only event array, in stream order, with array
 operations. Multi-pass runners must go through `StreamSource`, which meters
-passes explicitly.
+passes explicitly. Each pair question has one routine: `graph.repeats`
+finds the events that repeat an earlier pair, and a dynamic stream's
+validation is the one pass that sums each pair's deltas. An insertion
+stream carries each pair once, so its pairs are its graph's edges.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import MAX_VERTICES, Graph, Rows, format_rows, header_int, int_rows, read_header
+from .graph import MAX_VERTICES, Graph, Rows, format_rows, header_int, int_rows, read_header, repeats
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -29,8 +32,9 @@ class Stream:
     array or a sequence of ``(u, v, delta)`` triples in either endpoint
     order. Insertion-only streams carry only +1 events with no repeated
     pair; dynamic streams additionally allow deletions, with every prefix
-    keeping all multiplicities non-negative. A dynamic stream keeps the pair
-    totals that its validation sort computes, served by `pair_totals`.
+    keeping all multiplicities non-negative. `pair_totals` serves the pair
+    sums: a dynamic stream's from its validation, an insertion stream's from
+    its graph.
     """
 
     def __init__(self, n: int, model: str, events):
@@ -51,11 +55,11 @@ class Stream:
     def _validate(self) -> None:
         """Delta, range and multiplicity checks as array passes.
 
-        Multiplicities take a stable sort by pair and a per-pair running sum,
-        which also finds the earliest offending event; a dynamic stream keeps
-        each pair's final sum as its pair totals. An insertion stream is first
-        checked with one plain sort for a repeated pair and runs that pass
-        only to name the repeat.
+        An insertion stream takes one plain sort for a repeated pair, and
+        `graph.repeats` names the earliest repeating event. A dynamic stream
+        takes the one multiplicity pass, a stable sort by pair and a per-pair
+        running sum, which names the earliest event that goes negative and
+        keeps each pair's final sum as its pair totals.
         """
         u, v, delta = self.events.T
         allowed = (1,) if self.model == INSERTION else (1, -1)
@@ -71,18 +75,19 @@ class Stream:
         key = u * self.n + v
         if self.model == INSERTION:
             ordered = np.sort(key)
-            if not (ordered[1:] == ordered[:-1]).any():
-                return  # no repeated pair; the pass below only names the first
+            if (ordered[1:] == ordered[:-1]).any():
+                i = np.flatnonzero(repeats(key))[0]
+                raise StreamValidationError(f"pair ({u[i]}, {v[i]}) inserted twice")
+            return
         order = np.argsort(key, kind="stable")
         key, d = key[order], delta[order]
         first = np.diff(key, prepend=-1) != 0
         running = np.cumsum(d)
         running -= (running - d)[first][np.cumsum(first) - 1]
-        wrong = running > 1 if self.model == INSERTION else running < 0
+        wrong = running < 0
         if wrong.any():
             i = order[wrong].min()
-            what = "inserted twice" if self.model == INSERTION else "deleted more than inserted"
-            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) {what}")
+            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) deleted more than inserted")
         # first[0] is always set, so `first` rolled left by one marks each pair's last event
         self._totals = _read_only(self.events[order[first], :2], running[np.roll(first, -1)])
 
@@ -93,9 +98,11 @@ class Stream:
         return zip(*self.events.T.tolist())
 
     def pair_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only `pair_totals` of the events, computed at most once."""
+        """Each distinct pair in key order and its int64 delta sum, read-only;
+        an insertion stream's are its graph's edges, with sum 1, built once."""
         if self._totals is None:
-            self._totals = _read_only(*pair_totals(self.n, self.events))
+            pairs = Graph(self.n, self.events[:, :2]).edge_array()
+            self._totals = _read_only(pairs, np.ones(len(pairs), np.int64))
         return self._totals
 
     def final_graph(self) -> Graph:
@@ -110,15 +117,6 @@ class Stream:
             and self.model == other.model
             and np.array_equal(self.events, other.events)
         )
-
-
-def pair_totals(n: int, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pairs of ``(u, v, delta)`` rows, in key order, and their int64 delta sums."""
-    _, first, slot = np.unique(
-        events[:, 0] * n + events[:, 1], return_index=True, return_inverse=True
-    )
-    totals = np.bincount(slot, weights=events[:, 2], minlength=len(first))
-    return events[first, :2], totals.astype(np.int64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -214,8 +212,8 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
         start = rng.bit_generator.state
         pair = np.sort(rng.integers(0, n, size=(size, 2)), axis=1)
         key = pair[:, 0] * n + pair[:, 1]
-        _, first = np.unique(key, return_index=True)
-        first = np.sort(first[(pair[first, 0] != pair[first, 1]) & ~np.isin(key[first], taken)])
+        first = np.flatnonzero(~repeats(key))
+        first = first[(pair[first, 0] != pair[first, 1]) & ~np.isin(key[first], taken)]
         if len(first) >= need:
             first = first[:need]
             rng.bit_generator.state = start

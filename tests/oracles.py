@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 
 def brute_is_proper(n: int, edges, colors) -> bool:
     return all(colors[u] != colors[v] for u, v in edges)
@@ -72,3 +74,14 @@ class ReplayMultigraph:
 
     def final_edges(self) -> set[tuple[int, int]]:
         return {e for e, count in self.counts.items() if count > 0}
+
+
+def pair_totals(n: int, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs of ``(u, v, delta)`` rows, in key order, and their
+    int64 delta sums: `np.unique` plus a float `bincount`, a pass of its own
+    beside `Stream`'s validation sort."""
+    _, first, slot = np.unique(
+        events[:, 0] * n + events[:, 1], return_index=True, return_inverse=True
+    )
+    totals = np.bincount(slot, weights=events[:, 2], minlength=len(first))
+    return events[first, :2], totals.astype(np.int64)

@@ -24,6 +24,7 @@ from streamcolor import (
     gen_two_player,
     is_proper_coloring,
     lift_to_k_colorable,
+    missing_clique_pair,
     offline_iterative_coloring,
     read_cpg,
     read_graph,
@@ -33,7 +34,6 @@ from streamcolor import (
     run_random_order,
     to_dynamic_stream,
     to_insertion_stream,
-    verify_clique,
     verify_cluster_packing,
     write_cpg,
     write_graph,
@@ -113,7 +113,7 @@ def test_criterion_2_hard_instance_gaps():
     failures = []
     for seed in range(50):
         inst = gen_two_player(64, 2, seed=seed, ans_override=1)
-        if not verify_clique(inst.union_graph(), inst.spec) or len(inst.spec) != 4:
+        if missing_clique_pair(inst.union_graph(), inst.spec) is not None or len(inst.spec) != 4:
             failures.append(f"two-player ans=1 seed {seed}")
         inst = gen_two_player(64, 2, seed=seed, ans_override=0)
         if find_k_coloring(inst.union_graph(), 4) is None:
@@ -121,7 +121,7 @@ def test_criterion_2_hard_instance_gaps():
 
     for seed in range(50):
         inst = gen_recursive(3, 2, seed=seed, ans_override=1)
-        if not verify_clique(inst.union_graph(), inst.spec) or len(inst.spec) != 8:
+        if missing_clique_pair(inst.union_graph(), inst.spec) is not None or len(inst.spec) != 8:
             failures.append(f"recursive ans=1 seed {seed}")
         inst = gen_recursive(3, 2, seed=seed, ans_override=0)
         witness = witness_coloring_recursive(inst)
@@ -130,7 +130,7 @@ def test_criterion_2_hard_instance_gaps():
 
     for seed in range(50):
         inst = gen_simultaneous(4, 10, seed=seed, theta_override=1)
-        if not verify_clique(inst.final_graph(), inst.v_clique):
+        if missing_clique_pair(inst.final_graph(), inst.v_clique) is not None:
             failures.append(f"simultaneous theta=1 seed {seed}")
         inst = gen_simultaneous(4, 10, seed=seed, theta_override=0)
         if find_k_coloring(inst.final_graph(), 3) is None:

@@ -22,13 +22,14 @@ from streamcolor import (
     to_dynamic_stream,
     to_insertion_stream,
 )
-from streamcolor import algorithms, streams
+from streamcolor import algorithms
 from streamcolor.algorithms import Evidence, OfflineColoringRun, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
 from streamcolor.exact import color_with_cap, dsatur_coloring
 from streamcolor.graph import Coloring, monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
-from streamcolor.streams import pair_totals
+
+from oracles import pair_totals
 
 
 def bipartite(n: int, m: int, seed: int = 0) -> Graph:
@@ -587,19 +588,21 @@ class TestRunDynamicMatchesPerTrialPass:
     @pytest.mark.parametrize("t, mode", [(32, "sampled"), (4, "full-graph-fallback")])
     def test_one_pair_totals_call(self, monkeypatch, t, mode):
         # the one pair-level pass is the stream's validation sort: the runner
-        # reads its totals and never sorts the events again
+        # reads the table it kept, the object served before the run
         g = planted(128, 14, seed=7)
         stream = to_dynamic_stream(g, extra_pairs=300, cycles=2, seed=7)
         want = reference_run_dynamic(stream, 2, t, 7)
+        kept, serve, served = stream.pair_totals(), stream.pair_totals, []
 
-        def refuse(n, events):
-            raise AssertionError("run_dynamic recomputed the pair totals")
+        def recording():
+            served.append(serve())
+            return served[-1]
 
-        for module in (streams, algorithms):
-            monkeypatch.setattr(module, "pair_totals", refuse, raising=False)
+        monkeypatch.setattr(stream, "pair_totals", recording)
         verdict = run_dynamic(stream, 2, t, seed=7)
         assert verdict.metadata["mode"] == mode
         assert_same_verdict(verdict, want)
+        assert served and all(table is kept for table in served)
 
     def count_colorings(self, monkeypatch):
         caps = []

@@ -305,3 +305,14 @@ class TestExperiments:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["summary"]["small_success_rate"] == 1.0
+
+    @pytest.mark.parametrize("algorithm", ["random-order", "multipass"])
+    def test_distinguisher_refuses_churn_flags_off_dynamic(self, tmp_path, capsys, algorithm):
+        out = tmp_path / "d.json"
+        assert run([
+            "experiment", "distinguisher", "--algorithm", algorithm,
+            "--small", "bipartite:n=40,m=100", "--large", "planted:n=40,clique=10",
+            "--q", "2", "--t", "2", "--trials", "1", "--extra-pairs", "5", "-o", str(out),
+        ]) == 2
+        assert "churn" in capsys.readouterr().err
+        assert not out.exists()

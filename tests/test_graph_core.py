@@ -17,7 +17,6 @@ from streamcolor import (
     product_coloring,
     read_coloring,
     read_graph,
-    verify_clique,
     write_coloring,
     write_graph,
 )
@@ -272,21 +271,21 @@ class TestColoringCanonicalForm:
 
 class TestVerifyClique:
     def test_k4(self, k4):
-        assert verify_clique(k4, {0, 1, 2, 3})
+        assert missing_clique_pair(k4, {0, 1, 2, 3}) is None
 
     def test_c5_triangle_missing(self, c5):
-        assert not verify_clique(c5, {0, 1, 2})
+        assert missing_clique_pair(c5, {0, 1, 2}) is not None
 
     def test_out_of_range(self, k4):
         with pytest.raises(ArgumentError):
-            verify_clique(k4, {0, 7})
+            missing_clique_pair(k4, {0, 7})
 
     def test_small_sets_trivially_cliques(self, c5):
-        assert verify_clique(c5, set())
-        assert verify_clique(c5, {3})
+        assert missing_clique_pair(c5, set()) is None
+        assert missing_clique_pair(c5, {3}) is None
 
     def test_reads_no_edge_frozenset(self, k4):
-        assert verify_clique(k4, [3, 1, 2, 0, 1])
+        assert missing_clique_pair(k4, [3, 1, 2, 0, 1]) is None
         assert k4._edges is None
 
 
@@ -307,7 +306,7 @@ class TestMissingCliquePair:
         n, edges, vertices = case
         g = Graph(n, edges)
         assert missing_clique_pair(g, vertices) == reference_missing_pair(g, vertices)
-        assert verify_clique(g, vertices) == (reference_missing_pair(g, vertices) is None)
+        assert (missing_clique_pair(g, vertices) is None) == (reference_missing_pair(g, vertices) is None)
 
     def test_first_pair_in_ascending_order_with_duplicates(self, c5):
         # 0-1 and 1-2 are edges of the 5-cycle, 0-2 is the first that is not

@@ -35,8 +35,8 @@ from streamcolor import (
     is_proper_coloring,
     instances,
     lift_to_k_colorable,
+    missing_clique_pair,
     read_instance,
-    verify_clique,
     verify_cluster_packing,
     verify_instance,
     witness_coloring_recursive,
@@ -59,7 +59,7 @@ class TestTwoPlayer:
     def test_ans1_spec_is_clique(self):
         inst = gen_two_player(64, 2, seed=0, ans_override=1)
         assert len(inst.spec) == 4
-        assert verify_clique(inst.union_graph(), inst.spec)
+        assert missing_clique_pair(inst.union_graph(), inst.spec) is None
 
     def test_ans0_exact_chromatic_at_most_2k(self):
         inst = gen_two_player(64, 2, seed=0, ans_override=0)
@@ -154,7 +154,7 @@ class TestRecursive:
     def test_p3_ans1_spec_is_k8(self):
         inst = gen_recursive(3, 2, seed=1, ans_override=1)
         assert len(inst.spec) == 8
-        assert verify_clique(inst.union_graph(), inst.spec)
+        assert missing_clique_pair(inst.union_graph(), inst.spec) is None
 
     def test_p3_ans0_witness(self):
         inst = gen_recursive(3, 2, seed=1, ans_override=0)
@@ -266,7 +266,7 @@ class TestSimultaneous:
 
     def test_theta1_clique(self):
         inst = gen_simultaneous(4, 10, seed=1, theta_override=1)
-        assert verify_clique(inst.final_graph(), inst.v_clique)
+        assert missing_clique_pair(inst.final_graph(), inst.v_clique) is None
 
     def test_theta0_exact_three_colorable(self):
         inst = gen_simultaneous(4, 10, seed=1, theta_override=0)

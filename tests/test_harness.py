@@ -234,6 +234,17 @@ class TestDistinguisher:
         assert result.summary["small_success_rate"] == 1.0
         assert result.summary["large_success_rate"] == 1.0
 
+    @pytest.mark.parametrize("algorithm", ["random-order", "multipass"])
+    @pytest.mark.parametrize("churn", [{"extra_pairs": 5}, {"cycles": 2}, {"cycles": 0}])
+    def test_churn_refused_off_the_dynamic_algorithm(self, algorithm, churn):
+        with pytest.raises(ArgumentError, match="churn"):
+            experiment_distinguisher(
+                algorithm,
+                GraphSpec.parse("bipartite:n=40,m=100"),
+                GraphSpec.parse("planted:n=40,clique=10"),
+                2, 2, trials=1, seed=0, **churn,
+            )
+
 
 class TestResultEmission:
     def test_json_csv_field_consistency(self):

@@ -4,7 +4,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,9 +21,9 @@ from streamcolor import (
 from streamcolor.errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES
 from streamcolor.seeds import rng_for
-from streamcolor.streams import _sample_non_edges, pair_totals
+from streamcolor.streams import _sample_non_edges
 
-from oracles import ReplayMultigraph
+from oracles import ReplayMultigraph, pair_totals
 
 
 def k3() -> Graph:
@@ -256,11 +256,22 @@ class TestStreamConstruction:
         assert not pairs.flags.writeable and not totals.flags.writeable
         assert s.pair_totals() is s.pair_totals()
 
-    def test_insertion_pair_totals_computed_on_first_call(self):
-        s = to_insertion_stream(k3(), "shuffled", seed=1)
+    @given(event_lists(deltas=(1,)))
+    @example((3, list(to_insertion_stream(k3(), "shuffled", seed=1))))
+    @settings(max_examples=200, deadline=None)
+    def test_insertion_pair_totals_computed_on_first_call(self, case):
+        n, events = case
+        edges = sorted({(min(u, v), max(u, v)) for u, v, _ in events})
+        if len(edges) < len(events):
+            return  # a repeated pair: not an insertion stream
+        s = Stream(n, "ins", events)
+        assert s._totals is None
         pairs, totals = s.pair_totals()
-        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]] and totals.tolist() == [1, 1, 1]
-        assert totals.dtype == np.int64
+        want_pairs, want_totals = pair_totals(n, s.events)
+        assert pairs.shape == want_pairs.shape and pairs.tobytes() == want_pairs.tobytes()
+        assert pairs.tolist() == [list(e) for e in edges] and totals.tolist() == [1] * len(edges)
+        assert totals.dtype == want_totals.dtype == np.int64
+        assert totals.tobytes() == want_totals.tobytes()
         assert not pairs.flags.writeable and not totals.flags.writeable
         assert s.pair_totals() is s.pair_totals()
 
