@@ -289,7 +289,7 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         "mode": "sampled",
         "p": p,
         "k_trials": k_trials,
-        "sampled_sizes": [int(member[tr].sum()) for tr in range(k_trials)],
+        "sampled_sizes": member.sum(axis=1).tolist(),
         "counters": int(seen.sum()),
     }
     kept = seen & (totals > 0)

@@ -260,21 +260,27 @@ class DenseParams:
             raise ArgumentError(f"need p >= 2k+1 = {2 * self.k + 1}, got p={self.p}")
         if self.n > MAX_VERTICES:
             raise ResourceLimitError(f"n = {self.n} exceeds guard {MAX_VERTICES}")
-        w = self.family.w
+        w, top = self.family.w, self.p - 2 * self.k
         # the S-coordinate tuples that are colored c_1 and leave room for the
-        # line: each coordinate z_i of a start satisfies z_i + 2k <= p
-        starts = [
-            z for z in itertools.product(range(1, self.p - 2 * self.k + 1), repeat=w)
-            if (sum(z) // w - 1) % (2 * self.k) == 0
-        ]
-        object.__setattr__(self, "_starts", np.array(starts, np.int64).reshape(-1, w))
-        object.__setattr__(self, "_powers", self.p ** np.arange(self.d - 1, -1, -1, dtype=np.int64))
-        object.__setattr__(self, "r", len(starts) * self.p ** (self.d - w))
+        # line: each coordinate z_i of a start satisfies 1 <= z_i <= p - 2k.
+        # Whether a tuple is colored c_1 depends only on its sum, so they are
+        # counted first, from how many tuples have each sum (the range's
+        # indicator convolved w times), and listed only within the guard
+        sums = np.arange(w, w * top + 1)
+        colored = ((sums // w - 1) % (2 * self.k) == 0).tolist()
+        ways = np.ones(1, np.int64)  # ways[i]: the tuples summing to sums[i]
+        for _ in range(w):
+            ways = np.convolve(ways, np.ones(top, np.int64))
+        count = int(ways[colored].sum())
+        object.__setattr__(self, "r", count * self.p ** (self.d - w))
         total = self.r * self.t_max
         if total > MAX_CLIQUES:
             raise ResourceLimitError(
                 f"construction would materialize {total} cliques (guard {MAX_CLIQUES})"
             )
+        starts = [z for z in itertools.product(range(1, top + 1), repeat=w) if colored[sum(z) - w]]
+        object.__setattr__(self, "_starts", np.array(starts, np.int64).reshape(-1, w))
+        object.__setattr__(self, "_powers", self.p ** np.arange(self.d - 1, -1, -1, dtype=np.int64))
 
     @property
     def layer_size(self) -> int:

@@ -2,7 +2,10 @@
 
 Vertices are integers ``0..n-1``. A graph stores its edges in one form: a
 read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
-and without repeats, built by deduplicating the 1-D keys ``u * n + v``. The
+and without repeats, built by sorting and deduplicating the 1-D keys
+``u * n + v``; rows whose keys already increase strictly (the gnm and
+planted builds, and every graph derived from another graph's edges or its
+pair totals) are taken as they stand. The
 frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
 are views derived from that array on first use; the exact solver above two
 colors reads the CSR. Graphs and colorings are immutable after construction
@@ -14,7 +17,9 @@ text formats `.graph`, `.stream` and `.cpg` share one header parser
 separated by spaces and tabs, lines end in ``\\n`` or ``\\r\\n``, and every
 integer is ``[+-]?[0-9]{1,18}``. `Rows` parses a body as numpy passes over
 its bytes and names the first line outside the grammar; `format_rows` fills
-one byte buffer per body.
+one byte buffer per body. `stable_order` is the one stable sort of keys,
+a plain sort of packed ``key * m + index`` values where they fit in int64;
+`repeats` reads it.
 """
 
 from __future__ import annotations
@@ -60,8 +65,10 @@ class Graph:
     The constructor takes an ``(m, 2)`` integer array or an iterable of
     ``(u, v)`` pairs in either endpoint order; repeated pairs collapse, and a
     self-loop or an endpoint outside ``[0, n)`` raises `ArgumentError`.
-    `edge_array` is the single stored form; `edges` and `csr` are views
-    derived from it on first use and cached.
+    `edge_array` is the single stored form: the keys ``u * n + v`` sorted and
+    deduplicated, with the sort and the dedupe skipped when they already
+    increase strictly. `edges` and `csr` are views derived from it on first
+    use and cached.
     """
 
     __slots__ = ("n", "_edge_array", "_edges", "_csr")
@@ -81,16 +88,18 @@ class Graph:
             i = np.flatnonzero(outside)[0]
             raise ArgumentError(f"edge ({lo[i]}, {hi[i]}) out of range for n={n}")
         # the keys are summed and sorted in place over `lo`, and repeats are
-        # dropped through a bool mask: the one int64 copy is the kept keys
+        # dropped through a bool mask: the one int64 copy is the kept keys;
+        # keys already strictly increasing are the kept keys as they stand
         keys = lo
         keys *= n
         keys += hi
         del lo, hi
-        keys.sort()
-        first = np.empty(len(keys), dtype=bool)  # the first entry of each run of a key
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
+        if not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            first = np.empty(len(keys), dtype=bool)  # the first entry of each run of a key
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
         arr = np.empty((len(keys), 2), dtype=np.int64)
         np.divmod(keys, n, out=(arr[:, 0], arr[:, 1]))
         arr.flags.writeable = False
@@ -476,9 +485,28 @@ def format_rows(arr: np.ndarray, literals: Mapping[int, tuple[str, ...]] = {}) -
     return buf[buf != 0].tobytes()
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of 1-D int64 `keys`.
+
+    When the keys are non-negative and ``(max + 1) * m < 2**63``, the packed
+    values ``key * m + index`` are distinct and ordered as the stable sort
+    orders the entries, so one plain sort of them and a ``% m`` give the
+    order; otherwise, as near `MAX_VERTICES`, it is the stable argsort.
+    """
+    m = len(keys)
+    if m and keys.min() >= 0 and (int(keys.max()) + 1) * m < 2**63:
+        packed = keys * m
+        packed += np.arange(m)
+        packed.sort()
+        packed %= m
+        return packed
+    return np.argsort(keys, kind="stable")
+
+
 def repeats(keys: np.ndarray) -> np.ndarray:
-    """True at each entry whose key an earlier entry holds."""
-    order = np.argsort(keys, kind="stable")
+    """True at each entry whose key an earlier entry holds, read off one
+    `stable_order` of the keys."""
+    order = stable_order(keys)
     out = np.zeros(len(keys), dtype=bool)
     out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     return out

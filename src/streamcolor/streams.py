@@ -6,8 +6,12 @@ read each pass as that read-only event array, in stream order, with array
 operations. Multi-pass runners must go through `StreamSource`, which meters
 passes explicitly. Each pair question has one routine: `graph.repeats`
 finds the events that repeat an earlier pair, and a dynamic stream's
-validation is the one pass that sums each pair's deltas. An insertion
-stream carries each pair once, so its pairs are its graph's edges.
+validation is the one pass that sums each pair's deltas. Both order the
+pair keys by `graph.stable_order`, one plain sort of packed ``key * m +
+index`` values where they fit in int64. Delta checks are compares, and churn
+sampling looks its draws up among the sorted taken keys with
+`graph.find_keys`, so no pass hashes. An insertion stream carries each pair
+once, so its pairs are its final graph's edges.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
-from .graph import MAX_VERTICES, Graph, Rows, format_rows, header_int, int_rows, read_header, repeats
+from .graph import MAX_VERTICES, Graph, Rows, find_keys, format_rows, header_int, int_rows
+from .graph import read_header, repeats, stable_order
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -34,7 +39,7 @@ class Stream:
     pair; dynamic streams additionally allow deletions, with every prefix
     keeping all multiplicities non-negative. `pair_totals` serves the pair
     sums: a dynamic stream's from its validation, an insertion stream's from
-    its graph.
+    its final graph, which `final_graph` builds once.
     """
 
     def __init__(self, n: int, model: str, events):
@@ -50,20 +55,24 @@ class Stream:
         self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
         self.events.flags.writeable = False
         self._totals: tuple[np.ndarray, np.ndarray] | None = None
+        self._final: Graph | None = None
         self._validate()
 
     def _validate(self) -> None:
         """Delta, range and multiplicity checks as array passes.
 
-        An insertion stream takes one plain sort for a repeated pair, and
-        `graph.repeats` names the earliest repeating event. A dynamic stream
-        takes the one multiplicity pass, a stable sort by pair and a per-pair
-        running sum, which names the earliest event that goes negative and
-        keeps each pair's final sum as its pair totals.
+        Deltas are checked by compares. An insertion stream takes one plain
+        sort for a repeated pair, and `graph.repeats` names the earliest
+        repeating event. A dynamic stream takes the one multiplicity pass, a
+        `graph.stable_order` of the pair keys and a per-pair running sum,
+        which names the earliest event that goes negative and keeps each
+        pair's final sum as its pair totals.
         """
         u, v, delta = self.events.T
-        allowed = (1,) if self.model == INSERTION else (1, -1)
-        bad = ~np.isin(delta, allowed)
+        if self.model == INSERTION:
+            allowed, bad = (1,), delta != 1
+        else:
+            allowed, bad = (1, -1), np.abs(delta) != 1
         if bad.any():
             raise StreamValidationError(
                 f"{self.model} stream carries delta {delta[bad][0]}; allowed: {allowed}"
@@ -79,7 +88,7 @@ class Stream:
                 i = np.flatnonzero(repeats(key))[0]
                 raise StreamValidationError(f"pair ({u[i]}, {v[i]}) inserted twice")
             return
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key)
         key, d = key[order], delta[order]
         first = np.diff(key, prepend=-1) != 0
         running = np.cumsum(d)
@@ -99,16 +108,22 @@ class Stream:
 
     def pair_totals(self) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct pair in key order and its int64 delta sum, read-only;
-        an insertion stream's are its graph's edges, with sum 1, built once."""
+        an insertion stream's are its final graph's edges, with sum 1, built once."""
         if self._totals is None:
-            pairs = Graph(self.n, self.events[:, :2]).edge_array()
+            pairs = self.final_graph().edge_array()
             self._totals = _read_only(pairs, np.ones(len(pairs), np.int64))
         return self._totals
 
     def final_graph(self) -> Graph:
-        """The simple graph left after every event: pairs whose deltas sum above 0."""
-        pairs, totals = self.pair_totals()
-        return Graph(self.n, pairs[totals > 0])
+        """The simple graph left after every event, built once: pairs whose
+        deltas sum above 0, or an insertion stream's event pairs."""
+        if self._final is None:
+            if self.model == INSERTION:
+                self._final = Graph(self.n, self.events[:, :2])
+            else:
+                pairs, totals = self.pair_totals()
+                self._final = Graph(self.n, pairs[totals > 0])
+        return self._final
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -190,10 +205,13 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
     Uniform by rejection: each attempt draws u then v from ``[0, n)`` and
     keeps the pair unless it is a loop, an edge, or already kept. Attempts
     are drawn in batches of ``rng.integers(0, n, size=(B, 2))``, which yields
-    the same values as scalar draws in the same order. Once a batch holds
-    the last pair needed, the generator is rewound to the batch's start and
-    only the attempts used are redrawn, so `rng` ends where the one-attempt-
-    at-a-time loop would leave it and the rest of the stream is unchanged.
+    the same values as scalar draws in the same order. A batch's first draw
+    of each pair is looked up among the sorted keys of the edges and the
+    pairs kept so far, re-sorted only when a further batch is drawn. Once a
+    batch holds the last pair needed, the generator is rewound to the
+    batch's start and only the attempts used are redrawn, so `rng` ends
+    where the one-attempt-at-a-time loop would leave it and the rest of the
+    stream is unchanged.
     """
     n = g.n
     max_pairs = n * (n - 1) // 2
@@ -203,7 +221,7 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
             f"requested {count} churn pairs but only {available} non-edges exist"
         )
     edges = g.edge_array()
-    taken = edges[:, 0] * n + edges[:, 1]  # pair keys u * n + v
+    taken = edges[:, 0] * n + edges[:, 1]  # the sorted pair keys u * n + v
     kept = [np.empty((0, 2), np.int64)]
     need = count
     while need:
@@ -213,14 +231,15 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
         pair = np.sort(rng.integers(0, n, size=(size, 2)), axis=1)
         key = pair[:, 0] * n + pair[:, 1]
         first = np.flatnonzero(~repeats(key))
-        first = first[(pair[first, 0] != pair[first, 1]) & ~np.isin(key[first], taken)]
+        first = first[(pair[first, 0] != pair[first, 1]) & (find_keys(taken, key[first]) < 0)]
         if len(first) >= need:
             first = first[:need]
             rng.bit_generator.state = start
             rng.integers(0, n, size=(first[-1] + 1, 2))
         kept.append(pair[first])
-        taken = np.concatenate((taken, key[first]))
         need -= len(first)
+        if need:  # another batch looks its draws up among these keys too
+            taken = np.sort(np.concatenate((taken, key[first])))
     return np.concatenate(kept)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +250,63 @@ class TestDense:
         cpg = construct_dense(params)
         assert cpg.r == count
         assert verify_cluster_packing(cpg).ok
+
+
+def reference_starts(k: int, d: int, p: int, w: int) -> tuple[np.ndarray, int]:
+    """Every line start listed first, then counted: the start tuples with each
+    coordinate in [1, p - 2k] and a c_1-colored sum, and the cluster size r."""
+    starts = [
+        z for z in itertools.product(range(1, p - 2 * k + 1), repeat=w)
+        if (sum(z) // w - 1) % (2 * k) == 0
+    ]
+    return np.array(starts, np.int64).reshape(-1, w), len(starts) * p ** (d - w)
+
+
+def reference_start_count(k: int, p: int, w: int) -> int:
+    """The start count from a dict of how many tuples reach each sum."""
+    ways = {0: 1}
+    for _ in range(w):
+        step: dict[int, int] = {}
+        for total, count in ways.items():
+            for z in range(1, p - 2 * k + 1):
+                step[total + z] = step.get(total + z, 0) + count
+        ways = step
+    return sum(count for total, count in ways.items() if (total // w - 1) % (2 * k) == 0)
+
+
+class TestDenseStartsCountedBeforeListed:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("w, extra", [(1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+    def test_accepted_cases_keep_starts_and_r(self, k, w, extra):
+        d = w + extra
+        family = SetFamily(d=d, w=w, theta=(w - 1) // 2, sets=(tuple(range(w)),))
+        for p in range(2 * k + 1, 2 * k + 8):
+            try:
+                params = DenseParams(k=k, d=d, p=p, family=family)
+            except ResourceLimitError:
+                continue
+            starts, r = reference_starts(k, d, p, w)
+            assert params._starts.dtype == starts.dtype and params._starts.shape == starts.shape
+            assert params._starts.tobytes() == starts.tobytes()
+            assert params.r == r and type(params.r) is int
+
+    def test_refused_without_listing_a_start(self):
+        # d = w = 6, p = 33: n = 2 * 33^6 = 2,582,935,938 is under
+        # MAX_VERTICES, and 148,702,381 of the 29^6 candidate tuples are
+        # starts, far past MAX_CLIQUES; listing them took minutes and gigabytes
+        family = SetFamily(d=6, w=6, theta=2, sets=(tuple(range(6)),))
+        count = reference_start_count(2, 33, 6)
+        assert count == 148_702_381
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"materialize {count} cliques"):
+                DenseParams(k=2, d=6, p=33, family=family)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 10 * 2**20
 
 
 def _decode(params: DenseParams, v: int) -> tuple[int, tuple[int, ...]]:

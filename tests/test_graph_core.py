@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
@@ -21,7 +21,7 @@ from streamcolor import (
     write_graph,
 )
 from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
-from streamcolor.graph import MAX_VERTICES, missing_clique_pair
+from streamcolor.graph import MAX_VERTICES, missing_clique_pair, stable_order
 
 from oracles import ReplayMultigraph, brute_induced_edges, brute_is_proper, refine_partition
 
@@ -162,6 +162,87 @@ class TestGraph:
         assert c5.csr()[2] is indices
         with pytest.raises(ValueError):
             indices[0] = 3
+
+
+def reference_graph_edges(n: int, rows: np.ndarray) -> np.ndarray:
+    """The sort-and-dedupe construction: every key ``u * n + v`` sorted, then
+    each run of a key cut to its first entry, whatever order the rows came in."""
+    keys = np.sort(rows.min(axis=1) * n + rows.max(axis=1))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack(np.divmod(keys, max(n, 1)), axis=1)
+
+
+class TestGraphSkipsTheSortOfSortedRows:
+    @given(
+        st.integers(2, 12),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+        st.lists(st.integers(1, 3), min_size=40, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sort_and_dedupe_reference(self, n, pairs, copies):
+        rows = np.array([(u, v) for u, v in pairs if u != v and max(u, v) < n], np.int64)
+        rows = rows.reshape(-1, 2)
+        ordered = reference_graph_edges(n, rows)
+        forms = {
+            "as drawn": rows,
+            "sorted": ordered,
+            "reversed": ordered[::-1],
+            "sorted, endpoints swapped": ordered[:, ::-1],
+            "sorted with repeats": np.repeat(ordered, copies[: len(ordered)], axis=0),
+            "sorted, one row moved to the end": np.roll(ordered, -1, axis=0),
+        }
+        for what, form in forms.items():
+            given_rows = form.copy()
+            got = Graph(n, form).edge_array()
+            want = reference_graph_edges(n, form)
+            assert got.dtype == want.dtype == np.int64, what
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+            assert not got.flags.writeable, what
+            assert np.array_equal(form, given_rows), what  # the input is left as it was
+
+
+class TestStableOrder:
+    @given(
+        st.one_of(
+            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),  # negatives: the argsort
+            st.lists(st.integers(-3, 3), max_size=200),
+            st.lists(st.integers(0, 3), max_size=200),  # duplicate-heavy: the packed sort
+            st.lists(st.integers(0, 10**6), max_size=200),
+            # near 2**62: packed for one key, too wide to pack for two or more
+            st.lists(st.integers(2**62 - 8, 2**62 + 8), max_size=20),
+        )
+    )
+    @example([])
+    @example([(2**63 - 1) // 3 - 1, 0, (2**63 - 1) // 3 - 1])  # the widest three keys that pack
+    @example([(2**63 - 1) // 3, 0, 0])  # one wider: the argsort
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_stable_argsort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got, want = stable_order(keys), np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "keys, packed",
+        [
+            ([3, 1, 3, 0, 1], True),
+            ([(2**63 - 1) // 3 - 1, 0, 5], True),
+            ([(2**63 - 1) // 3, 0, 5], False),
+            ([2**62, 2**62], False),
+            ([-1, 2], False),
+        ],
+    )
+    def test_argsort_only_where_the_keys_do_not_pack(self, monkeypatch, keys, packed):
+        keys = np.array(keys, dtype=np.int64)
+        want, argsort, calls = np.argsort(keys, kind="stable"), np.argsort, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        assert stable_order(keys).tolist() == want.tolist()
+        assert len(calls) == (0 if packed else 1)
 
 
 def reference_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

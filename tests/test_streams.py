@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,51 @@ class TestStreamConstruction:
 
     @given(event_lists())
     @settings(max_examples=300, deadline=None)
+    def test_dynamic_validation_names_the_replays_failing_event(self, case):
+        n, events = case
+        reference = ReplayMultigraph(n)
+        for u, v, delta in events:
+            try:
+                reference.apply(u, v, delta)
+            except ValueError:  # the earliest event whose pair goes negative
+                with pytest.raises(StreamValidationError) as raised:
+                    Stream(n, "dyn", events)
+                want = f"pair ({min(u, v)}, {max(u, v)}) deleted more than inserted"
+                assert str(raised.value) == want
+                return
+        Stream(n, "dyn", events)
+
+    @pytest.mark.parametrize("model", ["ins", "dyn"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_largest_n_matches_the_stream_relabeled_small(self, model, data):
+        # vertex 0 and the top n - 1 ids of n = MAX_VERTICES, in order: the
+        # relabel keeps each pair's key order, and keys of two top ids are too
+        # wide for the packed sort, so both stable-order branches must agree
+        n, events = data.draw(event_lists(deltas=(1,) if model == "ins" else (1, -1)))
+        ids = np.r_[0, MAX_VERTICES - n + 1 : MAX_VERTICES]
+        rows = np.array(events, np.int64).reshape(-1, 3)
+        big = np.column_stack((ids[rows[:, :2]], rows[:, 2]))
+
+        def outcome(n, events):
+            try:
+                pairs, totals = Stream(n, model, events).pair_totals()
+            except StreamValidationError as e:
+                return str(e)
+            return pairs.tolist(), totals.tolist()
+
+        def relabel(match):
+            return f"pair ({ids[int(match[1])]}, {ids[int(match[2])]})"
+
+        small = outcome(n, rows)
+        if isinstance(small, str):
+            want = re.sub(r"pair \((\d+), (\d+)\)", relabel, small)
+        else:
+            want = ids[np.array(small[0], np.int64).reshape(-1, 2)].tolist(), small[1]
+        assert outcome(MAX_VERTICES, big) == want
+
+    @given(event_lists())
+    @settings(max_examples=300, deadline=None)
     def test_dynamic_pair_totals_kept_from_validation(self, case):
         n, events = case
         try:
@@ -274,6 +320,25 @@ class TestStreamConstruction:
         assert totals.tobytes() == want_totals.tobytes()
         assert not pairs.flags.writeable and not totals.flags.writeable
         assert s.pair_totals() is s.pair_totals()
+
+    @pytest.mark.parametrize("first, then", [("final_graph", "pair_totals"),
+                                             ("pair_totals", "final_graph")])
+    def test_insertion_stream_builds_one_graph(self, monkeypatch, first, then):
+        g = GraphSpec.parse("gnm:n=200,m=8000").build(rng_for(1, 0))
+        stream = to_insertion_stream(g, "shuffled", seed=1)
+        init, built = Graph.__init__, []
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        for call in (first, then, first, then):
+            getattr(stream, call)()
+        assert len(built) == 1
+        pairs, totals = stream.pair_totals()
+        assert stream.final_graph() == g and pairs is stream.final_graph().edge_array()
+        assert totals.tolist() == [1] * g.num_edges
 
     @given(event_lists(deltas=(1,)))
     @settings(max_examples=200, deadline=None)
@@ -430,3 +495,34 @@ class TestSerialization:
         path.write_text("#stream v1 n=3 model=dyn\n0 1 +2\n")
         with pytest.raises(FormatError):
             read_stream(str(path))
+
+
+class TestStreamPathCallsNoHashOrArgsort:
+    def test_builders_and_validation(self, monkeypatch):
+        # the churn graphs of both benchmark sides, a draw of every non-edge
+        # (several batches, so the taken keys are re-sorted), and each
+        # validation message path; every key here fits the packed sort
+        graphs = [
+            (GraphSpec.parse("bipartite:n=200,m=5000").build(rng_for(1, 0)), 100, 1),
+            (GraphSpec.parse("planted:n=256,clique=64").build(rng_for(1, 0)), 500, 2),
+            (GraphSpec.parse("gnm:n=80,m=2000").build(rng_for(3, 0)), 80 * 79 // 2 - 2000, 1),
+        ]
+        want = [to_dynamic_stream(g, extra, cycles, seed=5).events for g, extra, cycles in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stream path called a hashing or argsort routine")
+
+        for name in ("isin", "unique", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for (g, extra, cycles), events in zip(graphs, want):
+            s = to_dynamic_stream(g, extra, cycles, seed=5)
+            assert s.events.tobytes() == events.tobytes()
+            assert Stream(g.n, "dyn", s.events) == s and s.final_graph() == g
+        for model, events, message in [
+            ("ins", [(0, 1, 1), (2, 3, 1), (1, 0, 1)], "pair (0, 1) inserted twice"),
+            ("ins", [(0, 1, -1)], "ins stream carries delta -1; allowed: (1,)"),
+            ("dyn", [(0, 1, 1), (0, 1, -1), (1, 0, -1)], "pair (0, 1) deleted more than inserted"),
+            ("dyn", [(0, 1, 2)], "dyn stream carries delta 2; allowed: (1, -1)"),
+        ]:
+            with pytest.raises(StreamValidationError, match=re.escape(message)):
+                Stream(4, model, events)
