@@ -15,8 +15,7 @@ from streamcolor import (
     is_proper_coloring,
     missing_clique_pair,
     verify_instance,
-    witness_coloring_recursive,
-    witness_coloring_simultaneous,
+    witness_coloring,
 )
 
 print("== two-player instances (n=64, k=2) ==")
@@ -41,7 +40,7 @@ for ans in (1, 0):
     if ans == 1:
         print(f"  special 8 vertices form a K_8: {missing_clique_pair(union, inst.spec) is None}")
     else:
-        w = witness_coloring_recursive(inst)
+        w = witness_coloring(inst)
         print(f"  witness coloring: {w.num_colors} colors (<= k*p = 6), "
               f"proper: {is_proper_coloring(union, w)}")
     print(f"  verify_instance: {verify_instance(inst).ok}")
@@ -50,13 +49,13 @@ print()
 print("== simultaneous instances (k=4, n_base=10, p=C(4,2)=6 players) ==")
 for theta in (1, 0):
     inst = gen_simultaneous(4, 10, seed=7, theta_override=theta)
-    final = inst.final_graph()
+    union = inst.union_graph()
     _, counts = np.unique(np.concatenate(inst.player_edges), axis=0, return_counts=True)
     print(f"theta={theta}: n={inst.n}, union multigraph has {(counts > 1).sum()} repeated pairs")
     if theta == 1:
-        print(f"  hidden K_4 present: {missing_clique_pair(final, inst.v_clique) is None}")
+        print(f"  hidden K_4 present: {missing_clique_pair(union, inst.v_clique) is None}")
     else:
-        w = witness_coloring_simultaneous(inst)
-        print(f"  witness 3-coloring proper: {is_proper_coloring(final, w)}")
-        print(f"  3-colorable (exact): {find_k_coloring(final, 3) is not None}")
+        w = witness_coloring(inst)
+        print(f"  witness 3-coloring proper: {is_proper_coloring(union, w)}")
+        print(f"  3-colorable (exact): {find_k_coloring(union, 3) is not None}")
     print(f"  verify_instance: {verify_instance(inst).ok}")

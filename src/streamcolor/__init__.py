@@ -50,8 +50,7 @@ from .instances import (
     gen_two_player,
     read_instance,
     verify_instance,
-    witness_coloring_recursive,
-    witness_coloring_simultaneous,
+    witness_coloring,
     write_instance,
 )
 from .streams import (

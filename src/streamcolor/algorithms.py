@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .exact import color_with_cap, dsatur_coloring
-from .graph import Coloring, Graph, monochromatic_edges, product_coloring
+from .graph import Coloring, Graph, monochromatic_edges, product_coloring, uniform_coloring
 from .seeds import rng_for
 from .streams import INSERTION, Stream, StreamSource
 
@@ -38,11 +38,6 @@ def default_budget(n: int, t: int, multiplier: float = 1.0) -> int:
     if n <= 1:
         return 1
     return max(1, math.ceil(n ** (1 + 1 / t) * math.log(n) * multiplier))
-
-
-def uniform_coloring(n: int) -> Coloring:
-    # canonical as it stands: one color, none when there is no vertex
-    return Coloring(n=n, colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError
-from .graph import Coloring, Graph
+from .graph import Coloring, Graph, uniform_coloring
 
 
 def _min_labels(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
@@ -203,7 +203,7 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     if k < 1:
         raise ArgumentError("k must be >= 1")
     if g.num_edges == 0:
-        return Coloring.from_array(np.zeros(g.n, dtype=np.int64))
+        return uniform_coloring(g.n)
     if k == 1:
         return None
     if k == 2:

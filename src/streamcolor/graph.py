@@ -218,6 +218,11 @@ class Coloring:
         return f"Coloring(n={self.n}, num_colors={self.num_colors})"
 
 
+def uniform_coloring(n: int) -> Coloring:
+    # canonical as it stands: one color, none when there is no vertex
+    return Coloring(n=n, colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1))
+
+
 def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     """True iff no edge of `g` is monochromatic under `c`."""
     if c.n != g.n:

@@ -14,7 +14,12 @@ and hiding a bit that decides the chromatic number:
   all absent (3-colorable case).
 
 Every generator is a pure function of (parameters, seed); answer-bit
-overrides exist so tests can exercise both branches deterministically.
+overrides exist so tests can exercise both branches deterministically, and
+each refuses, before any draw, parts that may hold more than
+`clusterpack.MAX_EDGES` edges. The families share one surface:
+`union_graph()`, `edge_parts()`, `witness_coloring` (answer bit 0) and
+`verify_instance`, whose gap check calls that witness. `read_instance`
+regenerates a file's instance and compares every top-level field with it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from . import clusterpack
 from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
 from .clusterpack import CheckResult, LineLayout, VerificationReport, _clique_pairs, _pair
-from .graph import Coloring, Graph, int_rows, is_proper_coloring, read_json
+from .graph import Coloring, Graph, is_proper_coloring, read_json
 from .graph import canonical_json, find_keys, missing_clique_pair, write_text
 from .seeds import rng_for
 
@@ -139,19 +144,6 @@ def gen_two_player(
         e2=e2,
         spec=_spec(host.cluster(i_star)),
     )
-
-
-def witness_coloring_two_player(inst: TwoPlayerInstance) -> Coloring:
-    """Proper <= 2k coloring of the union when ans = 0.
-
-    The hidden cluster's cliques each take one of k colors (handling the
-    cross-clique join); everything else is colored by layer on a fresh
-    palette of k colors.
-    """
-    if inst.ans != 0:
-        raise ArgumentError("witness coloring requires ans = 0")
-    cliques = inst.host.cluster(inst.i_star)
-    return _layer_coloring(inst.n, inst.k, inst.k, cliques, np.arange(len(cliques)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +265,12 @@ def _validate_level(a: int, k: int, n: int, r: int, t_override: int) -> LineLayo
         )
     try:
         layout = LineLayout(n=n, k=k, r=r)
+        if not 1 <= t_override <= layout.t_max:
+            raise ArgumentError(f"t override {t_override} outside [1, {layout.t_max}]")
+        # player 1 holds r/8 cliques of each materialized cluster
+        clusterpack._check_edges(t_override, r // 8, k)
     except (ArgumentError, ResourceLimitError) as exc:
         raise type(exc)(f"level {a}: {exc}")
-    if not 1 <= t_override <= layout.t_max:
-        raise ArgumentError(
-            f"level {a}: t override {t_override} outside [1, {layout.t_max}]"
-        )
     return layout
 
 
@@ -385,28 +377,6 @@ def gen_recursive(
     )
 
 
-def witness_coloring_recursive(
-    inst: "RecursiveInstance | TwoPlayerInstance",
-) -> Coloring:
-    """Proper <= k*p coloring of the union graph when ans = 0.
-
-    Built constructively: color the embedded instance recursively, push its
-    colors through sigma onto the T-cliques, and color everything else by
-    layer on a fresh palette of k colors.
-    """
-    if isinstance(inst, TwoPlayerInstance):
-        return witness_coloring_two_player(inst)
-    if inst.ans != 0:
-        raise ArgumentError("witness coloring requires ans = 0")
-    if inst.n > WITNESS_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"witness coloring materializes {inst.n} colors (guard {WITNESS_VERTEX_LIMIT})"
-        )
-    inner = witness_coloring_recursive(inst.inner)
-    cliques = inst.istar_cliques()[inst.sigma]
-    return _layer_coloring(inst.n, inst.k, inst.k * (inst.p - 1), cliques, inner.colors)
-
-
 # ---------------------------------------------------------------------------
 # simultaneous instances
 # ---------------------------------------------------------------------------
@@ -431,7 +401,7 @@ class SimultaneousInstance:
     def edge_parts(self) -> tuple[np.ndarray, ...]:
         return self.player_edges
 
-    def final_graph(self) -> Graph:
+    def union_graph(self) -> Graph:
         """The simple union of the players' parts; a pair two players hold is one edge."""
         return Graph(self.n, np.concatenate(self.player_edges))
 
@@ -510,17 +480,6 @@ def gen_simultaneous(
     )
 
 
-def witness_coloring_simultaneous(inst: SimultaneousInstance) -> Coloring:
-    """Proper 3-coloring of the finalized union when theta = 0.
-
-    Two colors on the hidden bipartition, one fresh color on the k special
-    vertices (which are pairwise non-adjacent in this branch).
-    """
-    if inst.theta != 0:
-        raise ArgumentError("witness coloring requires theta = 0")
-    return Coloring.from_array(_sides(inst))
-
-
 def _sides(inst: SimultaneousInstance) -> np.ndarray:
     """Per vertex, 0 for a left id and 1 for a right id of the planted
     bipartition ``sigma[:2(n_base - 1)]``, 2 for every other vertex."""
@@ -530,8 +489,37 @@ def _sides(inst: SimultaneousInstance) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# verification
+# witnesses and verification
 # ---------------------------------------------------------------------------
+
+
+def witness_coloring(inst) -> Coloring:
+    """A proper coloring of the union graph within the family's gap bound
+    (2k colors for two players, k*p for p recursive players, 3 for the
+    simultaneous family) when the answer bit is 0.
+
+    Two players: the hidden cluster's cliques each take one of k colors and
+    every other vertex its layer's color on a fresh palette of k. Recursive:
+    the embedded instance's witness is pushed through sigma onto the
+    T-cliques, and the rest is colored by layer on a fresh palette of k.
+    Simultaneous: two colors on the planted bipartition and a third on the
+    other vertices, the k special ones among them.
+    """
+    bit = "theta" if isinstance(inst, SimultaneousInstance) else "ans"
+    if getattr(inst, bit) != 0:
+        raise ArgumentError(f"witness coloring requires {bit} = 0")
+    if inst.n > WITNESS_VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"witness coloring materializes {inst.n} colors (guard {WITNESS_VERTEX_LIMIT})"
+        )
+    if isinstance(inst, SimultaneousInstance):
+        return Coloring.from_array(_sides(inst))
+    if isinstance(inst, TwoPlayerInstance):
+        cliques = inst.host.cluster(inst.i_star)
+        return _layer_coloring(inst.n, inst.k, inst.k, cliques, np.arange(len(cliques)))
+    inner = witness_coloring(inst.inner)
+    cliques = inst.istar_cliques()[inst.sigma]
+    return _layer_coloring(inst.n, inst.k, inst.k * (inst.p - 1), cliques, inner.colors)
 
 
 def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -542,14 +530,14 @@ def _keys(part: np.ndarray, n: int) -> np.ndarray:
     return part[:, 0] * n + part[:, 1]
 
 
-def _gap(graph: Graph, bit: int, what: str, special, witness, inst, colors: int) -> CheckResult:
+def _gap(graph: Graph, bit: int, what: str, special, inst, colors: int) -> CheckResult:
     """The chromatic gap: with `bit` set, the `special` vertices (named `what`)
-    form a clique of `graph`; with it clear, ``witness(inst)`` properly colors
-    `graph` with at most `colors` colors."""
+    form a clique of `graph`; with it clear, ``witness_coloring(inst)``
+    properly colors `graph` with at most `colors` colors."""
     if bit:
         missing = missing_clique_pair(graph, special)
         return _check("gap-clique", missing is None, f"{what} misses edge {missing}")
-    coloring = witness(inst)
+    coloring = witness_coloring(inst)
     ok = coloring.num_colors <= colors and is_proper_coloring(graph, coloring)
     return _check(
         "gap-witness-coloring", ok, f"witness uses {coloring.num_colors} colors or is improper"
@@ -580,8 +568,7 @@ def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
         _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}"),
         _check("ans-bit", inst.ans == int(inst.x[inst.i_star])),
         _check("special-set", np.array_equal(inst.spec, _spec(inst.host.cluster(inst.i_star)))),
-        _gap(inst.union_graph(), inst.ans, "special set", inst.spec,
-             witness_coloring_two_player, inst, 2 * inst.k),
+        _gap(inst.union_graph(), inst.ans, "special set", inst.spec, inst, 2 * inst.k),
     ]
 
 
@@ -617,8 +604,7 @@ def _verify_recursive(inst: RecursiveInstance) -> list[CheckResult]:
         _check("special-set", np.array_equal(inst.spec, expected_spec) and len(inst.spec) == k**p,
                "special set does not match the intersection cliques"),
         _check("sigma-bijection", sigma_ok, "sigma is not a valid embedding"),
-        _gap(inst.union_graph(), inst.ans, "special set", inst.spec,
-             witness_coloring_recursive, inst, k * p),
+        _gap(inst.union_graph(), inst.ans, "special set", inst.spec, inst, k * p),
     ]
     return checks + [CheckResult(f"inner-{c.name}", c.passed, c.detail) for c in _checks(inst.inner)]
 
@@ -627,19 +613,17 @@ def _verify_simultaneous(inst: SimultaneousInstance) -> list[CheckResult]:
     anchored = all(int(inst.x[i, inst.j_star]) == inst.theta for i in range(inst.p))
     # recompute the relabeled edges from (x, sigma, j*)
     regen = _player_edges(inst.k, inst.n_base, inst.j_star, inst.sigma, inst.x)
-    relabel_ok = len(regen) == len(inst.player_edges) and all(
-        np.array_equal(a, b) for a, b in zip(regen, inst.player_edges)
-    )
+    relabel_ok = all(c.passed for c in _player_checks(inst.n, inst.player_edges, regen))
     # the planted bipartition certifies the bipartite part: no edge of the
     # union joins two left ids or two right ids
-    final = inst.final_graph()
-    ends = _sides(inst)[final.edge_array()]
+    union = inst.union_graph()
+    ends = _sides(inst)[union.edge_array()]
     bip_ok = not ((ends[:, 0] < 2) & (ends[:, 0] == ends[:, 1])).any()
     return [
         _check("theta-anchoring", anchored, "some x[i, j*] != theta"),
         _check("relabel-consistency", relabel_ok, "player edges do not match x/sigma"),
         _check("bipartite-part", bip_ok, "an edge joins two ids on one side of the planted bipartition"),
-        _gap(final, inst.theta, "v_clique", inst.v_clique, witness_coloring_simultaneous, inst, 3),
+        _gap(union, inst.theta, "v_clique", inst.v_clique, inst, 3),
     ]
 
 
@@ -742,15 +726,19 @@ def regenerate_instance(payload: dict):
 
 
 def read_instance(path: str):
-    """Load an instance file, regenerate it, and check the stored edges match."""
+    """Load an instance file and regenerate it; every top-level field of the
+    file must equal the regenerated instance's, compared as canonical JSON, so
+    an edited bit, special set or edge, a float or boolean for an integer, a
+    missing field and an extra one are all refused."""
     payload = read_json(path)
     try:
         inst = regenerate_instance(payload)
-        stored = [int_rows(part, 2, "a player's edges") for part in payload["players"]]
     except (LookupError, TypeError, ValueError, ArithmeticError,
             GenerationError, ResourceLimitError) as exc:
         raise FormatError(f"fields do not describe an instance: {exc!r}") from None
-    parts = inst.edge_parts()
-    if len(stored) != len(parts) or not all(map(np.array_equal, stored, parts)):
-        raise FormatError("stored edge lists do not match the regenerated instance")
+    stored = {key: canonical_json(value) for key, value in payload.items()}
+    regenerated = {key: canonical_json(value) for key, value in instance_to_dict(inst).items()}
+    for key in sorted(stored.keys() | regenerated.keys()):
+        if stored.get(key) != regenerated.get(key):
+            raise FormatError(f"stored {key!r} does not match the regenerated instance")
     return inst

@@ -43,7 +43,7 @@ from streamcolor import (
 )
 from streamcolor.cli import main as cli_main
 from streamcolor.seeds import rng_for
-from streamcolor.instances import witness_coloring_recursive
+from streamcolor.instances import witness_coloring
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -124,16 +124,16 @@ def test_criterion_2_hard_instance_gaps():
         if missing_clique_pair(inst.union_graph(), inst.spec) is not None or len(inst.spec) != 8:
             failures.append(f"recursive ans=1 seed {seed}")
         inst = gen_recursive(3, 2, seed=seed, ans_override=0)
-        witness = witness_coloring_recursive(inst)
+        witness = witness_coloring(inst)
         if witness.num_colors > 6 or not is_proper_coloring(inst.union_graph(), witness):
             failures.append(f"recursive ans=0 seed {seed}")
 
     for seed in range(50):
         inst = gen_simultaneous(4, 10, seed=seed, theta_override=1)
-        if missing_clique_pair(inst.final_graph(), inst.v_clique) is not None:
+        if missing_clique_pair(inst.union_graph(), inst.v_clique) is not None:
             failures.append(f"simultaneous theta=1 seed {seed}")
         inst = gen_simultaneous(4, 10, seed=seed, theta_override=0)
-        if find_k_coloring(inst.final_graph(), 3) is None:
+        if find_k_coloring(inst.union_graph(), 3) is None:
             failures.append(f"simultaneous theta=0 seed {seed}")
 
     elapsed = time.time() - start
@@ -348,7 +348,7 @@ def test_criterion_10_runners_on_hard_instances():
     cases = (
         ("two-player", 6, lambda seed, bit: gen_two_player(972, 3, seed=seed, ans_override=bit).union_graph()),
         ("recursive", 6, lambda seed, bit: gen_recursive(3, 2, seed=seed, ans_override=bit).union_graph()),
-        ("simultaneous", 3, lambda seed, bit: gen_simultaneous(4, 10, seed=seed, theta_override=bit).final_graph()),
+        ("simultaneous", 3, lambda seed, bit: gen_simultaneous(4, 10, seed=seed, theta_override=bit).union_graph()),
     )
     runs, wrong = 0, []
     for name, q, union in cases:

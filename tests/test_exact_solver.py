@@ -302,6 +302,18 @@ class TestChromaticNumber:
     def test_k4(self, k4):
         assert chromatic_number(k4) == 4
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_edgeless_coloring_needs_no_sort(self, monkeypatch, n):
+        g, want = Graph(n), Coloring.from_array(np.zeros(n, dtype=np.int64))
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("an edgeless graph's coloring is canonical as built")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        for got in (find_k_coloring(g, 1), find_k_coloring(g, 3), color_with_cap(g, 2), color_with_cap(g)):
+            assert got == want and got.num_colors == want.num_colors
+            assert got.colors.dtype == np.int64
+
     def test_c5_matches_oracle(self, c5):
         expected = brute_chromatic(5, sorted(c5.edges))
         assert expected == 3  # frozen

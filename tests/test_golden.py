@@ -128,7 +128,9 @@ def test_output_digest(digests, name):
 
 
 # `verify instance` stdout on each frozen instance file, and the exit code and
-# message on a copy whose last player part lost its last edge
+# message on a copy whose last player part lost its last edge: the reader
+# compares the file with the regenerated instance field by field and names
+# the first field that differs
 REPORTS = {
     "two-player.json": ["player1-edges", "player2-edges", "edge-disjoint", "ans-bit",
                         "special-set", "gap-clique"],
@@ -157,7 +159,7 @@ def test_verify_instance_report(tmp_path, capsys, name):
         json.dump(payload, f)
     assert cli_main(["verify", "instance", "--file", path]) == 3
     assert capsys.readouterr() == (
-        "", "error: stored edge lists do not match the regenerated instance\n"
+        "", "error: stored 'players' does not match the regenerated instance\n"
     )
 
 

@@ -39,8 +39,7 @@ from streamcolor import (
     read_instance,
     verify_cluster_packing,
     verify_instance,
-    witness_coloring_recursive,
-    witness_coloring_simultaneous,
+    witness_coloring,
     write_instance,
 )
 from streamcolor import exact
@@ -50,7 +49,6 @@ from streamcolor.clusterpack import LineLayout
 from streamcolor.instances import (
     _validate_level,
     sample_intersecting_sets,
-    witness_coloring_two_player,
 )
 from streamcolor.seeds import rng_for
 
@@ -72,14 +70,14 @@ class TestTwoPlayer:
 
     def test_witness_coloring(self):
         inst = gen_two_player(64, 2, seed=3, ans_override=0)
-        w = witness_coloring_two_player(inst)
+        w = witness_coloring(inst)
         assert w.num_colors <= 4
         assert is_proper_coloring(inst.union_graph(), w)
 
     def test_witness_requires_ans0(self):
         inst = gen_two_player(64, 2, seed=3, ans_override=1)
         with pytest.raises(ArgumentError):
-            witness_coloring_two_player(inst)
+            witness_coloring(inst)
 
     def test_deterministic_in_seed(self):
         a = gen_two_player(64, 2, seed=11)
@@ -158,14 +156,14 @@ class TestRecursive:
 
     def test_p3_ans0_witness(self):
         inst = gen_recursive(3, 2, seed=1, ans_override=0)
-        w = witness_coloring_recursive(inst)
+        w = witness_coloring(inst)
         assert w.num_colors <= 6
         assert is_proper_coloring(inst.union_graph(), w)
 
     def test_witness_palette_split(self):
         # T-clique vertices only use the first k(p-1) colors
         inst = gen_recursive(3, 2, seed=2, ans_override=0)
-        w = witness_coloring_recursive(inst)
+        w = witness_coloring(inst)
         istar_cliques = inst.istar_cliques()
         k, p = inst.k, inst.p
         raw = k * (p - 1)  # fresh palette starts here before canonicalization
@@ -232,6 +230,39 @@ class TestRecursive:
         assert cli_main(["gen", "recursive", "--p", "4", "--k", "2", "--seed", "1", "-o", str(out)]) == 2
         assert not out.exists()
 
+    def test_edge_guard_refuses_before_drawing(self, tmp_path, monkeypatch):
+        # SMALL_PLAN's level 3 materializes t = 4 clusters, and player 1 holds
+        # r/8 = 8 one-edge cliques of each: 32 edges
+        gen = ["gen", "recursive", "--p", "3", "--k", "2", "--seed", "5", "--n2", "16",
+               "--level-n", str((2 * 64) ** 2), "--level-t", "4"]
+        path, again = tmp_path / "rec.json", tmp_path / "again.json"
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 32)
+        inst = gen_recursive(3, 2, plan=SMALL_PLAN, seed=5)
+        assert len(inst.e1) == 32 and verify_instance(inst).ok
+        assert cli_main([*gen, "-o", str(path)]) == 0
+        monkeypatch.setattr(clusterpack, "MAX_EDGES", 31)
+
+        def no_draws(*path):
+            raise AssertionError("the guard must refuse before any draw")
+
+        monkeypatch.setattr(instances, "rng_for", no_draws)
+        with pytest.raises(ResourceLimitError, match="level 3: t=4 clusters of r=8 cliques of k=2 imply 32 edges"):
+            gen_recursive(3, 2, plan=SMALL_PLAN, seed=5)
+        assert cli_main([*gen, "-o", str(again)]) == 2 and not again.exists()
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 3
+
+    def test_oversized_level_refused_at_the_real_guard(self, monkeypatch):
+        # 400,000 clusters of r/8 = 32 one-edge cliques: 12.8 M edges
+        def no_draws(*path):
+            raise AssertionError("the guard must refuse before any draw")
+
+        monkeypatch.setattr(instances, "rng_for", no_draws)
+        gen = ["gen", "recursive", "--p", "3", "--k", "2", "--level-n", "1048576", "--level-t", "400000"]
+        assert cli_main(gen) == 2
+        plan = default_level_plan(3, 2, level_n=[1048576], level_t=[400000])
+        with pytest.raises(ResourceLimitError, match="imply 12800000 edges"):
+            gen_recursive(3, 2, plan=plan)
+
     def test_intersection_uniform_over_subsets(self):
         # the helper behind Part 1 (iv): S cap T uniform over subsets of T
         counts = collections.Counter()
@@ -266,23 +297,23 @@ class TestSimultaneous:
 
     def test_theta1_clique(self):
         inst = gen_simultaneous(4, 10, seed=1, theta_override=1)
-        assert missing_clique_pair(inst.final_graph(), inst.v_clique) is None
+        assert missing_clique_pair(inst.union_graph(), inst.v_clique) is None
 
     def test_theta0_exact_three_colorable(self):
         inst = gen_simultaneous(4, 10, seed=1, theta_override=0)
-        assert find_k_coloring(inst.final_graph(), 3) is not None
+        assert find_k_coloring(inst.union_graph(), 3) is not None
 
     def test_witness_three_coloring(self):
         for k, n_base in ((4, 10), (5, 8)):
             inst = gen_simultaneous(k, n_base, seed=2, theta_override=0)
-            w = witness_coloring_simultaneous(inst)
+            w = witness_coloring(inst)
             assert w.num_colors <= 3
-            assert is_proper_coloring(inst.final_graph(), w)
+            assert is_proper_coloring(inst.union_graph(), w)
 
     def test_witness_requires_theta0(self):
         inst = gen_simultaneous(4, 10, seed=2, theta_override=1)
         with pytest.raises(ArgumentError):
-            witness_coloring_simultaneous(inst)
+            witness_coloring(inst)
 
     def test_range_validation(self):
         with pytest.raises(ArgumentError):
@@ -302,6 +333,11 @@ class TestSimultaneous:
             right = set(sigma[nb - 1 : 2 * (nb - 1)]) | {clique[b]}
             for u, v in part.tolist():
                 assert (u in left and v in right) or (v in left and u in right)
+
+    @pytest.mark.parametrize("k, n_base", [(4, 3), (4, 10), (5, 8)])
+    def test_union_graph_is_the_simple_union_of_the_parts(self, k, n_base):
+        inst = gen_simultaneous(k, n_base, seed=6)
+        assert inst.union_graph() == Graph(inst.n, np.concatenate(inst.player_edges))
 
     def test_union_is_multigraph(self):
         # overlapping player edges must accumulate multiplicity
@@ -606,31 +642,31 @@ class TestWitnessesMatchLoopReferences:
     reference; with the bit set, both the witness and the gap check refuse it."""
 
     @staticmethod
-    def check(inst, bit, witness, reference):
+    def check(inst, bit, reference):
         if bit:
             with pytest.raises(ArgumentError):
-                witness(inst)
+                witness_coloring(inst)
         inst = cleared(inst)
-        got, want = witness(inst), reference(inst)
+        got, want = witness_coloring(inst), reference(inst)
         assert got == want and got.num_colors == want.num_colors
 
     @given(st.sampled_from([(16, 2), (64, 2), (108, 3)]), seeds, st.sampled_from([0, 1]))
     @settings(max_examples=60, deadline=None)
     def test_two_player(self, nk, seed, bit):
         inst = gen_two_player(*nk, seed=seed, ans_override=bit)
-        self.check(inst, bit, witness_coloring_two_player, reference_witness_two_player)
+        self.check(inst, bit, reference_witness_two_player)
 
     @given(st.sampled_from([SMALL_PLAN, default_level_plan(3, 2)]), seeds, st.sampled_from([0, 1]))
     @settings(max_examples=30, deadline=None)
     def test_recursive(self, plan, seed, bit):
         inst = gen_recursive(3, 2, plan=plan, seed=seed, ans_override=bit)
-        self.check(inst, bit, witness_coloring_recursive, reference_witness_recursive)
+        self.check(inst, bit, reference_witness_recursive)
 
     @given(st.sampled_from([(4, 3), (4, 6), (4, 10), (5, 8), (6, 5)]), seeds, st.sampled_from([0, 1]))
     @settings(max_examples=60, deadline=None)
     def test_simultaneous(self, kn, seed, theta):
         inst = gen_simultaneous(*kn, seed=seed, theta_override=theta)
-        self.check(inst, theta, witness_coloring_simultaneous, reference_witness_simultaneous)
+        self.check(inst, theta, reference_witness_simultaneous)
 
 
 class TestReportText:
@@ -832,6 +868,53 @@ class TestInstanceSerialization:
         target[last] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="must be integers"):
+            read_instance(str(path))
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 3
+
+    # per family: a small instance, its answer-bit field and its special-set
+    # field; each instance has vertex 0 or 1 in an edge, so that a boolean
+    # can stand for an equal integer (seed 24 is the first such SMALL_PLAN seed)
+    FIELDS = {
+        "two-player": (lambda: gen_two_player(16, 2, seed=1), "ans", "spec"),
+        "recursive": (lambda: gen_recursive(3, 2, plan=SMALL_PLAN, seed=24), "ans", "spec"),
+        "simultaneous": (lambda: gen_simultaneous(4, 3, seed=1), "theta", "v_clique"),
+    }
+
+    @staticmethod
+    def first_edge_entry(payload, values):
+        """(row, column) of the first edge entry, over every player part, in `values`."""
+        for row in itertools.chain.from_iterable(payload["players"]):
+            for col, value in enumerate(row):
+                if value in values:
+                    return row, col
+        raise AssertionError(f"no edge entry in {values}")
+
+    @pytest.mark.parametrize("family", list(FIELDS))
+    @pytest.mark.parametrize("edit", ["bit", "special", "extra", "float-edge", "bool-edge", "missing"])
+    def test_every_field_compared_with_the_regenerated_instance(self, tmp_path, family, edit):
+        make, bit, special = self.FIELDS[family]
+        path = tmp_path / "inst.json"
+        write_instance(make(), str(path))
+        assert cli_main(["verify", "instance", "--file", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        if edit == "bit":
+            payload[bit] ^= 1
+            field = bit
+        elif edit == "special":
+            payload[special] = payload[special][:-1]
+            field = special
+        elif edit == "extra":
+            payload["note"] = 0
+            field = "note"
+        elif edit == "missing":
+            del payload[special]
+            field = special
+        else:
+            row, col = self.first_edge_entry(payload, (0, 1) if edit == "bool-edge" else range(1 << 62))
+            row[col] = bool(row[col]) if edit == "bool-edge" else float(row[col])
+            field = "players"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"^stored '{field}' does not match the regenerated instance$"):
             read_instance(str(path))
         assert cli_main(["verify", "instance", "--file", str(path)]) == 3
 
