@@ -130,7 +130,8 @@ def offline_iterative_coloring(
         m_sizes.append(current.shape[0])
         if current.shape[0] <= budget:
             return current
-        return current[np.sort(rng.choice(current.shape[0], size=budget, replace=False))]
+        picked = np.sort(rng.choice(current.shape[0], size=budget, replace=False))
+        return current.take(picked, axis=0)
 
     color = color_with_cap if colorer == "exact" else dsatur_coloring
     coloring, _, round_colors = _sparsify(g.n, t, color, store)
@@ -172,7 +173,7 @@ def run_random_order(
             meta["stream_exhausted"] = True
         meta["rounds_used"] += 1
         meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(mono))
-        return rest[mono, :2]
+        return rest.take(mono, axis=0)[:, :2]
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
     if evidence is None and meta["events_read"] < len(events):
@@ -226,7 +227,7 @@ def run_multipass(
             reservoir[slots] = mono[budget + hit[last]]
         meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(reservoir))
         more = mono_seen > budget
-        return events[reservoir, :2]
+        return events.take(reservoir, axis=0)[:, :2]
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
     if evidence is None and more:
@@ -288,10 +289,10 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
         "counters": int(seen.sum()),
     }
     kept = seen & (totals > 0)
-    if color_with_cap(Graph(n, pairs[kept.any(axis=0)]), 2) is not None:
+    if color_with_cap(Graph(n, pairs.compress(kept.any(axis=0), axis=0)), 2) is not None:
         return _verdict(meta)
     for tr, row in enumerate(kept):
-        h = Graph(n, pairs[row])
+        h = Graph(n, pairs.compress(row, axis=0))
         if color_with_cap(h, q) is None:
             return _verdict(meta, Evidence("trial", tr, h))
     return _verdict(meta)

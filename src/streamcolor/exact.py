@@ -4,16 +4,16 @@
 returns a coloring with exactly chi(g) colors, or None when `cap` is given and
 chi(g) > cap; `chromatic_number` reads its color count, and `find_k_coloring`
 returns any k-coloring. The solver is exponential-time by design (adequate at
-desk scale). Two colors are decided from the edge array alone, by min-label
-propagation over the bipartite double cover on compact vertex ids, which
-keeps the q = 2 distinguishing workloads near-linear and never builds the
-CSR. Above two colors every routine reads the graph's cached CSR neighbour
-lists (`Graph.csr`) through numpy array passes, in one engine: `_search`, a
-backtracking search in DSATUR's saturation order (Brelaz 1979) that lets
-each vertex open at most one new color class. Its first descent is DSATUR's
-coloring, so `dsatur_coloring` is the search with no bound on the colors
-and `find_k_coloring` is the search at k. A greedy clique gives the lower
-bound and DSATUR the upper bound, and each k between them is tried once.
+desk scale). Two colors are decided from the edge array alone, by parity
+hooking on compact vertex ids (`_hook`, which also finds the connected
+components), which keeps the q = 2 distinguishing workloads near-linear and
+never builds the CSR. Above two colors every routine reads the graph's cached
+CSR neighbour lists (`Graph.csr`) through numpy array passes, in one engine:
+`_search`, a backtracking search in DSATUR's saturation order (Brelaz 1979)
+that lets each vertex open at most one new color class. Its first descent is
+DSATUR's coloring, so `dsatur_coloring` is the search with no bound on the
+colors and `find_k_coloring` is the search at k. A greedy clique gives the
+lower bound and DSATUR the upper bound, and each k between them is tried once.
 """
 
 from __future__ import annotations
@@ -24,36 +24,52 @@ from .errors import ArgumentError
 from .graph import Coloring, Graph, uniform_coloring
 
 
-def _min_labels(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
-    """Each node's smallest reachable node over the edges ``(x[i], y[i])``,
-    by min-label hooking and pointer jumping (Shiloach and Vishkin 1982).
+def _hook(
+    x: np.ndarray, y: np.ndarray, odd: int, size: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each node's root, the smallest node of its component, and its parity
+    against that root over the edges ``(x[i], y[i])``, ``x < y``, each of
+    parity `odd`; None when some cycle has odd parity.
 
-    Every label is a node of the same component, never above the node
-    itself, and each step hooks the larger label of an edge onto the
-    smaller; at the fixed point each component's label is its smallest node.
+    Parity hooking with pointer jumping (Shiloach and Vishkin 1982): a node's
+    pointer is ``2 * parent + parity against the parent``. Each round every
+    node that is the larger end of an edge hooks onto its smallest neighbour
+    below it, all pointer chains are jumped to their roots, XOR-ing their
+    parities, and each edge is contracted to the pair of its ends' roots,
+    with its parity carried along. An edge left inside one tree closes a
+    cycle: it is dropped when its parity agrees with the tree's and is a
+    conflict otherwise. Pointers only go down, so each root is the smallest
+    node of its tree, and a round costs O(size + edges left).
     """
-    lab = np.arange(size)
-    while True:
-        new = lab.copy()
-        a, b = lab[x], lab[y]
-        hi = np.maximum(a, b)
-        np.minimum.at(new, hi, np.minimum(a, b, out=a))
-        del a, b, hi  # so the next round's gathers do not stack on these
-        new = new[new]
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+    ptr = np.arange(0, 2 * size, 2)
+    while len(x):
+        np.minimum.at(ptr, y, 2 * x + odd)
+        while True:
+            up = ptr[ptr >> 1]
+            up ^= ptr & 1
+            if np.array_equal(up, ptr):
+                break
+            ptr = up
+        ex, ey = ptr[x], ptr[y]
+        odd = (ex ^ ey ^ odd) & 1
+        # ends of different trees order as their roots do
+        ex, ey = np.minimum(ex, ey) >> 1, np.maximum(ex, ey) >> 1
+        keep = ex != ey
+        if odd[~keep].any():
+            return None
+        x, y, odd = ex[keep], ey[keep], odd[keep]
+    return ptr >> 1, ptr & 1
 
 
 def _components(g: Graph) -> list[np.ndarray]:
     """The local ids of each connected component of `csr`, ordered by
-    smallest vertex."""
+    smallest vertex: `_hook`'s trees, with every edge of parity 0."""
     _, indptr, indices = g.csr()
     src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     once = src < indices
-    lab = _min_labels(src[once], indices[once], len(indptr) - 1)
-    order = np.argsort(lab, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
+    root, _ = _hook(src[once], indices[once], 0, len(indptr) - 1)
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def greedy_clique_lower_bound(g: Graph) -> list[int]:
@@ -101,26 +117,20 @@ def _two_coloring(g: Graph) -> np.ndarray | None:
     The vertices of degree >= 1 get compact ids ``0..k-1`` in ascending
     order, written into the array that is returned, so a component's
     smallest vertex keeps the smallest id and a hooking round costs
-    O(k + m), not O(n). Compact vertex ``u`` has two copies in the bipartite
-    double cover, ``u`` and ``u + k``, and edge ``(u, v)`` joins ``u`` to
-    ``v + k`` and ``u + k`` to ``v``. Copies ``u`` and ``v`` share a
-    double-cover component iff some walk from ``u`` to ``v`` has even length,
-    so an odd cycle puts ``u`` and ``u + k`` together; otherwise the copy
-    holding the component's smallest vertex has the smaller label, and ``u``
-    is colored 1 iff that is ``u + k``.
+    O(k + m), not O(n). Every edge has odd parity, so `_hook` finds an odd
+    cycle or each vertex's parity against its component's smallest vertex,
+    which is its color.
     """
     a = g.edge_array()
     colors = np.zeros(g.n, dtype=np.int64)
     colors[a] = 1
     verts = np.flatnonzero(colors)
-    k = len(verts)
-    colors[verts] = np.arange(k)
+    colors[verts] = np.arange(len(verts))
     ends = colors[a.T]  # the compact ids of the edges' u ends, then their v ends
-    # edge (u, v) as (u, v + k), and as (v, u + k), the same edge as (u + k, v)
-    lab = _min_labels(ends.ravel(), (ends[::-1] + k).ravel(), 2 * k)
-    if (lab[:k] == lab[k:]).any():
+    found = _hook(ends[0], ends[1], 1, len(verts))
+    if found is None:
         return None
-    colors[verts] = lab[:k] > lab[k:]
+    colors[verts] = found[1]
     return colors
 
 

@@ -238,7 +238,7 @@ def monochromatic_edges(edges: np.ndarray, c: Coloring) -> np.ndarray:
     if edges.shape[0] == 0:
         return edges
     mask = c.colors[edges[:, 0]] == c.colors[edges[:, 1]]
-    return edges[mask]
+    return edges.compress(mask, axis=0)
 
 
 def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
@@ -282,7 +282,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     vs = np.flatnonzero(member)
     new_id = np.cumsum(member) - 1  # relabel lookup, valid on members
     a = g.edge_array()
-    sub = Graph(len(vs), new_id[a[member[a[:, 0]] & member[a[:, 1]]]])
+    sub = Graph(len(vs), new_id[a.compress(member[a[:, 0]] & member[a[:, 1]], axis=0)])
     return sub, dict(zip(vs.tolist(), range(len(vs))))
 
 

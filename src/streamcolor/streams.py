@@ -98,7 +98,8 @@ class Stream:
             i = order[wrong].min()
             raise StreamValidationError(f"pair ({u[i]}, {v[i]}) deleted more than inserted")
         # first[0] is always set, so `first` rolled left by one marks each pair's last event
-        self._totals = _read_only(self.events[order[first], :2], running[np.roll(first, -1)])
+        pairs = self.events.take(order[first], axis=0)[:, :2]
+        self._totals = _read_only(pairs, running[np.roll(first, -1)])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -122,7 +123,7 @@ class Stream:
                 self._final = Graph(self.n, self.events[:, :2])
             else:
                 pairs, totals = self.pair_totals()
-                self._final = Graph(self.n, pairs[totals > 0])
+                self._final = Graph(self.n, pairs.compress(totals > 0, axis=0))
         return self._final
 
     def __eq__(self, other: object) -> bool:
@@ -164,7 +165,7 @@ def to_insertion_stream(
     """One +1 event per edge, in sorted-edge order or a seeded shuffle."""
     edges = g.edge_array()
     if order == "shuffled":
-        edges = edges[rng_for(seed, 1).permutation(len(edges))]
+        edges = edges.take(rng_for(seed, 1).permutation(len(edges)), axis=0)
     elif order != "as-given":
         raise ArgumentError(f"unknown order {order!r}")
     return Stream(g.n, INSERTION, np.column_stack((edges, np.ones(len(edges), np.int64))))
@@ -196,7 +197,7 @@ def to_dynamic_stream(
     position[perm] = np.arange(len(perm))
     delta = np.ones(len(slots), np.int64)
     delta[np.sort(position[m:].reshape(len(churn), 2 * cycles), axis=1)[:, 1::2]] = -1
-    return Stream(g.n, DYNAMIC, np.column_stack((pairs[slots[perm]], delta)))
+    return Stream(g.n, DYNAMIC, np.column_stack((pairs.take(slots[perm], axis=0), delta)))
 
 
 def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
@@ -236,7 +237,7 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
             first = first[:need]
             rng.bit_generator.state = start
             rng.integers(0, n, size=(first[-1] + 1, 2))
-        kept.append(pair[first])
+        kept.append(pair.take(first, axis=0))
         need -= len(first)
         if need:  # another batch looks its draws up among these keys too
             taken = np.sort(np.concatenate((taken, key[first])))

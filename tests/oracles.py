@@ -1,14 +1,22 @@
-"""Brute-force oracles, independent of the library's own solvers.
+"""Brute-force oracles and plain-Python references, independent of the
+library's own solvers.
 
-These enumerate exhaustively and are only usable at tiny sizes; the tests
-freeze their outputs as expected values for the real implementations.
+The brute-force oracles enumerate exhaustively and are only usable at tiny
+sizes; the tests freeze their outputs as expected values for the real
+implementations. The dict-of-sets references (`dict_adjacency`,
+`reference_components`, `bfs_two_coloring`) walk neighbour sets one vertex
+at a time and share no code with the library's array passes.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from streamcolor import Graph
 
 
 def brute_is_proper(n: int, edges, colors) -> bool:
@@ -85,3 +93,55 @@ def pair_totals(n: int, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     totals = np.bincount(slot, weights=events[:, 2], minlength=len(first))
     return events[first, :2], totals.astype(np.int64)
+
+
+def dict_adjacency(g: Graph) -> dict[int, set[int]]:
+    """Neighbour sets of the vertices with degree >= 1, in ascending order."""
+    adj: dict[int, set[int]] = {}
+    for u, v in g.edge_array().tolist():
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return dict(sorted(adj.items()))
+
+
+def reference_components(adj: dict[int, set[int]]) -> list[list[int]]:
+    seen: set[int] = set()
+    comps = []
+    for start in adj:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def bfs_two_coloring(g: Graph) -> np.ndarray | None:
+    """BFS 2-coloring rooted at each component's smallest vertex."""
+    adj = dict_adjacency(g)
+    colors = np.zeros(g.n, dtype=np.int64)
+    assigned: dict[int, int] = {}
+    for root in adj:
+        if root in assigned:
+            continue
+        assigned[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in assigned:
+                    assigned[w] = 1 - assigned[v]
+                    stack.append(w)
+                elif assigned[w] == assigned[v]:
+                    return None
+    for v, c in assigned.items():
+        colors[v] = c
+    return colors

@@ -23,11 +23,17 @@ from streamcolor import (
     to_insertion_stream,
 )
 from streamcolor.errors import ArgumentError
-from streamcolor.exact import _search, _two_coloring, greedy_clique_lower_bound
+from streamcolor.exact import _components, _search, _two_coloring, greedy_clique_lower_bound
 from streamcolor.graph import Coloring
 from streamcolor.seeds import rng_for
 
-from oracles import brute_chromatic, brute_k_colorable
+from oracles import (
+    bfs_two_coloring,
+    brute_chromatic,
+    brute_k_colorable,
+    dict_adjacency,
+    reference_components,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -122,35 +128,6 @@ def reference_k_coloring(n: int, edges, k: int) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def dict_adjacency(g: Graph) -> dict[int, set[int]]:
-    """Neighbour sets of the vertices with degree >= 1, in ascending order."""
-    adj: dict[int, set[int]] = {}
-    for u, v in g.edge_array().tolist():
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return dict(sorted(adj.items()))
-
-
-def reference_components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def reference_clique(g: Graph) -> list[int]:
     """Greedy clique; neighbours in descending degree, ties by ascending id."""
     adj = dict_adjacency(g)
@@ -183,29 +160,6 @@ def reference_dsatur(g: Graph) -> Coloring:
             if w in uncolored:
                 sat[w].add(c)
     return Coloring.from_array(colors)
-
-
-def bfs_two_coloring(g: Graph) -> np.ndarray | None:
-    """BFS 2-coloring rooted at each component's smallest vertex."""
-    adj = dict_adjacency(g)
-    colors = np.zeros(g.n, dtype=np.int64)
-    assigned: dict[int, int] = {}
-    for root in adj:
-        if root in assigned:
-            continue
-        assigned[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in assigned:
-                    assigned[w] = 1 - assigned[v]
-                    stack.append(w)
-                elif assigned[w] == assigned[v]:
-                    return None
-    for v, c in assigned.items():
-        colors[v] = c
-    return colors
 
 
 def reference_search(g: Graph, k: int) -> Coloring | None:
@@ -504,7 +458,8 @@ class TestAgreesWithDictReferences:
 
 
 # ---------------------------------------------------------------------------
-# the CSR 2-coloring: the double cover as it was before it read the edge array
+# the CSR 2-coloring: min-label hooking over the bipartite double cover, as it
+# was before it read the edge array and hooked parities on the graph itself
 # ---------------------------------------------------------------------------
 
 
@@ -602,6 +557,64 @@ class TestTwoColoringFromTheEdgeArray:
         colors, peak = traced_peak(lambda: _two_coloring(g))
         assert colors[path].tolist() == [i % 2 for i in range(1001)]
         assert peak <= 12 * 10**6
+
+
+class TestParityHookingAgreesWithNetworkx:
+    @given(two_coloring_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_components_and_two_coloring(self, g):
+        nxg = nx.Graph(g.edge_array().tolist())
+        if g.num_edges:
+            verts = g.csr()[0]
+            want = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+            assert [verts[c].tolist() for c in _components(g)] == want
+        two = _two_coloring(g)
+        assert (two is None) == (not nx.is_bipartite(nxg))
+        if two is not None:
+            assert two.tobytes() == bfs_two_coloring(g).tobytes()
+
+
+def fifty_thousand_vertex_shapes() -> dict[str, Graph]:
+    """Bipartite shapes on 50,000 vertices whose id orders make long
+    hooking chains or many hooking rounds."""
+    n = 50_000
+    rng = np.random.default_rng(25)
+    ring = np.arange(n)
+    cycle = np.stack((ring, np.roll(ring, -1)), axis=1)
+    ids = np.arange(n).reshape(200, n // 200)
+    grid = np.concatenate((
+        np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1),
+        np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1),
+    ))
+    child = np.arange(1, n)
+    zigzag = np.empty(n, dtype=np.int64)  # 0, n-1, 1, n-2, ...
+    zigzag[0::2], zigzag[1::2] = ring[: n // 2], ring[::-1][: n // 2]
+    spine = ring[: n // 2]
+    return {
+        "even cycle, shuffled ids": Graph(n, rng.permutation(n)[cycle]),
+        "grid, row-major ids": Graph(n, grid),
+        "grid, shuffled ids": Graph(n, rng.permutation(n)[grid]),
+        "binary tree, reversed ids": Graph(n, n - 1 - np.stack(((child - 1) // 2, child), axis=1)),
+        "zigzag path": Graph(n, np.stack((zigzag[:-1], zigzag[1:]), axis=1)),
+        "caterpillar": Graph(n, np.concatenate((
+            np.stack((spine[:-1], spine[1:]), axis=1),
+            np.stack((spine, spine + n // 2), axis=1),
+        ))),
+    }
+
+
+class TestTwoColoringAtFiftyThousandVertices:
+    @pytest.mark.parametrize("shape", list(fifty_thousand_vertex_shapes()))
+    def test_matches_the_double_cover_in_time(self, shape):
+        g = fifty_thousand_vertex_shapes()[shape]
+        start = time.perf_counter()
+        got = _two_coloring(g)
+        assert time.perf_counter() - start < 2.0
+        assert got.tobytes() == reference_two_coloring(g).tobytes()
+        # a chord between two vertices of color 1 closes an odd cycle
+        u, v = np.flatnonzero(got)[[0, -1]]
+        odd = Graph(g.n, np.concatenate((g.edge_array(), [[u, v]])))
+        assert _two_coloring(odd) is None and reference_two_coloring(odd) is None
 
 
 class TestStarWithManyLeaves:
