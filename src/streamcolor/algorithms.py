@@ -72,18 +72,17 @@ class OfflineColoringRun:
 
 
 def _sparsify(n: int, t: int, color, store) -> tuple[Coloring | None, Evidence | None, list[int]]:
-    """Rounds 1..t: ``store(coloring)`` gives the rows kept of M_i (None ends
-    the run), ``color`` colors them and the coloring is refined; a round that
-    `color` refuses (None) ends the run with its graph as evidence. Returns
-    the coloring (None after a refused round), the evidence and each round's
-    color count."""
+    """Rounds 1..t: ``store(coloring)`` gives the graph of the rows kept of
+    M_i (None ends the run), ``color`` colors it and the coloring is refined;
+    a round that `color` refuses (None) ends the run with its graph as
+    evidence. Returns the coloring (None after a refused round), the
+    evidence and each round's color count."""
     coloring = uniform_coloring(n)
     round_colors: list[int] = []
     for i in range(1, t + 1):
-        rows = store(coloring)
-        if rows is None:
+        h = store(coloring)
+        if h is None:
             break
-        h = Graph(n, rows)
         ci = color(h)
         if ci is None:
             return None, Evidence("round", i, h), round_colors
@@ -123,15 +122,15 @@ def offline_iterative_coloring(
     current = g.edge_array()  # M_1; each later M_i refines M_{i-1}, not all of g
     m_sizes: list[int] = []
 
-    def store(coloring: Coloring) -> np.ndarray:
+    def store(coloring: Coloring) -> Graph:
         nonlocal current
         if m_sizes:  # M_{i-1} is monochromatic under every round before i - 1
             current = monochromatic_edges(current, coloring)
         m_sizes.append(current.shape[0])
-        if current.shape[0] <= budget:
-            return current
-        picked = np.sort(rng.choice(current.shape[0], size=budget, replace=False))
-        return current.take(picked, axis=0)
+        if current.shape[0] > budget:
+            picked = np.sort(rng.choice(current.shape[0], size=budget, replace=False))
+            return Graph(g.n, current.take(picked, axis=0))
+        return g if len(m_sizes) == 1 else Graph(g.n, current)  # M_1 is all of g
 
     color = color_with_cap if colorer == "exact" else dsatur_coloring
     coloring, _, round_colors = _sparsify(g.n, t, color, store)
@@ -160,7 +159,7 @@ def run_random_order(
     meta = {"budget": budget, "rounds_used": 0, "events_read": 0,
             "peak_stored_edges": 0, "stream_exhausted": False}
 
-    def store(coloring: Coloring) -> np.ndarray | None:
+    def store(coloring: Coloring) -> Graph | None:
         if meta["stream_exhausted"]:
             return None
         rest = events[meta["events_read"]:]
@@ -173,7 +172,7 @@ def run_random_order(
             meta["stream_exhausted"] = True
         meta["rounds_used"] += 1
         meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(mono))
-        return rest.take(mono, axis=0)[:, :2]
+        return Graph(n, rest.take(mono, axis=0)[:, :2])
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
     if evidence is None and meta["events_read"] < len(events):
@@ -209,7 +208,7 @@ def run_multipass(
     meta = {"budget": budget, "passes_used": 0, "peak_stored_edges": 0}
     more = True  # False once a pass stored all of M_i, so M_{i+1} is empty
 
-    def store(coloring: Coloring) -> np.ndarray | None:
+    def store(coloring: Coloring) -> Graph | None:
         nonlocal more
         if not more:
             return None
@@ -227,7 +226,7 @@ def run_multipass(
             reservoir[slots] = mono[budget + hit[last]]
         meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(reservoir))
         more = mono_seen > budget
-        return events.take(reservoir, axis=0)[:, :2]
+        return Graph(n, events.take(reservoir, axis=0)[:, :2])
 
     coloring, evidence, _ = _sparsify(n, t, functools.partial(color_with_cap, cap=q), store)
     if evidence is None and more:

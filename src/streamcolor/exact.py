@@ -7,13 +7,19 @@ returns any k-coloring. The solver is exponential-time by design (adequate at
 desk scale). Two colors are decided from the edge array alone, by parity
 hooking on compact vertex ids (`_hook`, which also finds the connected
 components), which keeps the q = 2 distinguishing workloads near-linear and
-never builds the CSR. Above two colors every routine reads the graph's cached
-CSR neighbour lists (`Graph.csr`) through numpy array passes, in one engine:
-`_search`, a backtracking search in DSATUR's saturation order (Brelaz 1979)
-that lets each vertex open at most one new color class. Its first descent is
-DSATUR's coloring, so `dsatur_coloring` is the search with no bound on the
-colors and `find_k_coloring` is the search at k. A greedy clique gives the
-lower bound and DSATUR the upper bound, and each k between them is tried once.
+never builds the CSR. Above two colors there is one engine, `_search`, a
+backtracking search in DSATUR's saturation order (Brelaz 1979) that lets
+each vertex open at most one new color class, run as numpy array passes. For
+nv vertices of degree >= 1 and m edges it reads one nv x nv bool adjacency
+matrix when ``nv^2 <= 16 m`` (never larger than the CSR's int64 neighbour
+array, which is then never built), and the graph's cached CSR neighbour
+lists (`Graph.csr`) otherwise. Its first descent is DSATUR's coloring, so
+`dsatur_coloring` is the search with no bound on the colors and
+`find_k_coloring` is the search at k. `color_with_cap` asks DSATUR first: the
+clique that its first descent opens settles chi when it is as large as
+DSATUR's color count or larger than the cap. Otherwise a greedy clique gives
+the lower bound and DSATUR the upper bound, and each k between them is tried
+once.
 """
 
 from __future__ import annotations
@@ -61,13 +67,28 @@ def _hook(
     return ptr >> 1, ptr & 1
 
 
-def _components(g: Graph) -> list[np.ndarray]:
-    """The local ids of each connected component of `csr`, ordered by
-    smallest vertex: `_hook`'s trees, with every edge of parity 0."""
-    _, indptr, indices = g.csr()
-    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    once = src < indices
-    root, _ = _hook(src[once], indices[once], 0, len(indptr) - 1)
+def _compact(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges on compact vertex ids, read from `edge_array` alone.
+
+    Returns an n-entry int64 array holding each vertex of degree >= 1's
+    compact id and 0 elsewhere (the caller's scratch and then its returned
+    colors, so no other n-sized array is made), those vertices ``verts`` in
+    ascending order, and the ``(2, m)`` compact ids of the edges' u ends,
+    then their v ends. Compact ids ascend with vertex ids, as `Graph.csr`'s
+    local ids do, so the two agree.
+    """
+    a = g.edge_array()
+    colors = np.zeros(g.n, dtype=np.int64)
+    colors[a] = 1
+    verts = np.flatnonzero(colors)
+    colors[verts] = np.arange(len(verts))
+    return colors, verts, colors[a.T]
+
+
+def _components(ends: np.ndarray, size: int) -> list[np.ndarray]:
+    """The compact ids of each connected component, ordered by smallest
+    vertex: `_hook`'s trees, with every edge of parity 0."""
+    root, _ = _hook(ends[0], ends[1], 0, size)
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
@@ -107,26 +128,20 @@ def greedy_clique_lower_bound(g: Graph) -> list[int]:
 def dsatur_coloring(g: Graph) -> Coloring:
     """Greedy DSATUR coloring (Brelaz 1979); proper but not necessarily
     optimal: `_search`'s first descent, with no bound on the colors."""
-    return _search(g, None)
+    return _search(g, None)[0]
 
 
 def _two_coloring(g: Graph) -> np.ndarray | None:
     """A 2-coloring with each component's smallest vertex colored 0, or None
     on an odd cycle; read from `edge_array` alone, without building `csr`.
 
-    The vertices of degree >= 1 get compact ids ``0..k-1`` in ascending
-    order, written into the array that is returned, so a component's
-    smallest vertex keeps the smallest id and a hooking round costs
-    O(k + m), not O(n). Every edge has odd parity, so `_hook` finds an odd
-    cycle or each vertex's parity against its component's smallest vertex,
-    which is its color.
+    On `_compact`'s ids a component's smallest vertex keeps the smallest
+    id, and a hooking round costs O(k + m) for k vertices of degree >= 1,
+    not O(n). Every edge has odd parity, so `_hook` finds an odd cycle or
+    each vertex's parity against its component's smallest vertex, which is
+    its color.
     """
-    a = g.edge_array()
-    colors = np.zeros(g.n, dtype=np.int64)
-    colors[a] = 1
-    verts = np.flatnonzero(colors)
-    colors[verts] = np.arange(len(verts))
-    ends = colors[a.T]  # the compact ids of the edges' u ends, then their v ends
+    colors, verts, ends = _compact(g)
     found = _hook(ends[0], ends[1], 1, len(verts))
     if found is None:
         return None
@@ -134,10 +149,30 @@ def _two_coloring(g: Graph) -> np.ndarray | None:
     return colors
 
 
-def _search(g: Graph, k: int | None) -> Coloring | None:
+def _canonical(colors: np.ndarray, verts: np.ndarray, local: np.ndarray) -> Coloring:
+    """The coloring that gives `verts` the colors `local`, which use each of
+    ``0..k-1``, and every other vertex color 0, relabelled to canonical form
+    from the first vertex of each color; written into the n-entry `colors`
+    with no other pass over all n vertices."""
+    first = np.full(int(local.max()) + 1, len(colors))
+    np.minimum.at(first, local, verts)
+    # the smallest vertex of degree 0: the first i that `verts` skips
+    skipped = np.flatnonzero(verts != np.arange(len(verts)))
+    first[0] = min(first[0], skipped[0] if skipped.size else len(verts))
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    colors.fill(rank[0])
+    colors[verts] = rank[local]
+    return Coloring(n=len(colors), colors=colors, num_colors=len(first))
+
+
+def _search(
+    g: Graph, k: int | None, dense: bool | None = None
+) -> tuple[Coloring | None, list[int]]:
     """A coloring of `g` with at most k colors, found by backtracking, or
-    None if there is none; with k None there is no bound, the search never
-    backtracks, and the coloring is DSATUR's.
+    None if there is none, and the clique that the first descent opens, as
+    vertex ids; with k None there is no bound, the search never backtracks,
+    and the coloring is DSATUR's.
 
     Each step colors the uncolored vertex whose neighbours use the most
     distinct colors (ties: higher degree, then lower id) with the smallest
@@ -145,56 +180,104 @@ def _search(g: Graph, k: int | None) -> Coloring | None:
     open at most one new color, since unused colors are interchangeable.
     With k given, each connected component is searched on its own: a
     component that cannot be k-colored then fails once, instead of once per
-    coloring of the components searched before it.
+    coloring of the components searched before it. The clique is the run of
+    vertices, from the first step on, each adjacent to all those colored
+    before it: each opens a new color. A backtrack into that run cannot
+    recolor it, so it ends the search.
 
-    ``free[c, v]`` is False when a neighbour of v has color c. Two
-    invariants carry the search:
+    Vertices of degree >= 1 get `_compact`'s ids. Their rows take one of two
+    forms, by a property of the input alone. When ``nv^2 <= 16 m`` for nv
+    such vertices, they are one ``nv x nv`` bool adjacency matrix, no larger
+    than the CSR's int64 neighbour array, and a step updates whole rows; the
+    CSR is never built. Otherwise they are `Graph.csr`'s neighbour lists,
+    and a step gathers and scatters over them. `dense` forces a form.
+
+    ``free[c, v]`` is False when a neighbour of v has color c, and one argmax
+    over `key` picks the next vertex, the first (lowest) on ties. With
+    ``step`` the power of two above the largest degree, the CSR form's int64
+    key is ``saturation * step + degree`` and the dense form's float64 key is
+    ``saturation + degree / step``, whose values are multiples of ``1 /
+    step`` below ``2 * step``: float64 holds them exactly while step <=
+    2^26, and a larger step would need ``nv^2 > 2^52`` bytes of matrix, so
+    every sum, tie and undo is exact. A colored vertex's key is less
+    `closed`, below every uncolored key. Two invariants
+    carry the search:
     - row `opened` is all True on the current component's vertices, so an
       argmax over rows ``0..opened`` finds the smallest free color, and
       color k means none is left;
     - backtracking is LIFO, so a step's marks are all still in place when it
       is undone. The trail keeps each step's `fresh` neighbours, those whose
-      ``free[c]`` bit it cleared (O(m) marks in all at worst), and a pop sets
-      exactly those back. After a pop the next color to try is the argmax
-      over rows ``c+1..opened``.
+      ``free[c]`` bit it cleared, as ids (O(m) in all at worst) or as one
+      nv-entry mask (nv^2 bytes in all at worst), and a pop sets exactly
+      those back. After a pop the
+      next color to try is the argmax over rows ``c+1..opened``.
     """
-    verts, indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    step = int(deg.max(initial=0)) + 1
-    closed = step * step  # above any saturation * step + degree
-    # one argmax picks the largest saturation * step + degree, the first
-    # (lowest) vertex on ties, as a component's local ids ascend; a colored
-    # vertex's key is less `closed`
-    key = deg.copy()
+    if not g.num_edges:
+        return uniform_coloring(g.n), []
+    colors, verts, ends = _compact(g)
+    nv = len(verts)
+    deg = np.bincount(ends.ravel("K"), minlength=nv)  # in memory order: no copy
+    step = 1 << int(deg.max()).bit_length()
+    if dense is None:
+        dense = nv * nv <= 16 * g.num_edges
+    if dense:
+        adj = np.zeros((nv, nv), dtype=bool)
+        adj[ends[0], ends[1]] = True
+        adj[ends[1], ends[0]] = True
+        key, closed = deg / step, step
+
+        def mark(v: int, row: np.ndarray) -> np.ndarray:
+            fresh = adj[v] & row
+            row ^= fresh
+            np.add(key, fresh, out=key)
+            return fresh
+
+        def unmark(row: np.ndarray, fresh: np.ndarray) -> None:
+            row |= fresh
+            np.subtract(key, fresh, out=key)
+
+    else:
+        _, indptr, indices = g.csr()
+        key, closed = deg, step * step
+
+        def mark(v: int, row: np.ndarray) -> np.ndarray:
+            nbrs = indices[indptr[v] : indptr[v + 1]]
+            fresh = nbrs[row[nbrs]]
+            row[fresh] = False
+            key[fresh] += step
+            return fresh
+
+        def unmark(row: np.ndarray, fresh: np.ndarray) -> None:
+            row[fresh] = True
+            key[fresh] -= step
+
     # rows double as colors open, so a star gets 2 rows, not Δ + 1
-    free = np.ones((2, len(verts)), dtype=bool)
-    local = np.zeros(len(verts), dtype=np.int64)
-    comps = [] if k is None else _components(g)
+    free = np.ones((2, nv), dtype=bool)
+    local = np.zeros(nv, dtype=np.int64)
+    clique: list[int] = []
+    comps = [] if k is None else _components(ends, nv)
+    depth = 0  # vertices colored over all components, so only the first one's run is the clique
     for comp in comps if len(comps) > 1 else [None]:
-        size = len(verts) if comp is None else len(comp)
+        end = depth + (nv if comp is None else len(comp))
         opened = 0  # colors 0..opened-1 are in use in this component
         trail: list[tuple[int, np.ndarray, int]] = []  # (vertex, fresh, opened before)
-        depth = 0
-        while depth < size:
+        while depth < end:
             v = int(key.argmax()) if comp is None else int(comp[key[comp].argmax()])
             c = int(free[: opened + 1, v].argmax())
             while c == k:
                 if not trail:
-                    return None
+                    return None, verts[clique].tolist()
                 v, fresh, opened = trail.pop()
                 depth -= 1
                 c = int(local[v])
-                free[c, fresh] = True
-                key[fresh] -= step
+                unmark(free[c], fresh)
                 key[v] += closed
                 c = c + 1 + int(free[c + 1 : opened + 1, v].argmax()) if c < opened else k
             local[v] = c
             key[v] -= closed
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            row = free[c]
-            fresh = nbrs[row[nbrs]]
-            row[fresh] = False
-            key[fresh] += step
+            fresh = mark(v, free[c])
+            if c == depth == len(clique):
+                clique.append(v)
             if k is not None:  # unbounded, nothing is undone: keep no trail
                 trail.append((v, fresh, opened))
             depth += 1
@@ -202,9 +285,7 @@ def _search(g: Graph, k: int | None) -> Coloring | None:
                 opened += 1
                 if opened == len(free):
                     free = np.vstack((free, np.ones_like(free)))
-    colors = np.zeros(g.n, dtype=np.int64)
-    colors[verts] = local
-    return Coloring.from_array(colors)
+    return _canonical(colors, verts, local), verts[clique].tolist()
 
 
 def find_k_coloring(g: Graph, k: int) -> Coloring | None:
@@ -220,7 +301,7 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
         # canonical as it stands: vertex 0 is colored 0, and an edge uses both colors
         two = _two_coloring(g)
         return None if two is None else Coloring(n=g.n, colors=two, num_colors=2)
-    return _search(g, k)
+    return _search(g, k)[0]
 
 
 def color_with_cap(g: Graph, cap: int | None = None) -> Coloring | None:
@@ -232,13 +313,15 @@ def color_with_cap(g: Graph, cap: int | None = None) -> Coloring | None:
     small = find_k_coloring(g, 2 if cap is None else min(cap, 2))
     if small is not None or (cap is not None and cap <= 2):
         return small
-    lb = max(3, len(greedy_clique_lower_bound(g)))
-    greedy = dsatur_coloring(g)
+    greedy, clique = _search(g, None)
     hi = greedy.num_colors if cap is None else min(greedy.num_colors, cap + 1)
-    for k in range(lb, hi):
-        found = _search(g, k)
-        if found is not None:
-            return found
+    # DSATUR's own clique settles chi when no k in [clique, hi) is left
+    if len(clique) < hi:
+        lb = max(3, len(clique), len(greedy_clique_lower_bound(g)))
+        for k in range(lb, hi):
+            found = _search(g, k)[0]
+            if found is not None:
+                return found
     return greedy if cap is None or greedy.num_colors <= cap else None
 
 

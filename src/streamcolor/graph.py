@@ -475,7 +475,7 @@ def format_rows(arr: np.ndarray, literals: Mapping[int, tuple[str, ...]] = {}) -
     for col, size in enumerate(sizes):
         if col in tokens:
             table = np.frombuffer(b"".join(t.rjust(size, b"\0") for t in tokens[col]), np.uint8)
-            buf[:, end : end + size] = table.reshape(-1, size)[arr[:, col]]
+            buf[:, end : end + size] = table.reshape(-1, size).take(arr[:, col], axis=0)
         else:
             q = arr[:, col]
             for p in range(size):  # the digit of 10^p, right to left

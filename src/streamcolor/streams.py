@@ -5,8 +5,9 @@ A stream is one ``(m, 3)`` int64 array of ``(u, v, delta)`` rows with
 read each pass as that read-only event array, in stream order, with array
 operations. Multi-pass runners must go through `StreamSource`, which meters
 passes explicitly. Each pair question has one routine: `graph.repeats`
-finds the events that repeat an earlier pair, and a dynamic stream's
-validation is the one pass that sums each pair's deltas. Both order the
+finds the events that repeat an earlier pair, and `_running_sums` sums each
+pair's deltas, for a dynamic stream's validation and for `read_stream` to
+name the line of a deletion that outruns its insertions. Both order the
 pair keys by `graph.stable_order`, one plain sort of packed ``key * m +
 index`` values where they fit in int64. Delta checks are compares, and churn
 sampling looks its draws up among the sorted taken keys with
@@ -88,11 +89,7 @@ class Stream:
                 i = np.flatnonzero(repeats(key))[0]
                 raise StreamValidationError(f"pair ({u[i]}, {v[i]}) inserted twice")
             return
-        order = stable_order(key)
-        key, d = key[order], delta[order]
-        first = np.diff(key, prepend=-1) != 0
-        running = np.cumsum(d)
-        running -= (running - d)[first][np.cumsum(first) - 1]
+        order, first, running = _running_sums(key, delta)
         wrong = running < 0
         if wrong.any():
             i = order[wrong].min()
@@ -133,6 +130,20 @@ class Stream:
             and self.model == other.model
             and np.array_equal(self.events, other.events)
         )
+
+
+def _running_sums(key: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The events in `graph.stable_order` of their pair keys, True at each
+    pair's first event in that order, and each event's running delta sum
+    over its pair's events up to it."""
+    order = stable_order(key)
+    key, d = key[order], delta[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    running = np.cumsum(d)
+    running -= (running - d)[first][np.cumsum(first) - 1]
+    return order, first, running
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -261,6 +272,11 @@ def write_stream(stream: Stream, path: str) -> None:
 
 
 def read_stream(path: str) -> Stream:
+    """A stream file as `write_stream` writes it. A row that does not parse,
+    a pair that is not two distinct vertices below n and, in a dynamic
+    stream, a deletion that takes its pair's multiplicity below zero raise
+    `FormatError` at the first such line; a pair that an insertion stream
+    repeats raises `StreamValidationError`."""
     fields, body = read_header(path, STREAM_HEADER)
     n = header_int(fields, "n")
     model = fields.get("model")
@@ -268,6 +284,13 @@ def read_stream(path: str) -> Stream:
         raise FormatError(f"header must carry model=<{INSERTION}|{DYNAMIC}>", line=1)
     rows = Rows(body, 3, _DELTA)
     u, v, plus = rows.data.T
-    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
-    rows.check(((u == v) | outside, f"pair must be two distinct vertices below {n}"))
-    return Stream(n, model, np.column_stack((u, v, 2 * plus - 1)))
+    lo, hi, delta = np.minimum(u, v), np.maximum(u, v), 2 * plus - 1
+    checks = [((u == v) | (lo < 0) | (hi >= n), f"pair must be two distinct vertices below {n}")]
+    if model == DYNAMIC:
+        # keys of rows past a bad pair may collide; only the rows before it count
+        order, _, running = _running_sums(lo * n + hi, delta)
+        overdrawn = np.zeros(len(delta), dtype=bool)
+        overdrawn[order] = running < 0
+        checks.append((overdrawn, "pair deleted more than inserted"))
+    rows.check(*checks)
+    return Stream(n, model, np.column_stack((u, v, delta)))

@@ -225,6 +225,12 @@ class TestVerify:
         s.write_text(f"#stream v1 n={MAX_VERTICES + 1} model=ins\n0 1 +1\n")
         assert run(["run", "random-order", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
 
+    def test_overdrawn_dynamic_stream_exit_3(self, tmp_path, capsys):
+        s = tmp_path / "s.stream"
+        s.write_text("#stream v1 n=4 model=dyn\n2 3 +1\n\n3 1 -1\n")
+        assert run(["run", "dynamic", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
+        assert "line 4: pair deleted more than inserted" in capsys.readouterr().err
+
 
 class TestStreamAndRun:
     def test_shuffle_run_roundtrip(self, tmp_path):

@@ -22,9 +22,16 @@ from streamcolor import (
     run_multipass,
     to_insertion_stream,
 )
+from streamcolor import exact
 from streamcolor.errors import ArgumentError
-from streamcolor.exact import _components, _search, _two_coloring, greedy_clique_lower_bound
-from streamcolor.graph import Coloring
+from streamcolor.exact import (
+    _compact,
+    _components,
+    _search,
+    _two_coloring,
+    greedy_clique_lower_bound,
+)
+from streamcolor.graph import Coloring, missing_clique_pair
 from streamcolor.seeds import rng_for
 
 from oracles import (
@@ -453,8 +460,8 @@ class TestAgreesWithDictReferences:
     @settings(max_examples=60, deadline=None)
     def test_search(self, g, k):
         if g.num_edges:
-            assert same_coloring(_search(g, k), reference_search(g, k))
-        assert same_coloring(_search(g, None), reference_dsatur(g))
+            assert same_coloring(_search(g, k)[0], reference_search(g, k))
+        assert same_coloring(_search(g, None)[0], reference_dsatur(g))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +572,9 @@ class TestParityHookingAgreesWithNetworkx:
     def test_components_and_two_coloring(self, g):
         nxg = nx.Graph(g.edge_array().tolist())
         if g.num_edges:
-            verts = g.csr()[0]
+            _, verts, ends = _compact(g)
             want = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
-            assert [verts[c].tolist() for c in _components(g)] == want
+            assert [verts[c].tolist() for c in _components(ends, len(verts))] == want
         two = _two_coloring(g)
         assert (two is None) == (not nx.is_bipartite(nxg))
         if two is not None:
@@ -633,7 +640,7 @@ class TestStarWithManyLeaves:
 class TestColorRowsGrowWithTheColorsUsed:
     def test_a_huge_k_costs_no_row_per_color(self, k4, petersen):
         # a row per allowed color, k of them, took 30.5 MB for K4 at k = 10^6
-        got, peak = traced_peak(lambda: _search(k4, 10**6))
+        got, peak = traced_peak(lambda: _search(k4, 10**6)[0])
         assert got.num_colors == 4 and is_proper_coloring(k4, got) and peak < 2**20
         got, peak = traced_peak(lambda: find_k_coloring(petersen, 10**9))
         assert got.num_colors == 3 and is_proper_coloring(petersen, got) and peak < 2**20
@@ -676,3 +683,151 @@ class TestNoDictAdjacency:
                 find_k_coloring(g, k)
             dsatur_coloring(g)
             chromatic_number(g)
+
+
+# ---------------------------------------------------------------------------
+# the two row forms of the search: a bool adjacency matrix when nv^2 <= 16 m
+# for nv vertices of degree >= 1, the CSR neighbour lists otherwise
+# ---------------------------------------------------------------------------
+
+
+def complete_multipartite(*sizes: int) -> Graph:
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    u, v = np.triu_indices(len(part), 1)
+    cross = part[u] != part[v]
+    return Graph(len(part), np.stack((u[cross], v[cross]), axis=1))
+
+
+def crown(n: int) -> Graph:
+    """K_{n,n} less a perfect matching: every vertex ties on degree."""
+    return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j])
+
+
+def wheel(rim: int) -> Graph:
+    return Graph(rim + 1, [(0, i) for i in range(1, rim + 1)]
+                 + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+def on_the_size_rule(nv: int, extra: int, seed: int, offset: int = 0) -> Graph:
+    """A graph on `nv` vertices of degree >= 1 (nv divisible by 4) with
+    ``nv^2 / 16 + extra`` edges: a perfect matching, then random pairs."""
+    rng = np.random.default_rng(seed)
+    m = nv * nv // 16 + extra
+    perm = rng.permutation(nv)
+    keys = set(map(tuple, np.sort(perm.reshape(-1, 2), axis=1).tolist()))
+    while len(keys) < m:
+        u, v = sorted(rng.choice(nv, size=2, replace=False).tolist())
+        keys.add((u, v))
+    return Graph(nv + offset, np.array(sorted(keys)) + offset)
+
+
+def form_graphs() -> dict[str, Graph]:
+    graphs = {
+        f"rule nv={nv} extra={extra} seed={seed}": on_the_size_rule(nv, extra, seed, offset=seed % 3)
+        for nv in (12, 16, 20)
+        for extra in (-1, 0, 1)
+        for seed in (0, 1)
+    }
+    graphs.update({
+        "K_{2,2,2}": complete_multipartite(2, 2, 2),
+        "K_{3,3,3,3}": complete_multipartite(3, 3, 3, 3),
+        "K_{1,2,3,4}": complete_multipartite(1, 2, 3, 4),
+        "crown 6": crown(6),
+        "crown 9": crown(9),
+        "wheel 5": wheel(5),
+        "wheel 8": wheel(8),
+    })
+    rng = np.random.default_rng(26)
+    for nv in (10, 14, 18):
+        for density in (0.3, 0.5, 0.7):
+            u, v = np.triu_indices(nv, 1)
+            keep = rng.random(len(u)) < density
+            graphs[f"gnp nv={nv} p={density}"] = Graph(nv + 2, np.stack((u[keep], v[keep]), axis=1) + 2)
+    return graphs
+
+
+class TestDenseRowsMatchTheReferences:
+    @pytest.mark.parametrize("name", list(form_graphs()))
+    def test_both_forms_and_the_solvers_match_byte_for_byte(self, name, monkeypatch):
+        g = form_graphs()[name]
+        verts = np.unique(g.edge_array())
+        dense = len(verts) ** 2 <= 16 * g.num_edges
+        for k in (None, 3, 4, 5):
+            on_rows, on_lists = _search(g, k, dense=True), _search(g, k, dense=False)
+            assert same_coloring(on_rows[0], on_lists[0]) and on_rows[1] == on_lists[1]
+            want = reference_dsatur(g) if k is None else reference_search(g, k)
+            assert same_coloring(on_rows[0], want)
+        # the size rule picks the form: only the list form reads the CSR
+        csr_calls = []
+        real_csr = Graph.csr
+        monkeypatch.setattr(Graph, "csr", lambda self: csr_calls.append(1) or real_csr(self))
+        assert same_coloring(dsatur_coloring(g), reference_dsatur(g))
+        assert bool(csr_calls) == (not dense)
+        for k in (3, 4, 5):
+            assert same_coloring(find_k_coloring(g, k), reference_find_k_coloring(g, k))
+        for cap in (None, 3, 4, 5):
+            assert same_coloring(color_with_cap(g, cap), reference_color_with_cap(g, cap))
+
+    def test_the_rule_graphs_lie_on_both_sides_and_on_the_line(self):
+        sides = set()
+        for nv in (12, 16, 20):
+            for extra in (-1, 0, 1):
+                g = on_the_size_rule(nv, extra, seed=0)
+                assert len(np.unique(g.edge_array())) == nv
+                sides.add(int(np.sign(nv * nv - 16 * g.num_edges)))
+        assert sides == {-1, 0, 1}
+
+    @given(small_graphs(max_n=24), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_the_first_descent_opens_a_clique(self, g, dense):
+        coloring, clique = _search(g, None, dense=dense)
+        assert missing_clique_pair(g, clique) is None
+        assert len(clique) <= coloring.num_colors
+        assert len(clique) >= min(g.num_edges, 1) * 2
+
+
+class TestDsaturCliqueSettlesChi:
+    def test_a_planted_clique_needs_no_greedy_clique_and_no_csr(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("DSATUR's clique settles chi here")
+
+        planted = GraphSpec.parse("planted:n=40,clique=10").build(rng_for(1, 0))
+        k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+        pendants = Graph(8, k6 + [(0, 6), (1, 6), (2, 7), (3, 7)])
+        want = [reference_color_with_cap(g, cap) for g in (planted, pendants) for cap in (None, 5)]
+        monkeypatch.setattr(exact, "greedy_clique_lower_bound", forbidden)
+        monkeypatch.setattr(Graph, "csr", forbidden)
+        got = [color_with_cap(g, cap) for g in (planted, pendants) for cap in (None, 5)]
+        assert [None if c is None else c.num_colors for c in got] == [10, None, 6, None]
+        assert all(same_coloring(a, b) for a, b in zip(got, want))
+
+    def test_an_odd_wheel_still_reaches_the_search(self, monkeypatch):
+        # W_5: DSATUR's clique is a triangle, but chi = 4
+        calls = []
+        real = exact.greedy_clique_lower_bound
+        monkeypatch.setattr(exact, "greedy_clique_lower_bound", lambda g: calls.append(1) or real(g))
+        w5 = wheel(5)
+        assert len(_search(w5, None)[1]) == 3
+        assert chromatic_number(w5) == 4 and chromatic_number(w5, 3) is None
+        assert len(calls) == 2
+
+
+class TestDenseRowsMemory:
+    def test_dense_form_peaks_below_the_csr_form(self):
+        g = GraphSpec.parse("gnm:n=300,m=20000").build(rng_for(26, 0))
+        peaks = {}
+        for dense in (True, False):
+            fresh = Graph(g.n, g.edge_array())  # no cached CSR
+            (coloring, _), peaks[dense] = traced_peak(lambda: _search(fresh, None, dense=dense))
+            assert is_proper_coloring(g, coloring)
+        assert peaks[True] < peaks[False]
+
+    def test_no_vertex_sized_array_beyond_the_coloring(self):
+        # K_5 on the top ids of 10^7 vertices: 10 edges, 5 vertices, dense
+        n = 10**7
+        top = np.arange(n - 5, n)
+        g = Graph(n, [(a, b) for a in top for b in top if a < b])
+        (coloring, clique), peak = traced_peak(lambda: _search(g, None))
+        assert coloring.num_colors == 5 and sorted(clique) == top.tolist()
+        assert coloring.colors[: n - 5].max() == 0 and coloring.colors[-5:].tolist() == [0, 1, 2, 3, 4]
+        assert peak < 8 * n + 2**20

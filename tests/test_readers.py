@@ -10,7 +10,9 @@ a file inside the grammar the shared reader must do what a reference does:
 both reject with `FormatError` at the same line, both reject with
 `StreamValidationError`, or both return equal objects. On a file outside it
 the shared reader raises `FormatError` at the first line outside the grammar,
-or at the reference's error line if that comes first. Byte-mutated files of
+or at the reference's error line if that comes first. Both name the line of
+a dynamic stream's first deletion that outruns its pair's insertions.
+Byte-mutated files of
 every format may raise only `FormatError` (and, for streams,
 `StreamValidationError`).
 
@@ -106,7 +108,7 @@ def reference_read_stream(path: str) -> Stream:
         raise FormatError("vertex count out of range", line=1)
     if model not in ("ins", "dyn"):
         raise FormatError(f"unknown model {model!r}", line=1)
-    events = []
+    events, multiplicity = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -127,6 +129,10 @@ def reference_read_stream(path: str) -> Stream:
             raise FormatError("self-loop", line=lineno)
         if min(u, v) < 0 or max(u, v) >= n:
             raise FormatError("pair out of range", line=lineno)
+        pair = (min(u, v), max(u, v))
+        multiplicity[pair] = multiplicity.get(pair, 0) + delta
+        if model == "dyn" and multiplicity[pair] < 0:
+            raise FormatError("pair deleted more than inserted", line=lineno)
         events.append((u, v, delta))
     return Stream(n, model, events)
 

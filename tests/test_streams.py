@@ -464,11 +464,24 @@ class TestSerialization:
             read_stream(str(path))
         assert "line 2" in str(err.value)
 
-    def test_deleting_uninserted_is_validation_error(self, tmp_path):
+    def test_deleting_uninserted_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.stream"
         path.write_text("#stream v1 n=3 model=dyn\n0 1 -1\n")
-        with pytest.raises(StreamValidationError):
+        with pytest.raises(FormatError) as err:
             read_stream(str(path))
+        assert err.value.line == 2
+
+    def test_overdrawn_pair_names_its_file_line(self, tmp_path):
+        # the blank line 3 is no event, so the failing event, the second,
+        # is on line 4; the same events as arrays keep their own error
+        path = tmp_path / "bad.stream"
+        path.write_text("#stream v1 n=4 model=dyn\n2 3 +1\n\n3 1 -1\n")
+        with pytest.raises(FormatError) as err:
+            read_stream(str(path))
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: pair deleted more than inserted: '3 1 -1'"
+        with pytest.raises(StreamValidationError, match=re.escape("pair (1, 3) deleted more")):
+            Stream(4, "dyn", [(2, 3, 1), (3, 1, -1)])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.stream"
