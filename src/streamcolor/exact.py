@@ -166,13 +166,11 @@ def _canonical(colors: np.ndarray, verts: np.ndarray, local: np.ndarray) -> Colo
     return Coloring(n=len(colors), colors=colors, num_colors=len(first))
 
 
-def _search(
-    g: Graph, k: int | None, dense: bool | None = None
-) -> tuple[Coloring | None, list[int]]:
+def _search(g: Graph, k: int | None) -> tuple[Coloring | None, list[int]]:
     """A coloring of `g` with at most k colors, found by backtracking, or
-    None if there is none, and the clique that the first descent opens, as
-    vertex ids; with k None there is no bound, the search never backtracks,
-    and the coloring is DSATUR's.
+    None if there is none; with k None there is no bound, the search never
+    backtracks, the coloring is DSATUR's, and the clique that it opens comes
+    with it, as vertex ids (with k given, the clique is empty).
 
     Each step colors the uncolored vertex whose neighbours use the most
     distinct colors (ties: higher degree, then lower id) with the smallest
@@ -180,17 +178,16 @@ def _search(
     open at most one new color, since unused colors are interchangeable.
     With k given, each connected component is searched on its own: a
     component that cannot be k-colored then fails once, instead of once per
-    coloring of the components searched before it. The clique is the run of
-    vertices, from the first step on, each adjacent to all those colored
-    before it: each opens a new color. A backtrack into that run cannot
-    recolor it, so it ends the search.
+    coloring of the components searched before it. DSATUR's clique is the
+    run of vertices, from the first step on, each adjacent to all those
+    colored before it: each opens a new color.
 
     Vertices of degree >= 1 get `_compact`'s ids. Their rows take one of two
     forms, by a property of the input alone. When ``nv^2 <= 16 m`` for nv
     such vertices, they are one ``nv x nv`` bool adjacency matrix, no larger
     than the CSR's int64 neighbour array, and a step updates whole rows; the
     CSR is never built. Otherwise they are `Graph.csr`'s neighbour lists,
-    and a step gathers and scatters over them. `dense` forces a form.
+    and a step gathers and scatters over them.
 
     ``free[c, v]`` is False when a neighbour of v has color c, and one argmax
     over `key` picks the next vertex, the first (lowest) on ties. With
@@ -218,9 +215,7 @@ def _search(
     nv = len(verts)
     deg = np.bincount(ends.ravel("K"), minlength=nv)  # in memory order: no copy
     step = 1 << int(deg.max()).bit_length()
-    if dense is None:
-        dense = nv * nv <= 16 * g.num_edges
-    if dense:
+    if nv * nv <= 16 * g.num_edges:
         adj = np.zeros((nv, nv), dtype=bool)
         adj[ends[0], ends[1]] = True
         adj[ends[1], ends[0]] = True
@@ -256,7 +251,7 @@ def _search(
     local = np.zeros(nv, dtype=np.int64)
     clique: list[int] = []
     comps = [] if k is None else _components(ends, nv)
-    depth = 0  # vertices colored over all components, so only the first one's run is the clique
+    depth = 0  # vertices colored over all components
     for comp in comps if len(comps) > 1 else [None]:
         end = depth + (nv if comp is None else len(comp))
         opened = 0  # colors 0..opened-1 are in use in this component
@@ -266,7 +261,7 @@ def _search(
             c = int(free[: opened + 1, v].argmax())
             while c == k:
                 if not trail:
-                    return None, verts[clique].tolist()
+                    return None, []
                 v, fresh, opened = trail.pop()
                 depth -= 1
                 c = int(local[v])
@@ -276,10 +271,10 @@ def _search(
             local[v] = c
             key[v] -= closed
             fresh = mark(v, free[c])
-            if c == depth == len(clique):
-                clique.append(v)
-            if k is not None:  # unbounded, nothing is undone: keep no trail
+            if k is not None:
                 trail.append((v, fresh, opened))
+            elif c == depth == len(clique):  # unbounded, nothing is undone: no trail
+                clique.append(v)
             depth += 1
             if c == opened:
                 opened += 1

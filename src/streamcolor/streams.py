@@ -53,11 +53,25 @@ class Stream:
         u, v, delta = int_rows(events, 3, "events").T
         if np.any(u == v):
             raise ArgumentError(f"self-loop on vertex {u[u == v][0]}")
-        self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
+        self._keep(np.minimum(u, v), np.maximum(u, v), delta)
+        self._validate()
+
+    def _keep(self, lo: np.ndarray, hi: np.ndarray, delta: np.ndarray) -> None:
+        self.events = np.column_stack((lo, hi, delta))
         self.events.flags.writeable = False
         self._totals: tuple[np.ndarray, np.ndarray] | None = None
         self._final: Graph | None = None
-        self._validate()
+
+    @classmethod
+    def _checked_dynamic(cls, n: int, lo, hi, delta, sums) -> Stream:
+        """A dynamic stream whose events `read_stream` has already checked,
+        built from the `_running_sums` of their pair keys that it holds,
+        so the multiplicity pass runs once."""
+        stream = cls.__new__(cls)
+        stream.n, stream.model = n, DYNAMIC
+        stream._keep(lo, hi, delta)
+        stream._keep_totals(*sums)
+        return stream
 
     def _validate(self) -> None:
         """Delta, range and multiplicity checks as array passes.
@@ -94,6 +108,9 @@ class Stream:
         if wrong.any():
             i = order[wrong].min()
             raise StreamValidationError(f"pair ({u[i]}, {v[i]}) deleted more than inserted")
+        self._keep_totals(order, first, running)
+
+    def _keep_totals(self, order: np.ndarray, first: np.ndarray, running: np.ndarray) -> None:
         # first[0] is always set, so `first` rolled left by one marks each pair's last event
         pairs = self.events.take(order[first], axis=0)[:, :2]
         self._totals = _read_only(pairs, running[np.roll(first, -1)])
@@ -285,12 +302,16 @@ def read_stream(path: str) -> Stream:
     rows = Rows(body, 3, _DELTA)
     u, v, plus = rows.data.T
     lo, hi, delta = np.minimum(u, v), np.maximum(u, v), 2 * plus - 1
-    checks = [((u == v) | (lo < 0) | (hi >= n), f"pair must be two distinct vertices below {n}")]
-    if model == DYNAMIC:
-        # keys of rows past a bad pair may collide; only the rows before it count
-        order, _, running = _running_sums(lo * n + hi, delta)
-        overdrawn = np.zeros(len(delta), dtype=bool)
-        overdrawn[order] = running < 0
-        checks.append((overdrawn, "pair deleted more than inserted"))
-    rows.check(*checks)
-    return Stream(n, model, np.column_stack((u, v, delta)))
+    pairs = ((u == v) | (lo < 0) | (hi >= n), f"pair must be two distinct vertices below {n}")
+    if model == INSERTION:
+        rows.check(pairs)
+        return Stream(n, model, np.column_stack((u, v, delta)))
+    # keys of rows past a bad pair may collide; only the rows before it count
+    sums = _running_sums(lo * n + hi, delta)
+    order, _, running = sums
+    overdrawn = np.zeros(len(delta), dtype=bool)
+    overdrawn[order] = running < 0
+    rows.check(pairs, (overdrawn, "pair deleted more than inserted"))
+    # every check `Stream` would make has passed: deltas are literals, and
+    # the pairs are distinct, in range and never overdrawn
+    return Stream._checked_dynamic(n, lo, hi, delta, sums)

@@ -721,6 +721,16 @@ def on_the_size_rule(nv: int, extra: int, seed: int, offset: int = 0) -> Graph:
     return Graph(nv + offset, np.array(sorted(keys)) + offset)
 
 
+def with_matching(g: Graph) -> Graph:
+    """`g` with a perfect matching on new vertices, the fewest edges that
+    put it on the CSR side of the size rule, ``nv^2 > 16 m``."""
+    nv, m, p = len(np.unique(g.edge_array())), g.num_edges, 1
+    while (nv + 2 * p) ** 2 <= 16 * (m + p):
+        p += 1
+    matching = g.n + np.arange(2 * p).reshape(p, 2)
+    return Graph(g.n + 2 * p, np.concatenate((g.edge_array(), matching)))
+
+
 def form_graphs() -> dict[str, Graph]:
     graphs = {
         f"rule nv={nv} extra={extra} seed={seed}": on_the_size_rule(nv, extra, seed, offset=seed % 3)
@@ -728,7 +738,9 @@ def form_graphs() -> dict[str, Graph]:
         for extra in (-1, 0, 1)
         for seed in (0, 1)
     }
-    graphs.update({
+    # dense as they stand; a disjoint matching moves each to the CSR side,
+    # where their ties and backtracking undo run on the neighbour lists
+    families = {
         "K_{2,2,2}": complete_multipartite(2, 2, 2),
         "K_{3,3,3,3}": complete_multipartite(3, 3, 3, 3),
         "K_{1,2,3,4}": complete_multipartite(1, 2, 3, 4),
@@ -736,7 +748,10 @@ def form_graphs() -> dict[str, Graph]:
         "crown 9": crown(9),
         "wheel 5": wheel(5),
         "wheel 8": wheel(8),
-    })
+    }
+    for name, g in families.items():
+        graphs[name] = g
+        graphs[f"{name} + matching"] = with_matching(g)
     rng = np.random.default_rng(26)
     for nv in (10, 14, 18):
         for density in (0.3, 0.5, 0.7):
@@ -748,21 +763,23 @@ def form_graphs() -> dict[str, Graph]:
 
 class TestDenseRowsMatchTheReferences:
     @pytest.mark.parametrize("name", list(form_graphs()))
-    def test_both_forms_and_the_solvers_match_byte_for_byte(self, name, monkeypatch):
+    def test_each_form_and_the_solvers_match_byte_for_byte(self, name, monkeypatch):
         g = form_graphs()[name]
         verts = np.unique(g.edge_array())
         dense = len(verts) ** 2 <= 16 * g.num_edges
-        for k in (None, 3, 4, 5):
-            on_rows, on_lists = _search(g, k, dense=True), _search(g, k, dense=False)
-            assert same_coloring(on_rows[0], on_lists[0]) and on_rows[1] == on_lists[1]
-            want = reference_dsatur(g) if k is None else reference_search(g, k)
-            assert same_coloring(on_rows[0], want)
         # the size rule picks the form: only the list form reads the CSR
         csr_calls = []
         real_csr = Graph.csr
         monkeypatch.setattr(Graph, "csr", lambda self: csr_calls.append(1) or real_csr(self))
-        assert same_coloring(dsatur_coloring(g), reference_dsatur(g))
+        for k in (None, 3, 4, 5):
+            fresh = Graph(g.n, g.edge_array())  # no cached CSR
+            coloring, clique = _search(fresh, k)
+            want = reference_dsatur(g) if k is None else reference_search(g, k)
+            assert same_coloring(coloring, want)
+            assert missing_clique_pair(g, clique) is None
+            assert (clique == []) == (k is not None)
         assert bool(csr_calls) == (not dense)
+        assert same_coloring(dsatur_coloring(g), reference_dsatur(g))
         for k in (3, 4, 5):
             assert same_coloring(find_k_coloring(g, k), reference_find_k_coloring(g, k))
         for cap in (None, 3, 4, 5):
@@ -777,13 +794,27 @@ class TestDenseRowsMatchTheReferences:
                 sides.add(int(np.sign(nv * nv - 16 * g.num_edges)))
         assert sides == {-1, 0, 1}
 
-    @given(small_graphs(max_n=24), st.booleans())
+    def test_every_family_is_searched_in_both_forms(self):
+        graphs = form_graphs()
+        for name, g in graphs.items():
+            if name.endswith(" + matching"):
+                base = graphs[name.removesuffix(" + matching")]
+                for h, dense in ((base, True), (g, False)):
+                    nv = len(np.unique(h.edge_array()))
+                    assert (nv * nv <= 16 * h.num_edges) == dense, name
+
+    @given(small_graphs(max_n=24), st.sampled_from([None, 3, 4]))
     @settings(max_examples=100, deadline=None)
-    def test_the_first_descent_opens_a_clique(self, g, dense):
-        coloring, clique = _search(g, None, dense=dense)
+    def test_only_the_first_descent_returns_a_clique(self, g, k):
+        # a bounded search backtracks, and a vertex that reopens a color
+        # after a pop need not be adjacent to all colored before it
+        coloring, clique = _search(g, k)
         assert missing_clique_pair(g, clique) is None
-        assert len(clique) <= coloring.num_colors
-        assert len(clique) >= min(g.num_edges, 1) * 2
+        if k is not None:
+            assert clique == []
+        else:
+            assert len(clique) <= coloring.num_colors
+            assert len(clique) >= min(g.num_edges, 1) * 2
 
 
 class TestDsaturCliqueSettlesChi:
@@ -813,14 +844,16 @@ class TestDsaturCliqueSettlesChi:
 
 
 class TestDenseRowsMemory:
-    def test_dense_form_peaks_below_the_csr_form(self):
+    def test_dense_form_peaks_below_building_the_csr(self):
+        # the list form builds the CSR inside its own run, so building it
+        # alone is a lower bound on that form's peak
         g = GraphSpec.parse("gnm:n=300,m=20000").build(rng_for(26, 0))
-        peaks = {}
-        for dense in (True, False):
-            fresh = Graph(g.n, g.edge_array())  # no cached CSR
-            (coloring, _), peaks[dense] = traced_peak(lambda: _search(fresh, None, dense=dense))
-            assert is_proper_coloring(g, coloring)
-        assert peaks[True] < peaks[False]
+        assert 300**2 <= 16 * g.num_edges
+        first, second = Graph(g.n, g.edge_array()), Graph(g.n, g.edge_array())  # no cached CSR
+        (coloring, _), dense_peak = traced_peak(lambda: _search(first, None))
+        assert is_proper_coloring(g, coloring)
+        _, csr_peak = traced_peak(second.csr)
+        assert dense_peak < csr_peak
 
     def test_no_vertex_sized_array_beyond_the_coloring(self):
         # K_5 on the top ids of 10^7 vertices: 10 edges, 5 vertices, dense

@@ -22,6 +22,7 @@ from streamcolor import (
 from streamcolor.errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES
 from streamcolor.seeds import rng_for
+from streamcolor import streams
 from streamcolor.streams import _sample_non_edges
 
 from oracles import ReplayMultigraph, pair_totals
@@ -482,6 +483,23 @@ class TestSerialization:
         assert str(err.value) == "line 4: pair deleted more than inserted: '3 1 -1'"
         with pytest.raises(StreamValidationError, match=re.escape("pair (1, 3) deleted more")):
             Stream(4, "dyn", [(2, 3, 1), (3, 1, -1)])
+
+    def test_dynamic_read_sums_multiplicities_once(self, tmp_path, monkeypatch):
+        # the reader's pass both names an overdrawn line and gives the pair totals
+        events = [(2, 3, 1), (0, 1, 1), (3, 2, -1), (1, 2, 1), (2, 3, 1), (0, 1, -1)]
+        path = tmp_path / "ok.stream"
+        write_stream(Stream(4, "dyn", events), str(path))
+        calls = []
+        real = streams._running_sums
+        monkeypatch.setattr(streams, "_running_sums", lambda *a: calls.append(1) or real(*a))
+        got = read_stream(str(path))
+        assert len(calls) == 1
+        want = Stream(4, "dyn", events)
+        assert got == want and got.model == "dyn"
+        for a, b in zip(got.pair_totals(), want.pair_totals()):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        assert np.array_equal(got.final_graph().edge_array(), want.final_graph().edge_array())
+        assert not got.events.flags.writeable
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.stream"
