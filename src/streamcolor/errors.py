@@ -22,7 +22,14 @@ class FormatError(ValueError):
 
 
 class StreamValidationError(ValueError):
-    """A stream violates the model's invariants (e.g. negative multiplicity)."""
+    """A stream violates the model's invariants (e.g. negative multiplicity):
+    the event at `index`, the earliest at fault, breaks `rule`. `read_stream`
+    names the rule at the event's line; the message names the event's pair
+    after the rule's word "pair"."""
+
+    def __init__(self, rule: str, index: int, pair: tuple[int, int]):
+        super().__init__(rule.replace("pair", f"pair {pair}", 1))
+        self.rule, self.index = rule, index
 
 
 class UnsupportedInputError(ValueError):

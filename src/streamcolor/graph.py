@@ -351,6 +351,16 @@ def _first(bad: np.ndarray) -> int:
     return int(bad.argmax()) if bad.any() else len(bad)
 
 
+def first_fault(checks: Iterable[tuple[np.ndarray, str]], stop: int, why: str = "") -> tuple[int, str]:
+    """The first index below `stop` that a ``(bad, message)`` check flags and
+    that check's message, or ``(stop, why)``; on one index the first check wins."""
+    for bad, message in checks:
+        hits = np.flatnonzero(bad[:stop])
+        if hits.size:
+            stop, why = int(hits[0]), message
+    return stop, why
+
+
 def _parse_ints(b: np.ndarray, starts: np.ndarray, lens: np.ndarray, out: np.ndarray) -> int:
     """Write the tokens of `b` at `starts` into `out` as integers, by Horner's
     rule over their digit positions; return the index of the first token
@@ -440,11 +450,7 @@ class Rows:
     def check(self, *checks: tuple[np.ndarray, str]) -> None:
         """Raise `FormatError` at the first row that a ``(bad, message)``
         check flags or that did not parse; on one row the first check wins."""
-        row, message = self._error
-        for bad, msg in checks:
-            hits = np.flatnonzero(bad[:row])
-            if hits.size:
-                row, message = int(hits[0]), msg
+        row, message = first_fault(checks, *self._error)
         if row < len(self._index):
             i = int(self._index[row])  # the row's line, counted from 0 after the header
             ends = np.flatnonzero(np.frombuffer(self._body, dtype=np.uint8) == ord("\n"))

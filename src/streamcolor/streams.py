@@ -4,15 +4,16 @@ A stream is one ``(m, 3)`` int64 array of ``(u, v, delta)`` rows with
 ``u < v``. Streams are materialized in memory at desk scale; the runners
 read each pass as that read-only event array, in stream order, with array
 operations. Multi-pass runners must go through `StreamSource`, which meters
-passes explicitly. Each pair question has one routine: `graph.repeats`
-finds the events that repeat an earlier pair, and `_running_sums` sums each
-pair's deltas, for a dynamic stream's validation and for `read_stream` to
-name the line of a deletion that outruns its insertions. Both order the
-pair keys by `graph.stable_order`, one plain sort of packed ``key * m +
-index`` values where they fit in int64. Delta checks are compares, and churn
-sampling looks its draws up among the sorted taken keys with
-`graph.find_keys`, so no pass hashes. An insertion stream carries each pair
-once, so its pairs are its final graph's edges.
+passes explicitly. Every stream, built or read, is checked once, by
+`Stream._validate`, which names the earliest event at fault; `read_stream`
+reports that event at its file line. Each pair question has one routine:
+`graph.repeats` finds the events that repeat an earlier pair, and
+`_running_sums` sums each pair's deltas for a dynamic stream's validation.
+Both order the pair keys by `graph.stable_order`, one plain sort of packed
+``key * m + index`` values where they fit in int64. Delta checks are
+compares, and churn sampling looks its draws up among the sorted taken keys
+with `graph.find_keys`, so no pass hashes. An insertion stream carries each
+pair once, so its pairs are its final graph's edges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ArgumentError, FormatError, PassLimitError, StreamValidationError
 from .graph import MAX_VERTICES, Graph, Rows, find_keys, format_rows, header_int, int_rows
-from .graph import read_header, repeats, stable_order
+from .graph import first_fault, read_header, repeats, stable_order
 from .seeds import rng_for
 
 INSERTION = "ins"
@@ -53,67 +54,53 @@ class Stream:
         u, v, delta = int_rows(events, 3, "events").T
         if np.any(u == v):
             raise ArgumentError(f"self-loop on vertex {u[u == v][0]}")
-        self._keep(np.minimum(u, v), np.maximum(u, v), delta)
-        self._validate()
-
-    def _keep(self, lo: np.ndarray, hi: np.ndarray, delta: np.ndarray) -> None:
-        self.events = np.column_stack((lo, hi, delta))
+        self.events = np.column_stack((np.minimum(u, v), np.maximum(u, v), delta))
         self.events.flags.writeable = False
         self._totals: tuple[np.ndarray, np.ndarray] | None = None
         self._final: Graph | None = None
-
-    @classmethod
-    def _checked_dynamic(cls, n: int, lo, hi, delta, sums) -> Stream:
-        """A dynamic stream whose events `read_stream` has already checked,
-        built from the `_running_sums` of their pair keys that it holds,
-        so the multiplicity pass runs once."""
-        stream = cls.__new__(cls)
-        stream.n, stream.model = n, DYNAMIC
-        stream._keep(lo, hi, delta)
-        stream._keep_totals(*sums)
-        return stream
+        self._validate()
 
     def _validate(self) -> None:
-        """Delta, range and multiplicity checks as array passes.
+        """Delta, range and multiplicity checks as array passes; the earliest
+        event at fault is named, and on one event the first check wins.
 
-        Deltas are checked by compares. An insertion stream takes one plain
-        sort for a repeated pair, and `graph.repeats` names the earliest
-        repeating event. A dynamic stream takes the one multiplicity pass, a
-        `graph.stable_order` of the pair keys and a per-pair running sum,
-        which names the earliest event that goes negative and keeps each
-        pair's final sum as its pair totals.
+        Deltas and ranges are compares. An insertion stream takes one plain
+        sort, and `graph.repeats` only if that finds a repeated pair. A
+        dynamic stream takes the one multiplicity pass, a `graph.stable_order`
+        of the pair keys and a per-pair running sum, which keeps each pair's
+        final sum as its pair totals.
         """
         u, v, delta = self.events.T
         if self.model == INSERTION:
             allowed, bad = (1,), delta != 1
         else:
             allowed, bad = (1, -1), np.abs(delta) != 1
-        if bad.any():
-            raise StreamValidationError(
-                f"{self.model} stream carries delta {delta[bad][0]}; allowed: {allowed}"
-            )
-        outside = (u < 0) | (v >= self.n)
-        if outside.any():
-            i = np.flatnonzero(outside)[0]
-            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) out of range for n={self.n}")
+        checks = [
+            (bad, "{model} stream carries delta {delta}; allowed: {allowed}"),
+            ((u < 0) | (v >= self.n), "pair out of range for n={n}"),
+        ]
         key = u * self.n + v
         if self.model == INSERTION:
             ordered = np.sort(key)
             if (ordered[1:] == ordered[:-1]).any():
-                i = np.flatnonzero(repeats(key))[0]
-                raise StreamValidationError(f"pair ({u[i]}, {v[i]}) inserted twice")
-            return
-        order, first, running = _running_sums(key, delta)
-        wrong = running < 0
-        if wrong.any():
-            i = order[wrong].min()
-            raise StreamValidationError(f"pair ({u[i]}, {v[i]}) deleted more than inserted")
-        self._keep_totals(order, first, running)
-
-    def _keep_totals(self, order: np.ndarray, first: np.ndarray, running: np.ndarray) -> None:
-        # first[0] is always set, so `first` rolled left by one marks each pair's last event
-        pairs = self.events.take(order[first], axis=0)[:, :2]
-        self._totals = _read_only(pairs, running[np.roll(first, -1)])
+                checks.append((repeats(key), "pair inserted twice"))
+        else:
+            order, first, running = _running_sums(key, delta)
+            wrong = running < 0
+            if wrong.any():
+                overdrawn = np.zeros(len(key), dtype=bool)
+                overdrawn[order] = wrong
+                checks.append((overdrawn, "pair deleted more than inserted"))
+        # a key shared by distinct pairs has an out-of-range event at or
+        # before any multiplicity fault it causes, and that event is named
+        i, rule = first_fault(checks, len(key))
+        if i < len(key):
+            rule = rule.format(model=self.model, delta=delta[i], allowed=allowed, n=self.n)
+            raise StreamValidationError(rule, i, (int(u[i]), int(v[i])))
+        if self.model == DYNAMIC:
+            # first[0] is always set, so `first` rolled left by one marks each pair's last event
+            pairs = self.events.take(order[first], axis=0)[:, :2]
+            self._totals = _read_only(pairs, running[np.roll(first, -1)])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -290,10 +277,10 @@ def write_stream(stream: Stream, path: str) -> None:
 
 def read_stream(path: str) -> Stream:
     """A stream file as `write_stream` writes it. A row that does not parse,
-    a pair that is not two distinct vertices below n and, in a dynamic
-    stream, a deletion that takes its pair's multiplicity below zero raise
-    `FormatError` at the first such line; a pair that an insertion stream
-    repeats raises `StreamValidationError`."""
+    a pair that is not two distinct vertices below n, and an event that
+    `Stream` refuses (an insertion stream's -1 or repeated pair, a dynamic
+    stream's deletion that takes its pair's multiplicity below zero) raise
+    `FormatError` at the first such line."""
     fields, body = read_header(path, STREAM_HEADER)
     n = header_int(fields, "n")
     model = fields.get("model")
@@ -301,17 +288,13 @@ def read_stream(path: str) -> Stream:
         raise FormatError(f"header must carry model=<{INSERTION}|{DYNAMIC}>", line=1)
     rows = Rows(body, 3, _DELTA)
     u, v, plus = rows.data.T
-    lo, hi, delta = np.minimum(u, v), np.maximum(u, v), 2 * plus - 1
-    pairs = ((u == v) | (lo < 0) | (hi >= n), f"pair must be two distinct vertices below {n}")
-    if model == INSERTION:
-        rows.check(pairs)
-        return Stream(n, model, np.column_stack((u, v, delta)))
-    # keys of rows past a bad pair may collide; only the rows before it count
-    sums = _running_sums(lo * n + hi, delta)
-    order, _, running = sums
-    overdrawn = np.zeros(len(delta), dtype=bool)
-    overdrawn[order] = running < 0
-    rows.check(pairs, (overdrawn, "pair deleted more than inserted"))
-    # every check `Stream` would make has passed: deltas are literals, and
-    # the pairs are distinct, in range and never overdrawn
-    return Stream._checked_dynamic(n, lo, hi, delta, sums)
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    pairs = (bad, f"pair must be two distinct vertices below {n}")
+    stop, _ = first_fault([pairs], len(u))
+    try:  # only the events before the first bad pair; a self-loop is an `ArgumentError` there
+        stream = Stream(n, model, np.column_stack((u, v, 2 * plus - 1))[:stop])
+    except StreamValidationError as exc:  # its event precedes every other fault
+        rows.check((np.arange(stop) == exc.index, exc.rule))
+        raise
+    rows.check(pairs)
+    return stream

@@ -231,6 +231,19 @@ class TestVerify:
         assert run(["run", "dynamic", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
         assert "line 4: pair deleted more than inserted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 +1\n\n1 0 +1\n", "line 4: pair inserted twice: '1 0 +1'"),
+            ("0 1 +1\n1 2 -1\n", "line 3: ins stream carries delta -1; allowed: (1,): '1 2 -1'"),
+        ],
+    )
+    def test_refused_insertion_stream_exit_3(self, tmp_path, capsys, body, message):
+        s = tmp_path / "s.stream"
+        s.write_text(f"#stream v1 n=3 model=ins\n{body}")
+        assert run(["run", "random-order", "--stream", str(s), "--q", "2", "--t", "2"]) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestStreamAndRun:
     def test_shuffle_run_roundtrip(self, tmp_path):

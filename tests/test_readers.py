@@ -7,14 +7,13 @@ per-line readers `reference_read_graph` and `reference_read_stream`, and the
 per-line header and row parsers `line_read_header` and `LineRows`, which read
 every body outside that grammar until the byte path became the only path. On
 a file inside the grammar the shared reader must do what a reference does:
-both reject with `FormatError` at the same line, both reject with
-`StreamValidationError`, or both return equal objects. On a file outside it
-the shared reader raises `FormatError` at the first line outside the grammar,
-or at the reference's error line if that comes first. Both name the line of
-a dynamic stream's first deletion that outruns its pair's insertions.
-Byte-mutated files of
-every format may raise only `FormatError` (and, for streams,
-`StreamValidationError`).
+both reject with `FormatError` at the same line, or both return equal
+objects. On a file outside it the shared reader raises `FormatError` at the
+first line outside the grammar, or at the reference's error line if that
+comes first. Both name the line of an insertion stream's first -1 or
+repeated pair and of a dynamic stream's first deletion that outruns its
+pair's insertions. Byte-mutated files of every format may raise only
+`FormatError`.
 
 The `reference_write_*` functions are the earlier per-row f-string writers;
 `format_rows` must reproduce their bytes.
@@ -39,7 +38,7 @@ from hypothesis import strategies as st
 
 import streamcolor as sc
 from streamcolor.cli import main
-from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
+from streamcolor.errors import ArgumentError, FormatError
 from streamcolor.graph import (
     MAX_VERTICES,
     Graph,
@@ -129,8 +128,12 @@ def reference_read_stream(path: str) -> Stream:
             raise FormatError("self-loop", line=lineno)
         if min(u, v) < 0 or max(u, v) >= n:
             raise FormatError("pair out of range", line=lineno)
+        if model == "ins" and delta == -1:
+            raise FormatError("deletion in an insertion stream", line=lineno)
         pair = (min(u, v), max(u, v))
         multiplicity[pair] = multiplicity.get(pair, 0) + delta
+        if model == "ins" and multiplicity[pair] > 1:
+            raise FormatError("pair inserted twice", line=lineno)
         if model == "dyn" and multiplicity[pair] < 0:
             raise FormatError("pair deleted more than inserted", line=lineno)
         events.append((u, v, delta))
@@ -336,8 +339,6 @@ def outcome(reader, path, message: bool = False):
         return reader(path)
     except FormatError as exc:
         return ("FormatError", exc.line, str(exc) if message else mock.ANY)
-    except StreamValidationError:
-        return ("StreamValidationError",)
 
 
 def required(want, outside: int | None):
@@ -739,9 +740,9 @@ def mutated(draw):
 @settings(max_examples=400, deadline=None)
 @given(mutated())
 def test_mutated_files_raise_only_format_error(path, case):
-    """Any file raises only `FormatError` (or, for streams,
-    `StreamValidationError`); a text file reads as `required` asks, with the
-    per-line parsers as the reference and the same message inside the grammar."""
+    """Any file raises only `FormatError`; a text file reads as `required`
+    asks, with the per-line parsers as the reference and the same message
+    inside the grammar."""
     reader, data = case
     path.write_bytes(data)
     if reader in GRAMMARS:
@@ -750,8 +751,6 @@ def test_mutated_files_raise_only_format_error(path, case):
         reader(str(path))
     except FormatError:
         pass
-    except StreamValidationError:
-        assert reader is read_stream
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import re
 
 import numpy as np
@@ -213,18 +214,41 @@ class TestSampleNonEdgesMatchesScalarLoop:
         self.assert_same_draws(g, 80 * 79 // 2 - 2000, 3)
 
 
+@functools.cache
+def _events_on(n: int, deltas: tuple[int, ...]):
+    """The strategy of `event_lists`' events on n vertices, built once."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return st.lists(st.tuples(pair, st.sampled_from(deltas)).map(lambda e: (*e[0], e[1])),
+                    max_size=24)
+
+
 @st.composite
 def event_lists(draw, deltas=(1, -1)):
     """(n, events) with n <= 6, either endpoint order and no self-loops."""
     n = draw(st.integers(2, 6))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1]
-    )
-    events = draw(
-        st.lists(st.tuples(pair, st.sampled_from(deltas)).map(lambda e: (*e[0], e[1])),
-                 max_size=24)
-    )
-    return n, events
+    return n, draw(_events_on(n, deltas))
+
+
+def reference_first_fault(n: int, model: str, events) -> tuple[int, str] | None:
+    """The first event at fault and its message, replaying the events one at
+    a time: a delta the model does not allow, then a pair out of range, then a
+    repeat (insertion) or a multiplicity below zero (dynamic)."""
+    allowed = (1,) if model == "ins" else (1, -1)
+    count = collections.Counter()
+    for i, (u, v, delta) in enumerate(events):
+        pair = (min(u, v), max(u, v))
+        if delta not in allowed:
+            return i, f"{model} stream carries delta {delta}; allowed: {allowed}"
+        if pair[0] < 0 or pair[1] >= n:
+            return i, f"pair {pair} out of range for n={n}"
+        count[pair] += delta
+        if model == "ins" and count[pair] > 1:
+            return i, f"pair {pair} inserted twice"
+        if count[pair] < 0:
+            return i, f"pair {pair} deleted more than inserted"
+    return None
 
 
 class TestStreamConstruction:
@@ -367,6 +391,40 @@ class TestStreamConstruction:
             Stream(n, "ins", events)
         assert str(raised.value) == f"pair ({repeat[0]}, {repeat[1]}) inserted twice"
 
+    @given(event_lists(), st.sampled_from(["ins", "dyn"]), st.integers(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_validation_names_the_earliest_event_at_fault(self, case, model, cut):
+        # at n - 1 vertices, vertex n - 1 is out of range; an insertion
+        # stream of these events may also carry -1
+        n, events = case
+        n -= cut
+        want = reference_first_fault(n, model, events)
+        if want is None:
+            Stream(n, model, events)
+            return
+        with pytest.raises(StreamValidationError) as raised:
+            Stream(n, model, events)
+        index, message = want
+        assert (raised.value.index, str(raised.value)) == (index, message)
+        assert raised.value.rule == re.sub(r"pair \(\d+, \d+\)", "pair", message)
+
+    @pytest.mark.parametrize(
+        "model, events, index, message",
+        [
+            # a repeat before a bad delta, then an overdraw before a range fault
+            ("ins", [(0, 1, 1), (1, 0, 1), (1, 2, -1)], 1, "pair (0, 1) inserted twice"),
+            ("dyn", [(0, 1, 1), (1, 0, -1), (0, 1, -1), (1, 3, 1)], 2,
+             "pair (0, 1) deleted more than inserted"),
+            # on one event the delta check wins, then the range check
+            ("ins", [(0, 1, 1), (3, 1, -1)], 1, "ins stream carries delta -1; allowed: (1,)"),
+            ("ins", [(0, 1, 1), (0, 3, 1), (1, 0, 1)], 1, "pair (0, 3) out of range for n=3"),
+        ],
+    )
+    def test_two_faults_name_the_earlier_event(self, model, events, index, message):
+        with pytest.raises(StreamValidationError) as raised:
+            Stream(3, model, events)
+        assert (raised.value.index, str(raised.value)) == (index, message)
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1))
     def test_rejects_rows_that_are_not_triples(self, rows):
         with pytest.raises(ArgumentError):
@@ -483,6 +541,27 @@ class TestSerialization:
         assert str(err.value) == "line 4: pair deleted more than inserted: '3 1 -1'"
         with pytest.raises(StreamValidationError, match=re.escape("pair (1, 3) deleted more")):
             Stream(4, "dyn", [(2, 3, 1), (3, 1, -1)])
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            # the blank line 3 is no event, so the repeat, the second event, is on line 4
+            ("0 1 +1\n\n1 0 +1\n", 4, "pair inserted twice: '1 0 +1'"),
+            ("0 1 +1\n1 2 -1\n", 3, "ins stream carries delta -1; allowed: (1,): '1 2 -1'"),
+            # the earliest line wins: a repeat before a -1, a bad pair and a bad row
+            ("0 1 +1\n1 0 +1\n1 2 -1\n2 2 +1\n0 x +1\n", 3, "pair inserted twice: '1 0 +1'"),
+            ("0 1 +1\n1 2 -1\n1 0 +1\n", 3, "ins stream carries delta -1; allowed: (1,): '1 2 -1'"),
+            ("0 1 +1\n0 3 +1\n1 0 +1\n", 3, "pair must be two distinct vertices below 3: '0 3 +1'"),
+            ("0 1 +1\n0 1 +2\n1 0 +1\n", 3, "field 3 must be one of ('-1', '+1'): '0 1 +2'"),
+        ],
+    )
+    def test_refused_insertion_stream_names_its_file_line(self, tmp_path, body, line, message):
+        path = tmp_path / "bad.stream"
+        path.write_text(f"#stream v1 n=3 model=ins\n{body}")
+        with pytest.raises(FormatError) as err:
+            read_stream(str(path))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_dynamic_read_sums_multiplicities_once(self, tmp_path, monkeypatch):
         # the reader's pass both names an overdrawn line and gives the pair totals
