@@ -12,7 +12,8 @@ k-cliques. Three constructions are provided:
   arbitrary inputs at the cost of k times more vertices.
 
 Vertex numbering is frozen as layer-major, then group-major, then position,
-so serialized graphs are reproducible across runs.
+so serialized graphs are reproducible across runs. A packing holds its
+cliques as one ``(t, r, k)`` array and reads t, r and k off its shape.
 """
 
 from __future__ import annotations
@@ -327,39 +328,47 @@ class ClusterPackingGraph:
     """Graph plus its explicit partition into t induced k-clusters of size r.
 
     ``clusters`` is a read-only ``(t, r, k)`` int64 array: ``clusters[i, j]``
-    holds the ordered vertices of the j-th k-clique of cluster i. Any other
-    shape, a ragged nesting, or a vertex outside the graph raises
-    `ArgumentError`. ``layout`` names the construction ("basic", "grouped",
-    "dense", "lifted"); all four place layer/copy a at vertex range
+    holds the ordered vertices of the j-th k-clique of cluster i, and `t`,
+    `r` and `k` are read off its shape. Any array that is not 3-D, a ragged
+    nesting, or a vertex outside the graph raises `ArgumentError`.
+    ``layout`` names the construction ("basic", "grouped", "dense",
+    "lifted"); all four place layer/copy a at vertex range
     ``[a*n/k, (a+1)*n/k)``, which is what `canonical_coloring` relies on.
     """
 
     graph: Graph
-    k: int
-    r: int
-    t: int
     clusters: np.ndarray
     layout: str | None = None
 
     def __post_init__(self):
-        shape = (self.t, self.r, self.k)
         try:
             arr = np.array(self.clusters)
         except ValueError:
-            raise ArgumentError(f"clusters must be a {shape} integer array, not a ragged nesting")
-        if arr.shape != shape or (arr.size and arr.dtype.kind not in "iu"):
-            raise ArgumentError(f"clusters must be a {shape} integer array, got {arr.dtype} {arr.shape}")
+            raise ArgumentError("clusters must be a (t, r, k) integer array, not a ragged nesting")
+        if arr.ndim != 3 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ArgumentError(f"clusters must be a (t, r, k) integer array, got {arr.dtype} {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.graph.n):
             raise ArgumentError(f"clusters hold a vertex outside [0, {self.graph.n})")
         arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "clusters", arr)
 
+    @property
+    def t(self) -> int:
+        return self.clusters.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.clusters.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.clusters.shape[2]
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ClusterPackingGraph)
-            and (self.graph, self.k, self.r, self.t, self.layout)
-            == (other.graph, other.k, other.r, other.t, other.layout)
+            and (self.graph, self.layout) == (other.graph, other.layout)
             and np.array_equal(self.clusters, other.clusters)
         )
 
@@ -387,7 +396,7 @@ def _assemble(n: int, clusters: np.ndarray, layout: str) -> ClusterPackingGraph:
     again = _implied_again(keys)
     if again.any():
         raise GenerationError(f"clique {np.argmax(again)} implies an edge implied before")
-    return ClusterPackingGraph(Graph(n, pairs.reshape(-1, 2)), k, r, t, clusters, layout)
+    return ClusterPackingGraph(Graph(n, pairs.reshape(-1, 2)), clusters, layout)
 
 
 def _check_edges(t: int, r: int, k: int) -> None:
@@ -665,8 +674,8 @@ def write_cpg(cpg: ClusterPackingGraph, path: str) -> None:
     """
     if cpg.layout not in _LAYOUTS:
         raise ArgumentError(f"cannot write layout {cpg.layout!r}; need one of {_LAYOUTS}")
-    header = f"{CPG_HEADER} n={cpg.graph.n} k={cpg.k} r={cpg.r} t={cpg.t} layout={cpg.layout}\n"
     t, r, k = cpg.clusters.shape
+    header = f"{CPG_HEADER} n={cpg.graph.n} k={k} r={r} t={t} layout={cpg.layout}\n"
     ci, ji = np.divmod(np.arange(t * r), r)
     rows = np.column_stack((np.zeros_like(ci), ci, ji, cpg.clusters.reshape(t * r, k)))
     with open(path, "wb") as f:

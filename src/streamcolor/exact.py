@@ -163,7 +163,7 @@ def _canonical(colors: np.ndarray, verts: np.ndarray, local: np.ndarray) -> Colo
     rank[np.argsort(first)] = np.arange(len(first))
     colors.fill(rank[0])
     colors[verts] = rank[local]
-    return Coloring(n=len(colors), colors=colors, num_colors=len(first))
+    return Coloring(colors=colors, num_colors=len(first))
 
 
 def _search(g: Graph, k: int | None) -> tuple[Coloring | None, list[int]]:
@@ -295,7 +295,7 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     if k == 2:
         # canonical as it stands: vertex 0 is colored 0, and an edge uses both colors
         two = _two_coloring(g)
-        return None if two is None else Coloring(n=g.n, colors=two, num_colors=2)
+        return None if two is None else Coloring(colors=two, num_colors=2)
     return _search(g, k)[0]
 
 

@@ -8,7 +8,8 @@ planted builds, and every graph derived from another graph's edges or its
 pair totals) are taken as they stand. The
 frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
 are views derived from that array on first use; the exact solver above two
-colors reads the CSR. Graphs and colorings are immutable after construction
+colors reads the CSR. A coloring's n is the length of its colors array.
+Graphs and colorings are immutable after construction
 and safe to share across threads. Isolated vertices are implicit: a graph
 may have millions of vertices but only the edge set is materialized. The
 text formats `.graph`, `.stream` and `.cpg` share one header parser
@@ -194,25 +195,25 @@ class Coloring:
     Canonical form means color ids are exactly ``{0..num_colors-1}`` and are
     assigned in order of first appearance by vertex index, so equal
     partitions compare equal. `from_array` canonicalizes any labels; the
-    constructor stores its fields as given.
+    constructor stores its fields as given. The vertex count ``n`` is
+    ``len(colors)``.
     """
 
-    n: int
     colors: np.ndarray
     num_colors: int
+
+    @property
+    def n(self) -> int:
+        return len(self.colors)
 
     @staticmethod
     def from_array(colors: Iterable[int]) -> "Coloring":
         arr = np.asarray(list(colors) if not isinstance(colors, np.ndarray) else colors)
         canon, k = _canonicalize(arr)
-        return Coloring(n=len(canon), colors=canon, num_colors=k)
+        return Coloring(colors=canon, num_colors=k)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Coloring)
-            and self.n == other.n
-            and np.array_equal(self.colors, other.colors)
-        )
+        return isinstance(other, Coloring) and np.array_equal(self.colors, other.colors)
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, num_colors={self.num_colors})"
@@ -220,7 +221,7 @@ class Coloring:
 
 def uniform_coloring(n: int) -> Coloring:
     # canonical as it stands: one color, none when there is no vertex
-    return Coloring(n=n, colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1))
+    return Coloring(colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1))
 
 
 def is_proper_coloring(g: Graph, c: Coloring) -> bool:
@@ -272,18 +273,16 @@ def missing_clique_pair(g: Graph, vertices: Iterable[int]) -> tuple[int, int] | 
     return (int(u[absent[0]]), int(v[absent[0]])) if absent.size else None
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on `vertices` plus the old-id -> new-id relabel map."""
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph on `vertices`; a kept vertex's new id is its rank among them."""
     vs = np.fromiter(vertices, dtype=np.int64)
     if vs.size and (vs.min() < 0 or vs.max() >= g.n):
         raise ArgumentError(f"vertex set not contained in [0, {g.n})")
     member = np.zeros(g.n, dtype=bool)
     member[vs] = True
-    vs = np.flatnonzero(member)
     new_id = np.cumsum(member) - 1  # relabel lookup, valid on members
     a = g.edge_array()
-    sub = Graph(len(vs), new_id[a.compress(member[a[:, 0]] & member[a[:, 1]], axis=0)])
-    return sub, dict(zip(vs.tolist(), range(len(vs))))
+    return Graph(int(member.sum()), new_id[a.compress(member[a[:, 0]] & member[a[:, 1]], axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,8 @@ def write_text(text: str, path: str) -> None:
 
 
 def read_json(path: str):
-    """A JSON file's value; bytes that are not UTF-8 raise `FormatError` at their line."""
+    """A JSON file's value; bytes that are not UTF-8, and a syntax error, raise
+    `FormatError` at their line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -315,7 +315,9 @@ def read_json(path: str):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"not UTF-8: {exc.reason}", line=line) from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno) from None
+    except RecursionError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
 
 

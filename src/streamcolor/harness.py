@@ -162,9 +162,12 @@ class ExperimentResult:
     name: str
     params: dict
     seed: int | None
-    trials: int
-    records: tuple[dict, ...]
+    records: tuple[dict, ...]  # one per trial
     summary: dict = field(default_factory=dict)
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
 
     def to_dict(self) -> dict:
         return {
@@ -256,7 +259,6 @@ def experiment_edge_shrinkage(
         name="edge-shrinkage",
         params={"graph": spec.describe(), "t": t, "budget_multiplier": budget_multiplier},
         seed=seed,
-        trials=trials,
         records=tuple(records),
         summary=summary if trials else {},
     )
@@ -281,7 +283,7 @@ def experiment_vertex_sampling(
         rng = rng_for(seed, 201, trial)
         mask = rng.random(spec.n) < p
         verts = np.flatnonzero(mask)
-        h, _ = induced_subgraph(g, verts)
+        h = induced_subgraph(g, verts)
         chi_h = chromatic_number(h)
         indicator = chi_h < threshold
         hits += int(indicator)
@@ -305,7 +307,6 @@ def experiment_vertex_sampling(
         name="vertex-sampling",
         params={"graph": spec.describe(), "p": p},
         seed=seed,
-        trials=trials,
         records=tuple(records),
         summary=summary if trials else {},
     )
@@ -387,7 +388,6 @@ def experiment_distinguisher(
             "cycles": cycles,
         },
         seed=seed,
-        trials=trials,
         records=tuple(records),
         summary=summary,
     )

@@ -18,8 +18,10 @@ overrides exist so tests can exercise both branches deterministically, and
 each refuses, before any draw, parts that may hold more than
 `clusterpack.MAX_EDGES` edges. The families share one surface:
 `union_graph()`, `edge_parts()`, `witness_coloring` (answer bit 0) and
-`verify_instance`, whose gap check calls that witness. `read_instance`
-regenerates a file's instance and compares every top-level field with it.
+`verify_instance`, whose gap check calls that witness. Sizes, a recursive
+plan and the simultaneous clique are read off the stored data.
+`read_instance` regenerates a file's instance and compares every top-level
+field with it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import clusterpack
 from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
 from .clusterpack import CheckResult, LineLayout, VerificationReport, _clique_pairs, _pair
 from .graph import Coloring, Graph, is_proper_coloring, read_json
-from .graph import canonical_json, find_keys, missing_clique_pair, write_text
+from .graph import canonical_json, missing_clique_pair, write_text
 from .seeds import rng_for
 
 WITNESS_VERTEX_LIMIT = 50_000_000
@@ -79,17 +81,23 @@ def _bicliques(n: int, cliques: np.ndarray, joins: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoPlayerInstance:
-    n: int
-    k: int
     seed: int | None
     ans_override: int | None
-    host: LineLayout  # the basic lines layout, r = k
+    host: LineLayout  # the basic lines layout, r = k, whose n, k and t_max are the instance's
     i_star: int
     x: np.ndarray  # shape (t,), 0/1
     ans: int
     e1: np.ndarray  # read-only (m, 2) int64 rows, sorted
     e2: np.ndarray
     spec: np.ndarray  # sorted int64 vertex ids
+
+    @property
+    def n(self) -> int:
+        return self.host.n
+
+    @property
+    def k(self) -> int:
+        return self.host.k
 
     @property
     def t(self) -> int:
@@ -132,8 +140,6 @@ def gen_two_player(
     ans = int(x[i_star])
     e1, e2 = _two_player_parts(host, x, i_star)
     return TwoPlayerInstance(
-        n=n,
-        k=k,
         seed=seed,
         ans_override=ans_override,
         host=host,
@@ -208,13 +214,11 @@ def sample_intersecting_sets(
 @dataclass(frozen=True)
 class RecursiveInstance:
     """The p-player instance: the random choices of level a = p, on a grouped
-    host of `t` materialized clusters, and the embedded (p-1)-player instance."""
+    host of `t` materialized clusters, and the embedded (p-1)-player instance,
+    whose chain down to the two-player base gives `p` and `plan`."""
 
-    p: int
-    k: int
     seed: int | None
     ans_override: int | None
-    plan: LevelPlan
     host: LineLayout  # the grouped lines layout, r = 4 * inner.n
     cluster_ids: np.ndarray  # sorted, shape (t,)
     i_star: int  # index into cluster_ids
@@ -238,8 +242,25 @@ class RecursiveInstance:
         return self.host.r
 
     @property
+    def k(self) -> int:
+        return self.host.k
+
+    @property
     def t(self) -> int:
         return len(self.cluster_ids)
+
+    @property
+    def p(self) -> int:
+        return 3 if isinstance(self.inner, TwoPlayerInstance) else self.inner.p + 1
+
+    @property
+    def plan(self) -> LevelPlan:
+        """The base's n_2, then one ``LevelSpec(n, t)`` per level from a = 3 up to this one."""
+        if isinstance(self.inner, TwoPlayerInstance):
+            below = LevelPlan(n2=self.inner.n)
+        else:
+            below = self.inner.plan
+        return LevelPlan(n2=below.n2, levels=below.levels + (LevelSpec(n=self.n, t=self.t),))
 
     def istar_cliques(self) -> np.ndarray:
         """The ``(r, k)`` cliques of the hidden cluster, one row each."""
@@ -356,11 +377,8 @@ def gen_recursive(
 
     e1, *join_parts = _recursive_parts(layout, cluster_ids, sets, x, i_star, sigma, inner.edge_parts())
     return RecursiveInstance(
-        p=p,
-        k=k,
         seed=seed,
         ans_override=ans_override,
-        plan=plan,
         host=layout,
         cluster_ids=cluster_ids,
         i_star=i_star,
@@ -388,15 +406,28 @@ class SimultaneousInstance:
     n_base: int
     seed: int | None
     theta_override: int | None
-    p: int
-    t: int
-    n: int
     theta: int
     j_star: int
     x: np.ndarray  # shape (p, t)
     sigma: np.ndarray  # permutation of [n]: left ids, right ids, clique ids, the rest
     player_edges: tuple[np.ndarray, ...]  # per player, relabeled to [n], in pair order
-    v_clique: np.ndarray  # sorted
+
+    @property
+    def p(self) -> int:
+        return self.k * (self.k - 1) // 2
+
+    @property
+    def t(self) -> int:
+        return self.n_base * self.n_base
+
+    @property
+    def n(self) -> int:
+        return self.k + 2 * (self.n_base - 1)
+
+    @property
+    def v_clique(self) -> np.ndarray:
+        """The k clique ids, sorted: the vertices the hidden pairs join."""
+        return np.sort(self.sigma[2 * (self.n_base - 1) :][: self.k])
 
     def edge_parts(self) -> tuple[np.ndarray, ...]:
         return self.player_edges
@@ -462,21 +493,16 @@ def gen_simultaneous(
     x[:, j_star] = theta
 
     sigma = rng.permutation(n)
-    v_clique = np.sort(sigma[2 * (n_base - 1) : 2 * (n_base - 1) + k])
     return SimultaneousInstance(
         k=k,
         n_base=n_base,
         seed=seed,
         theta_override=theta_override,
-        p=p,
-        t=t,
-        n=n,
         theta=theta,
         j_star=j_star,
         x=x,
         sigma=sigma,
         player_edges=_player_edges(k, n_base, j_star, sigma, x),
-        v_clique=v_clique,
     )
 
 
@@ -562,8 +588,8 @@ def _player_checks(n: int, parts, expected) -> list[CheckResult]:
 def _verify_two_player(inst: TwoPlayerInstance) -> list[CheckResult]:
     n = inst.n
     expected = _two_player_parts(inst.host, inst.x, inst.i_star)
-    keys2 = _keys(inst.e2, n)
-    shared = np.sort(keys2[find_keys(np.sort(_keys(inst.e1, n)), keys2) >= 0])
+    # a tampered part may be unsorted, so neither part's keys are taken as sorted
+    shared = np.intersect1d(_keys(inst.e1, n), _keys(inst.e2, n))
     return _player_checks(n, inst.edge_parts(), expected) + [
         _check("edge-disjoint", not len(shared), f"shared edge {[_pair(key, n) for key in shared[:1]]}"),
         _check("ans-bit", inst.ans == int(inst.x[inst.i_star])),
@@ -648,7 +674,8 @@ def verify_instance(inst) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def instance_to_dict(inst) -> dict:
+def _fields(inst) -> dict:
+    """Every serialized field of `inst` but the players' edge parts."""
     if isinstance(inst, SimultaneousInstance):
         return {
             "variant": "simultaneous",
@@ -657,7 +684,6 @@ def instance_to_dict(inst) -> dict:
             "theta_override": inst.theta_override,
             "theta": inst.theta,
             "v_clique": inst.v_clique.tolist(),
-            "players": [part.tolist() for part in inst.edge_parts()],
         }
     if isinstance(inst, TwoPlayerInstance):
         variant, params = "two-player", {"n": inst.n, "k": inst.k}
@@ -673,8 +699,11 @@ def instance_to_dict(inst) -> dict:
         "ans_override": inst.ans_override,
         "ans": inst.ans,
         "spec": inst.spec.tolist(),
-        "players": [part.tolist() for part in inst.edge_parts()],
     }
+
+
+def instance_to_dict(inst) -> dict:
+    return {**_fields(inst), "players": [part.tolist() for part in inst.edge_parts()]}
 
 
 def instance_to_json(inst) -> str:
@@ -705,40 +734,49 @@ def regenerate_instance(payload: dict):
     if not (type(seed) is int and _integers(params) and (override is None or type(override) is int)):
         raise TypeError("the seed, the params and an override must be integers")
     if variant == "two-player":
-        return gen_two_player(
-            params["n"], params["k"], seed=seed, ans_override=payload.get("ans_override")
-        )
+        return gen_two_player(params["n"], params["k"], seed=seed, ans_override=override)
     if variant == "recursive":
-        plan = LevelPlan(
-            n2=params["n2"],
-            levels=tuple(LevelSpec(n=lv["n"], t=lv["t"]) for lv in params["levels"]),
-        )
-        return gen_recursive(
-            params["p"], params["k"], plan=plan, seed=seed,
-            ans_override=payload.get("ans_override"),
-        )
+        levels = tuple(LevelSpec(n=lv["n"], t=lv["t"]) for lv in params["levels"])
+        plan = LevelPlan(n2=params["n2"], levels=levels)
+        return gen_recursive(params["p"], params["k"], plan=plan, seed=seed, ans_override=override)
     if variant == "simultaneous":
-        return gen_simultaneous(
-            params["k"], params["n_base"], seed=seed,
-            theta_override=payload.get("theta_override"),
-        )
+        return gen_simultaneous(params["k"], params["n_base"], seed=seed, theta_override=override)
     raise ArgumentError(f"unknown instance variant {variant!r}")
+
+
+def _same_part(rows, part: np.ndarray) -> bool:
+    """True iff the parsed JSON `rows` is a list of ``[u, v]`` lists of ints
+    equal to the rows of `part`; a float or a boolean is never an int."""
+    if type(rows) is not list or set(map(type, rows)) - {list} or set(map(len, rows)) - {2}:
+        return False
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) - {int}:
+        return False
+    try:
+        return np.array_equal(np.array(flat, np.int64).reshape(-1, 2), part)
+    except OverflowError:  # an int past int64 equals no entry of a part
+        return False
 
 
 def read_instance(path: str):
     """Load an instance file and regenerate it; every top-level field of the
-    file must equal the regenerated instance's, compared as canonical JSON, so
-    an edited bit, special set or edge, a float or boolean for an integer, a
-    missing field and an extra one are all refused."""
+    file must equal the regenerated instance's, so an edited bit, special set
+    or edge, a float or boolean for an integer, a missing field and an extra
+    one are all refused. The players' parts are compared row by row with the
+    regenerated arrays, every other field as canonical JSON."""
     payload = read_json(path)
     try:
         inst = regenerate_instance(payload)
     except (LookupError, TypeError, ValueError, ArithmeticError,
             GenerationError, ResourceLimitError) as exc:
         raise FormatError(f"fields do not describe an instance: {exc!r}") from None
-    stored = {key: canonical_json(value) for key, value in payload.items()}
-    regenerated = {key: canonical_json(value) for key, value in instance_to_dict(inst).items()}
-    for key in sorted(stored.keys() | regenerated.keys()):
-        if stored.get(key) != regenerated.get(key):
+    fields, parts = _fields(inst), inst.edge_parts()
+    for key in sorted(payload.keys() | fields.keys() | {"players"}):
+        stored = payload.get(key)
+        if key == "players":
+            same = type(stored) is list and len(stored) == len(parts) and all(map(_same_part, stored, parts))
+        else:
+            same = key in payload and key in fields and canonical_json(stored) == canonical_json(fields[key])
+        if not same:
             raise FormatError(f"stored {key!r} does not match the regenerated instance")
     return inst

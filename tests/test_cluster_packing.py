@@ -334,13 +334,7 @@ class TestLift:
                     assert tau(i, x, k) - 1 == ((x - 1) + (i - 1)) % k
 
     def test_triangle_lift_structure(self):
-        base = ClusterPackingGraph(
-            graph=Graph(3, [(0, 1), (1, 2), (0, 2)]),
-            k=3,
-            r=1,
-            t=1,
-            clusters=(((0, 1, 2),),),
-        )
+        base = ClusterPackingGraph(graph=Graph(3, [(0, 1), (1, 2), (0, 2)]), clusters=(((0, 1, 2),),))
         lifted = lift_to_k_colorable(base)
         assert lifted.graph.n == 9
         assert (lifted.r, lifted.t) == (3, 1)
@@ -357,20 +351,14 @@ class TestLift:
         assert verify_cluster_packing(lifted).ok
 
     def test_k1_is_isomorphic_to_input(self):
-        base = ClusterPackingGraph(
-            graph=Graph(3),
-            k=1,
-            r=2,
-            t=1,
-            clusters=(((0,), (1,)),),
-        )
+        base = ClusterPackingGraph(graph=Graph(3), clusters=(((0,), (1,)),))
         lifted = lift_to_k_colorable(base)
         assert lifted.graph.n == 3
         assert np.array_equal(lifted.clusters, base.clusters)
         assert lifted.graph.num_edges == 0
 
     def test_lift_past_the_vertex_limit_raises_resource_limit(self):
-        base = ClusterPackingGraph(Graph(2_000_000_000, [(0, 1)]), k=2, r=1, t=1, clusters=[[[0, 1]]])
+        base = ClusterPackingGraph(Graph(2_000_000_000, [(0, 1)]), clusters=[[[0, 1]]])
         with pytest.raises(ResourceLimitError, match="lifted n = 4000000000"):
             lift_to_k_colorable(base)
 
@@ -404,9 +392,7 @@ class TestCanonicalColoring:
         assert is_proper_coloring(lifted.graph, col)
 
     def test_missing_metadata_rejected(self):
-        cpg = ClusterPackingGraph(
-            graph=Graph(2, [(0, 1)]), k=2, r=1, t=1, clusters=(((0, 1),),)
-        )
+        cpg = ClusterPackingGraph(graph=Graph(2, [(0, 1)]), clusters=(((0, 1),),))
         with pytest.raises(UnsupportedInputError):
             canonical_coloring(cpg)
 
@@ -446,18 +432,27 @@ class TestVerifyClusterPacking:
         "clusters",
         [
             (((0, 1), (2, 3)), ((0, 2),)),  # ragged
-            [[[0, 1, 2]]],  # k = 3
-            [[[0, 1]], [[2, 3]]],  # t = 2
+            [[0, 1]],  # 2-D
+            [[[[0, 1]]]],  # 4-D
+            [0, 1],  # 1-D
             [[[0.0, 1.0]]],  # not integers
             [[[0, 4]]],  # a vertex outside [0, 4)
             [[[-1, 1]]],
         ],
     )
     def test_clusters_must_be_a_t_r_k_array_of_vertices(self, clusters):
-        fine = ClusterPackingGraph(Graph(4), k=2, r=1, t=1, clusters=[[[0, 1]]])
-        assert fine.clusters.shape == (1, 1, 2) and not fine.clusters.flags.writeable
+        fine = ClusterPackingGraph(Graph(4), clusters=[[[0, 1]]])
+        assert fine.clusters.shape == (fine.t, fine.r, fine.k) == (1, 1, 2)
+        assert not fine.clusters.flags.writeable
         with pytest.raises(ArgumentError):
-            ClusterPackingGraph(Graph(4), k=2, r=1, t=1, clusters=clusters)
+            ClusterPackingGraph(Graph(4), clusters=clusters)
+
+    @pytest.mark.parametrize("name", ["k", "r", "t"])
+    def test_sizes_are_read_off_the_clusters(self, name):
+        cpg = construct_lines_grouped(36, 2, 3)
+        assert (cpg.t, cpg.r, cpg.k) == cpg.clusters.shape == (3, 2, 3)
+        with pytest.raises(TypeError):
+            dataclasses.replace(cpg, **{name: 1})
 
     def test_reassigned_clique_breaks_partition_checks(self):
         # moving a clique between clusters leaves them ragged, which the
@@ -633,7 +628,7 @@ def base_packing(name: str) -> ClusterPackingGraph:
         "grouped-36-2-3": lambda: construct_lines_grouped(36, 2, 3),
         "dense": lambda: construct_dense(DenseParams(k=2, d=5, p=5, family=two_sets)),
         "lifted": lambda: lift_to_k_colorable(construct_lines_grouped(36, 2, 3)),
-        "k1": lambda: ClusterPackingGraph(Graph(3), k=1, r=2, t=1, clusters=(((0,), (1,)),)),
+        "k1": lambda: ClusterPackingGraph(Graph(3), clusters=(((0,), (1,)),)),
     }[name]()
 
 
@@ -686,7 +681,7 @@ def random_packings(draw) -> ClusterPackingGraph:
     kept = draw(st.lists(st.booleans(), min_size=len(implied), max_size=len(implied)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = [e for e, keep in zip(implied, kept) if keep] + draw(st.lists(pair, max_size=6))
-    return ClusterPackingGraph(Graph(n, edges), k=k, r=r, t=t, clusters=clusters)
+    return ClusterPackingGraph(Graph(n, edges), clusters=clusters)
 
 
 class TestAgreesWithSetReference:
@@ -751,9 +746,7 @@ class TestCpgSerialization:
     @pytest.mark.parametrize("layout", [None, "other"])
     def test_writer_refuses_an_unknown_layout(self, tmp_path, layout):
         # the header would name a construction whose layer coloring this packing lacks
-        cpg = ClusterPackingGraph(
-            Graph(4, [(0, 1), (2, 3)]), k=2, r=2, t=1, clusters=[[[0, 1], [2, 3]]], layout=layout
-        )
+        cpg = ClusterPackingGraph(Graph(4, [(0, 1), (2, 3)]), clusters=[[[0, 1], [2, 3]]], layout=layout)
         assert verify_cluster_packing(cpg).ok
         path = tmp_path / "a.cpg"
         with pytest.raises(ArgumentError, match=f"layout {layout!r}"):

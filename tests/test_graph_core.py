@@ -333,6 +333,15 @@ class TestIsProperColoring:
         with pytest.raises(ArgumentError):
             is_proper_coloring(c5, Coloring.from_array([0, 1]))
 
+    def test_n_is_the_length_of_colors(self, c5):
+        # n is read off the colors, so it cannot be given apart from them
+        with pytest.raises(TypeError):
+            Coloring(n=5, colors=np.zeros(3, np.int64), num_colors=1)
+        short = Coloring(colors=np.zeros(3, np.int64), num_colors=1)
+        assert short.n == 3
+        with pytest.raises(ArgumentError, match="coloring has n=3, graph has n=5"):
+            is_proper_coloring(c5, short)
+
 
 class TestColoringCanonicalForm:
     def test_first_appearance_relabel(self):
@@ -471,20 +480,25 @@ class TestProductColoring:
 
 class TestInducedSubgraph:
     def test_full_vertex_set(self, c5):
-        sub, relabel = induced_subgraph(c5, range(5))
-        assert sub.edges == c5.edges
-        assert relabel == {v: v for v in range(5)}
+        sub = induced_subgraph(c5, range(5))
+        assert sub.n == 5 and sub.edges == c5.edges
 
     def test_k4_pair(self, k4):
-        sub, _ = induced_subgraph(k4, {0, 1})
+        sub = induced_subgraph(k4, {0, 1})
         assert sub.n == 2 and sub.edges == {(0, 1)}
 
     def test_c5_triple(self, c5):
         # oracle: edges of C5 with endpoints in {0, 1, 3} is just (0, 1)
         assert brute_induced_edges(c5.edges, {0, 1, 3}) == [(0, 1)]
-        sub, relabel = induced_subgraph(c5, {0, 1, 3})
+        sub = induced_subgraph(c5, {0, 1, 3})
         assert sub.n == 3
-        assert sub.edges == {(relabel[0], relabel[1])}
+        assert sub.edges == {(0, 1)}
+
+    def test_kept_vertices_are_renumbered_by_rank(self, c5):
+        # 0, 3 and 4 become 0, 1 and 2, so (3, 4) and (0, 4) become (1, 2) and (0, 2)
+        assert brute_induced_edges(c5.edges, {0, 3, 4}) == [(0, 4), (3, 4)]
+        sub = induced_subgraph(c5, [4, 0, 3])
+        assert sub.n == 3 and sub.edges == {(1, 2), (0, 2)}
 
     def test_out_of_range(self, c5):
         with pytest.raises(ArgumentError):

@@ -934,3 +934,63 @@ class TestInstanceSerialization:
         path.write_text(tampered)
         with pytest.raises(FormatError):
             read_instance(str(path))
+
+
+OVERRIDES = (None, 0, 1)
+
+
+class TestDerivedFields:
+    """Sizes, the recursive plan and `v_clique` are read off the data they
+    describe: each equals the value a generator was given or computed, and
+    none can be passed to a constructor."""
+
+    @pytest.mark.parametrize("n, k", [(64, 2), (108, 3)])
+    def test_two_player_sizes_are_the_hosts(self, n, k):
+        for seed, bit in itertools.product(range(6), OVERRIDES):
+            inst = gen_two_player(n, k, seed=seed, ans_override=bit)
+            assert (inst.n, inst.k, inst.t) == (n, k, LineLayout(n, k, k).t_max)
+
+    @pytest.mark.parametrize("plan", [SMALL_PLAN, default_level_plan(3, 2)])
+    def test_recursive_p_k_and_plan_are_read_off_the_chain(self, plan):
+        for seed, bit in itertools.product(range(6), OVERRIDES):
+            inst = gen_recursive(3, 2, plan=plan, seed=seed, ans_override=bit)
+            assert (inst.p, inst.k, inst.plan) == (3, 2, plan)
+            assert (inst.n, inst.t) == (plan.levels[0].n, plan.levels[0].t)
+
+    def test_recursive_chain_of_four_players(self):
+        # no p = 4 plan fits `graph.MAX_VERTICES` (its level-4 host needs
+        # n_4 >= (2 * 4 * 16384)^2), so a chain one level deeper is built by
+        # embedding a p = 3 instance in another
+        for seed, bit in itertools.product(range(6), OVERRIDES):
+            inst = gen_recursive(3, 2, plan=SMALL_PLAN, seed=seed, ans_override=bit)
+            deeper = dataclasses.replace(inst, inner=inst)
+            assert deeper.p == 4
+            assert deeper.plan == LevelPlan(n2=16, levels=SMALL_PLAN.levels * 2)
+
+    @pytest.mark.parametrize("k, n_base", [(4, 6), (5, 7)])
+    def test_simultaneous_sizes_and_clique(self, k, n_base):
+        for seed, bit in itertools.product(range(6), OVERRIDES):
+            inst = gen_simultaneous(k, n_base, seed=seed, theta_override=bit)
+            n = k + 2 * (n_base - 1)
+            assert (inst.p, inst.t, inst.n) == (k * (k - 1) // 2, n_base**2, n)
+            assert len(inst.x) == inst.p and len(inst.sigma) == inst.n
+            clique = np.sort(inst.sigma[2 * (n_base - 1) : 2 * (n_base - 1) + k])
+            assert np.array_equal(inst.v_clique, clique) and inst.v_clique.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (lambda: gen_simultaneous(4, 6, seed=1, theta_override=0), "v_clique", np.arange(4)),
+            (lambda: gen_simultaneous(4, 6, seed=1, theta_override=0), "p", 3),
+            (lambda: gen_simultaneous(4, 6, seed=1), "t", 1),
+            (lambda: gen_simultaneous(4, 6, seed=1), "n", 1),
+            (lambda: gen_two_player(64, 2, seed=1), "n", 128),
+            (lambda: gen_two_player(64, 2, seed=1), "k", 4),
+            (lambda: gen_recursive(3, 2, plan=SMALL_PLAN, seed=1), "p", 4),
+            (lambda: gen_recursive(3, 2, plan=SMALL_PLAN, seed=1), "k", 3),
+            (lambda: gen_recursive(3, 2, plan=SMALL_PLAN, seed=1), "plan", default_level_plan(3, 2)),
+        ],
+    )
+    def test_a_derived_field_cannot_be_replaced(self, make, name, value):
+        with pytest.raises(TypeError):
+            dataclasses.replace(make(), **{name: value})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -159,6 +160,13 @@ class TestEdgeShrinkage:
         for rec in result.records:
             assert rec["m_sizes"][0] == 300
             assert rec["m_sizes"][1] == 0
+
+    def test_trials_is_the_record_count(self):
+        result = experiment_edge_shrinkage(GraphSpec.parse("gnm:n=30,m=60"), 2, trials=3, seed=3)
+        assert result.trials == len(result.records) == 3
+        assert result.to_dict()["trials"] == 3
+        with pytest.raises(TypeError):
+            dataclasses.replace(result, trials=4)
 
     def test_bound_value(self):
         result = experiment_edge_shrinkage(

@@ -684,6 +684,16 @@ class TestInstancePayloads:
             sc.read_instance(str(path))
         assert main(["verify", "instance", "--file", str(path)]) == 3
 
+    def test_json_syntax_error_names_its_line(self, tmp_path, capsys):
+        # line 3 holds a value that is not JSON
+        path = tmp_path / "inst.json"
+        path.write_text('{\n  "variant": "two-player",\n  "seed": one,\n  "ans": 0\n}\n')
+        with pytest.raises(FormatError, match="^line 3: invalid JSON: Expecting value at column 11$") as err:
+            sc.read_instance(str(path))
+        assert err.value.line == 3
+        assert main(["verify", "instance", "--file", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: line 3: invalid JSON: ")
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"two-player"', "3", "null"])
     def test_payload_that_is_not_an_object(self, tmp_path, text):
         path = tmp_path / "inst.json"
