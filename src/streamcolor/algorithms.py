@@ -6,16 +6,18 @@ multi-pass runner gets each pass from a `StreamSource`. The dynamic runner
 needs one pair-level pass, not one per trial: a trial sees either every
 event of a pair or none, so each trial's signed counter for a pair equals
 the pair's delta sum over the whole stream (`Stream.pair_totals`, kept from
-validation), and one 2-coloring of the trials' union decides every trial
-when it succeeds. The offline coloring and both insertion runners share one
-round loop and differ only in how a round stores its edges. All three
-runners answer the q vs large distinguishing problem with a one-sided
-"large": whenever they say "large" they hold a stored subgraph of the input
-whose chromatic number exceeds q, and an insertion runner says "small" only
-with a proper coloring of the input; when its rounds end before every
-monochromatic edge was colored it says "inconclusive" and carries no
-coloring. Per-round chromatic numbers are computed with the exact solver
-capped at q, which never changes a verdict but avoids searching above the cap.
+validation). A vertex's trials are the bits of one uint64 word, so a pair's
+trials are one AND of two words, and one 2-coloring of the trials' union
+decides every trial when it succeeds. The offline coloring and both
+insertion runners share one round loop and differ only in how a round
+stores its edges. All three runners answer the q vs large distinguishing
+problem with a one-sided "large": whenever they say "large" they hold a
+stored subgraph of the input whose chromatic number exceeds q, and an
+insertion runner says "small" only with a proper coloring of the input;
+when its rounds end before every monochromatic edge was colored it says
+"inconclusive" and carries no coloring. Per-round chromatic numbers are
+computed with the exact solver capped at q, which never changes a verdict
+but avoids searching above the cap.
 """
 
 from __future__ import annotations
@@ -221,9 +223,11 @@ def run_multipass(
             # Algorithm R: the k-th hit (k > budget) replaces slot j ~ U[0, k)
             # when j < budget; one array draw equals the per-hit scalar draws
             j = rng.integers(0, np.arange(budget + 1, mono_seen + 1))
-            hit = np.flatnonzero(j < budget)[::-1]
-            slots, last = np.unique(j[hit], return_index=True)  # the latest hit wins
-            reservoir[slots] = mono[budget + hit[last]]
+            hit = np.flatnonzero(j < budget)
+            latest = np.full(budget, -1)
+            np.maximum.at(latest, j[hit], hit)  # the latest hit per slot wins
+            slots = np.flatnonzero(latest >= 0)
+            reservoir[slots] = mono[budget + latest[slots]]
         meta["peak_stored_edges"] = max(meta["peak_stored_edges"], len(reservoir))
         more = mono_seen > budget
         return Graph(n, events.take(reservoir, axis=0)[:, :2])
@@ -232,6 +236,19 @@ def run_multipass(
     if evidence is None and more:
         return Verdict("inconclusive", metadata=meta)
     return _verdict(meta, evidence, coloring)
+
+
+def _bit_count(words: np.ndarray) -> int:
+    """The number of set bits in a uint64 array, summed within each word
+    (SWAR), so every temporary is the size of `words`. Unpacking the bits
+    would take 64 bytes a word: 326 KB at 5,100 pairs, which most processes
+    page in afresh on every call."""
+    m1, m2, m4, ones = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
+                        np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0x0101010101010101))
+    x = words - ((words >> np.uint64(1)) & m1)  # each 2 bits hold their own count
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)  # each 4 bits
+    x = (x + (x >> np.uint64(4))) & m4  # each byte
+    return int(((x * ones) >> np.uint64(56)).sum())  # the top byte sums the bytes
 
 
 def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verdict:
@@ -249,12 +266,16 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     trial's counter for a pair it sees ends at that pair's delta sum over
     the whole stream. One `pair_totals` pass, kept from the stream's
     validation, therefore gives every trial's counters, and the fallback's
-    final graph, at once. ``counters`` in the metadata still counts per-trial
-    counters (a pair seen by three trials counts three times), which is the
-    space the paper charges. Every trial graph is a subgraph of the trials'
-    union, so when the union 2-colors the verdict is "small" without coloring
-    any trial; otherwise the first trial needing more than q colors is the
-    evidence.
+    final graph, at once. Bit tr of a vertex's uint64 word says trial tr
+    sampled it (k_trials <= 63 for every n the graph layer takes), so the
+    AND of a pair's two words holds the trials that see the pair.
+    ``counters`` in the metadata, the popcount total of those words, still
+    counts per-trial counters (a pair seen by three trials counts three
+    times), which is the space the paper charges. Every trial graph is a
+    subgraph of the trials' union, the pairs of positive total whose word is
+    not zero, so when the union 2-colors the verdict is "small" without
+    coloring any trial; otherwise the first trial needing more than q colors
+    is the evidence.
     """
     if q < 2 or t < 1:
         raise ArgumentError("need q >= 2 and t >= 1")
@@ -277,21 +298,25 @@ def run_dynamic(stream: Stream, q: int, t: int, seed: int | None = None) -> Verd
     k_trials = math.ceil(2 * math.log2(n))
     rng = rng_for(seed, 43)
     member = rng.random((k_trials, n)) < p
+    # n <= MAX_VERTICES < 2^31.5 keeps k_trials <= 63: one uint64 per vertex
+    packed = np.zeros((n, 8), np.uint8)
+    packed[:, : (k_trials + 7) // 8] = np.packbits(member, axis=0, bitorder="little").T
+    word = packed.view("<u8")[:, 0]
     pairs, totals = stream.pair_totals()
-    # seen[tr, i]: trial tr holds a counter for distinct pair i
-    seen = member[:, pairs[:, 0]] & member[:, pairs[:, 1]]
+    # bit tr of seen[i]: trial tr holds a counter for distinct pair i
+    seen = word[pairs[:, 0]] & word[pairs[:, 1]]
     meta = {
         "mode": "sampled",
         "p": p,
         "k_trials": k_trials,
         "sampled_sizes": member.sum(axis=1).tolist(),
-        "counters": int(seen.sum()),
+        "counters": _bit_count(seen),
     }
-    kept = seen & (totals > 0)
-    if color_with_cap(Graph(n, pairs.compress(kept.any(axis=0), axis=0)), 2) is not None:
+    kept = np.where(totals > 0, seen, np.uint64(0))
+    if color_with_cap(Graph(n, pairs.compress(kept != 0, axis=0)), 2) is not None:
         return _verdict(meta)
-    for tr, row in enumerate(kept):
-        h = Graph(n, pairs.compress(row, axis=0))
+    for tr in range(k_trials):
+        h = Graph(n, pairs.compress((kept & np.uint64(1 << tr)) != 0, axis=0))
         if color_with_cap(h, q) is None:
             return _verdict(meta, Evidence("trial", tr, h))
     return _verdict(meta)

@@ -420,10 +420,11 @@ class Rows:
         inside[1:-1] = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
         if b"\r" in body:  # a "\r" before a "\n" is a blank too; byte i is inside[i + 1]
             inside[1:-2] &= (b[:-1] != ord("\r")) | (b[1:] != ord("\n"))
-        starts = np.flatnonzero(inside[1:] & ~inside[:-1])
-        lens = np.flatnonzero(inside[:-1] & ~inside[1:])  # the token ends, made lengths in place
-        lens -= starts
+        # the blank padding makes the flips alternate: a token's start, then its end
+        bounds = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2)
         del inside  # this pass's memory peak is what `clusterpack.MAX_EDGES` is sized by
+        bounds[:, 1] -= bounds[:, 0]  # the token ends, made lengths in place
+        starts, lens = bounds.T
         # the tokens on each line, from the tokens before each newline
         before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
         per_line = np.diff(before, prepend=0, append=len(starts))
@@ -537,10 +538,11 @@ def read_graph(path: str) -> Graph:
     n = header_int(fields, "n")
     rows = Rows(body, 2)
     u, v = rows.data.T
-    rows.check(
-        ((u < 0) | (u >= v) | (v >= n), f"edge must satisfy 0 <= u < v < {n}"),
-        (repeats(u * n + v), "duplicate edge"),
-    )
+    keys = u * n + v
+    checks = [((u < 0) | (u >= v) | (v >= n), f"edge must satisfy 0 <= u < v < {n}")]
+    if not np.all(keys[1:] > keys[:-1]):  # increasing keys repeat none, as in every written graph
+        checks.append((repeats(keys), "duplicate edge"))
+    rows.check(*checks)
     return Graph(n, rows.data)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import clusterpack
 from .errors import ArgumentError, FormatError, GenerationError, ResourceLimitError
 from .clusterpack import CheckResult, LineLayout, VerificationReport, _clique_pairs, _pair
-from .graph import Coloring, Graph, is_proper_coloring, read_json
+from .graph import MAX_VERTICES, Coloring, Graph, is_proper_coloring, read_json
 from .graph import canonical_json, missing_clique_pair, write_text
 from .seeds import rng_for
 
@@ -316,9 +316,21 @@ def gen_recursive(
     seed: int | None = None,
     ans_override: int | None = None,
 ) -> "RecursiveInstance | TwoPlayerInstance":
-    """Sample the p-player recursive instance; p = 2 is the two-player base."""
+    """Sample the p-player recursive instance; p = 2 is the two-player base.
+
+    p is at most 3. The base's host ``LineLayout(n_2, k, r=k)`` needs
+    n_2 >= 2k^3, and `_validate_level` asks level a for (k r_a)^2 <= n_a with
+    r_a = 4 n_{a-1}. So n_3 >= (4k n_2)^2 >= 2^6 k^8 and n_4 >= (4k n_3)^2 >=
+    2^16 k^18, at least 2^34 (1.7e10) since k >= 2: no plan for p >= 4 fits
+    `graph.MAX_VERTICES`, and such a p is refused before any draw.
+    """
     if p < 2:
         raise ArgumentError("player count p must be >= 2")
+    if p > 3:
+        raise ArgumentError(
+            f"player count p = {p} has no plan: level 4 needs n_4 >= 2^16 k^18 >= "
+            f"{2**34} vertices, above the guard {MAX_VERTICES}"
+        )
     if ans_override not in (None, 0, 1):
         raise ArgumentError("ans_override must be None, 0, or 1")
     if plan is None:
@@ -330,9 +342,9 @@ def gen_recursive(
     if p == 2:
         return gen_two_player(plan.n2, k, seed=seed, ans_override=ans_override)
 
-    # chain n_{a-1} = r_a / 4 upward from the base case
-    inner_n = plan.n2 if p == 3 else plan.levels[p - 4].n
-    spec_level = plan.levels[p - 3]
+    # r_3 = 4 n_2: T, a quarter of a cluster's cliques, holds the base's vertices
+    inner_n = plan.n2
+    spec_level = plan.levels[0]
     r = 4 * inner_n
     layout = _validate_level(p, k, spec_level.n, r, spec_level.t)
     t = spec_level.t
@@ -362,9 +374,8 @@ def gen_recursive(
         out_cols = np.setdiff1d(np.arange(r), sets[i])
         x[i, out_cols] = rng.integers(0, 2, size=len(out_cols))
 
-    # the embedded smaller instance, sampled forward with the same answer bit
-    inner_plan = LevelPlan(n2=plan.n2, levels=plan.levels[: p - 3])
-    inner = gen_recursive(p - 1, k, plan=inner_plan, seed=seed, ans_override=ans)
+    # the embedded two-player base, sampled forward with the same answer bit
+    inner = gen_two_player(plan.n2, k, seed=seed, ans_override=ans)
 
     # sigma: bijection from inner vertices onto T's cliques, conditioned on
     # mapping the inner special set onto the intersection cliques

@@ -26,7 +26,7 @@ from streamcolor import algorithms
 from streamcolor.algorithms import Evidence, OfflineColoringRun, Verdict, uniform_coloring
 from streamcolor.errors import ArgumentError, PassLimitError
 from streamcolor.exact import color_with_cap, dsatur_coloring
-from streamcolor.graph import Coloring, monochromatic_edges, product_coloring
+from streamcolor.graph import MAX_VERTICES, Coloring, monochromatic_edges, product_coloring
 from streamcolor.seeds import rng_for
 
 from oracles import pair_totals
@@ -632,3 +632,55 @@ class TestRunDynamicMatchesPerTrialPass:
         assert got.evidence.subgraph.edge_array().tobytes() == want.evidence.subgraph.edge_array().tobytes()
         # the union fails to 2-color, then trials are colored up to the first failure
         assert caps == [2] * (want.evidence.index + 2)
+
+    @staticmethod
+    def last_trial_triangle_case(n: int, k_trials: int):
+        """A sparse bipartite graph on n vertices plus one triangle that only
+        the last trial holds, with the smallest seed that gives one; t sets the
+        per-vertex probability to 0.2, inside the sampled regime."""
+        t = math.ceil(20 * math.log(n))
+        assert t >= 4 * math.log2(n) and math.ceil(2 * math.log2(n)) == k_trials
+        for seed in range(50):
+            member = rng_for(seed, 43).random((k_trials, n)) < 4.0 * math.log(n) / t
+            *earlier, last = member
+            tri = np.flatnonzero(last)[:3]
+            if len(tri) == 3 and not any(np.all(row[tri]) for row in earlier):
+                break
+        else:
+            raise AssertionError("no seed in range puts a triangle in the last trial alone")
+        rest = np.setdiff1d(np.arange(n), tri)
+        rng = np.random.default_rng(seed)
+        even, odd = rest[rest % 2 == 0], rest[rest % 2 == 1]
+        m = min(n, 2000)
+        bip = np.column_stack((rng.choice(even, m), rng.choice(odd, m)))
+        triangle = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
+        g = Graph(n, np.concatenate((bip, triangle)))
+        return to_dynamic_stream(g, extra_pairs=m // 4, cycles=1, seed=seed), t, seed
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n, k_trials", [(17, 9), (257, 17), (4097, 25), (65537, 33)])
+    def test_trials_past_each_byte_boundary(self, n, k_trials, q):
+        # a pair's trials are the bits of one uint64 word; at q = 2 the union
+        # fails to 2-color and the last trial, the first with an odd cycle, is
+        # the evidence, and at q = 3 every trial is colored
+        stream, t, seed = self.last_trial_triangle_case(n, k_trials)
+        got = run_dynamic(stream, q, t, seed=seed)
+        want = reference_run_dynamic(stream, q, t, seed)
+        assert got.metadata["mode"] == "sampled" and got.metadata["k_trials"] == k_trials
+        assert got.label == want.label == ("large" if q == 2 else "small")
+        assert json.dumps(got.metadata) == json.dumps(want.metadata)
+        if q == 2:
+            where = ("trial", k_trials - 1)
+            assert (got.evidence.kind, got.evidence.index) == (want.evidence.kind, want.evidence.index) == where
+            assert got.evidence.subgraph.edge_array().tobytes() == want.evidence.subgraph.edge_array().tobytes()
+        else:
+            assert got.evidence is None is want.evidence
+
+    def test_bit_count_reads_all_64_bits(self):
+        words = np.random.default_rng(0).integers(0, 2**64, 1000, dtype=np.uint64)
+        words[:3] = [0, 2**64 - 1, 2**63]
+        assert algorithms._bit_count(words) == sum(bin(int(w)).count("1") for w in words)
+
+    def test_one_word_holds_every_trial(self):
+        # k_trials = ceil(2 log2 n) <= 63 for every n the graph layer takes
+        assert math.ceil(2 * math.log2(MAX_VERTICES)) <= 63

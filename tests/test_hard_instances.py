@@ -217,14 +217,15 @@ class TestRecursive:
         assert "level 3" in str(err.value)
 
     def test_level_past_vertex_guard_refused_before_drawing(self, tmp_path, monkeypatch):
-        # the default plan puts level 4 at n_4 = (2 * 4 * 262144)^2 = 4.4e12 vertices
+        # every level-4 host needs n_4 >= 2^16 k^18 >= 2^34 vertices, past the guard
         def no_draws(*path):
             raise AssertionError("the guard must refuse before any draw")
 
         monkeypatch.setattr(instances, "rng_for", no_draws)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="level 4: n = 4398046511104 exceeds guard"):
-            gen_recursive(4, 2, seed=1)
+        for p in (4, 5):
+            with pytest.raises(ArgumentError, match=f"p = {p} has no plan: .* >= 17179869184"):
+                gen_recursive(p, 2, seed=1)
         assert time.perf_counter() - start < 1.0
         out = tmp_path / "rec.json"
         assert cli_main(["gen", "recursive", "--p", "4", "--k", "2", "--seed", "1", "-o", str(out)]) == 2
