@@ -45,7 +45,7 @@ class GraphSpec:
     exactly), ``bipartite`` (m uniform left-right edges), ``empty``. Each kind
     takes only its own fields, each at most once, each an integer
     ``[+-]?[0-9]{1,18}`` as in the text formats. gnm sampling takes
-    O(n + m) memory: m drawn pair indices map to pairs by their row starts.
+    O(n + m) memory: m drawn pair indices map to pairs by their row ends.
     """
 
     kind: str
@@ -121,24 +121,62 @@ class GraphSpec:
         return None
 
     def build(self, rng: np.random.Generator) -> Graph:
-        if self.kind == "empty":
-            return Graph(self.n)
-        if self.kind == "planted":
-            verts = np.sort(rng.choice(self.n, size=self.clique, replace=False))
-            i, j = np.triu_indices(self.clique, k=1)
-            return Graph(self.n, np.column_stack((verts[i], verts[j])))
-        if self.kind == "bipartite":
-            right = self.n - self.left
-            picks = rng.choice(self.left * right, size=self.m, replace=False)
-            return Graph(self.n, np.column_stack((picks // right, self.left + picks % right)))
-        # gnm: pair index p lies in row u = max{u : starts[u] <= p}, the
-        # row of pairs (u, u+1..n-1), and names (u, p - starts[u] + u + 1)
+        """One graph of the family, drawn from `rng`.
+
+        Each family writes its endpoints once, into the two rows of one
+        ``(2, m)`` buffer, with ``out=`` ufuncs and in-place arithmetic, and
+        hands `Graph` its transpose. The buffer is allocated after the draw,
+        not beside `rng.choice`'s pool-sized permutation, and the draws are
+        deleted before `Graph` allocates its keys. A full-size
+        temporary grows the heap past glibc's trim threshold, to be trimmed
+        when a trial ends and page-faulted back in by the next. Two hidden
+        ones: `np.take` with ``out=`` and the default ``mode="raise"``
+        buffers ``out``, hence ``mode="clip"`` on indices already in range;
+        and in-place ufuncs between two columns of an ``(m, 2)`` array copy
+        an operand, as the columns overlap, where the rows of a ``(2, m)``
+        array do not. ``rng.choice(..., shuffle=False)`` would skip the
+        permutation, but it draws a different set from the same generator.
+        """
         n = self.n
-        picks = np.sort(rng.choice(n * (n - 1) // 2, size=self.m, replace=False))
-        rows = np.arange(n)
-        starts = rows * n - rows * (rows + 1) // 2
-        u = np.repeat(rows, np.diff(np.searchsorted(picks, starts), append=self.m))
-        return Graph(n, np.column_stack((u, picks - starts[u] + u + 1)))
+        if self.kind == "empty":
+            return Graph(n)
+        if self.kind == "planted":
+            verts = np.sort(rng.choice(n, size=self.clique, replace=False))
+            i, j = np.triu_indices(self.clique, k=1)
+            pairs = np.empty((2, len(i)), np.int64)
+            np.take(verts, i, out=pairs[0], mode="clip")
+            np.take(verts, j, out=pairs[1], mode="clip")
+            del i, j
+            return Graph(n, pairs.T)
+        if self.kind == "bipartite":
+            # pick p names (p // right, left + p % right)
+            right = n - self.left
+            picks = rng.choice(self.left * right, size=self.m, replace=False)
+            pairs = np.empty((2, self.m), np.int64)
+            u, v = pairs
+            np.floor_divide(picks, right, out=u)
+            np.multiply(u, right, out=v)
+            np.subtract(picks, v, out=v)
+            v += self.left
+            del picks
+            return Graph(n, pairs.T)
+        # gnm: row u holds the pairs (u, u+1..n-1), and ends[u] counts the
+        # pairs in rows 0..u, so pair index p lies in the row u with
+        # ends[u - 1] <= p < ends[u] and names (u, p - ends[u] + n)
+        picks = rng.choice(n * (n - 1) // 2, size=self.m, replace=False)
+        picks.sort()
+        pairs = np.empty((2, self.m), np.int64)
+        u, v = pairs
+        ends = np.arange(n - 1, -1, -1)
+        np.cumsum(ends, out=ends)
+        counts = np.searchsorted(picks, ends)
+        counts[1:] -= counts[:-1]
+        u[:] = np.repeat(np.arange(n), counts)
+        np.take(ends, u, out=v, mode="clip")
+        np.subtract(picks, v, out=v)
+        v += n
+        del picks
+        return Graph(n, pairs.T)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:

@@ -244,7 +244,8 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
         # about 5/4 of the attempts the current acceptance rate asks for
         size = min(need * max_pairs // (available - count + need) * 5 // 4 + 16, 1 << 20)
         start = rng.bit_generator.state
-        pair = np.sort(rng.integers(0, n, size=(size, 2)), axis=1)
+        u, v = rng.integers(0, n, size=(size, 2)).T
+        pair = np.column_stack((np.minimum(u, v), np.maximum(u, v)))
         key = pair[:, 0] * n + pair[:, 1]
         first = np.flatnonzero(~repeats(key))
         first = first[(pair[first, 0] != pair[first, 1]) & (find_keys(taken, key[first]) < 0)]

@@ -5,18 +5,51 @@ The brute-force oracles enumerate exhaustively and are only usable at tiny
 sizes; the tests freeze their outputs as expected values for the real
 implementations. The dict-of-sets references (`dict_adjacency`,
 `reference_components`, `bfs_two_coloring`) walk neighbour sets one vertex
-at a time and share no code with the library's array passes.
+at a time and share no code with the library's array passes. The graph-spec
+references (`reference_gnm`, `reference_bipartite`, `reference_planted`)
+make the same generator calls as `GraphSpec.build` and map the draws to
+pairs by the plain formulas, one full-size array each, and `np.column_stack`.
+`peak_bytes` is the one tracemalloc probe.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from streamcolor import Graph
+from streamcolor import Graph
+
+
+def peak_bytes(fn):
+    """What `fn()` returns, and its peak traced allocation in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """gnm drawn from the table of all pairs (u, v), u < v, in row order."""
+    iu, iv = np.triu_indices(n, k=1)
+    picks = rng.choice(len(iu), size=m, replace=False)
+    return Graph(n, np.column_stack((iu[picks], iv[picks])))
+
+
+def reference_bipartite(n: int, m: int, left: int, rng: np.random.Generator) -> Graph:
+    """m left-right pairs: pick p names (p // right, left + p % right)."""
+    right = n - left
+    picks = rng.choice(left * right, size=m, replace=False)
+    return Graph(n, np.column_stack((picks // right, left + picks % right)))
+
+
+def reference_planted(n: int, clique: int, rng: np.random.Generator) -> Graph:
+    """Every pair of `clique` sorted random vertices."""
+    verts = np.sort(rng.choice(n, size=clique, replace=False))
+    i, j = np.triu_indices(clique, k=1)
+    return Graph(n, np.column_stack((verts[i], verts[j])))
 
 
 def brute_is_proper(n: int, edges, colors) -> bool:

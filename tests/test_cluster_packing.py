@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import itertools
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ from streamcolor.errors import (
 )
 
 from streamcolor.graph import MAX_VERTICES
-from oracles import brute_induced_edges
+from oracles import brute_induced_edges, peak_bytes
 
 
 def check_inducedness_bruteforce(cpg: ClusterPackingGraph) -> None:
@@ -297,15 +296,14 @@ class TestDenseStartsCountedBeforeListed:
         family = SetFamily(d=6, w=6, theta=2, sets=(tuple(range(6)),))
         count = reference_start_count(2, 33, 6)
         assert count == 148_702_381
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
+
+        def refuse():
             with pytest.raises(ResourceLimitError, match=f"materialize {count} cliques"):
                 DenseParams(k=2, d=6, p=33, family=family)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        start = time.perf_counter()
+        _, peak = peak_bytes(refuse)
+        elapsed = time.perf_counter() - start
         assert elapsed < 1 and peak < 10 * 2**20
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import signal
 import time
-import tracemalloc
 from contextlib import contextmanager
 
 import networkx as nx
@@ -39,6 +38,7 @@ from oracles import (
     brute_chromatic,
     brute_k_colorable,
     dict_adjacency,
+    peak_bytes,
     reference_components,
 )
 
@@ -61,15 +61,6 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def traced_peak(run):
-    """What `run()` returns, and its peak traced allocation in bytes."""
-    tracemalloc.start()
-    try:
-        return run(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def reference_k_coloring(n: int, edges, k: int) -> list[int] | None:
@@ -561,7 +552,7 @@ class TestTwoColoringFromTheEdgeArray:
         # peak near 48 MB
         path = np.arange(1001) * 997
         g = Graph(1_000_000, np.stack((path[:-1], path[1:]), axis=1))
-        colors, peak = traced_peak(lambda: _two_coloring(g))
+        colors, peak = peak_bytes(lambda: _two_coloring(g))
         assert colors[path].tolist() == [i % 2 for i in range(1001)]
         assert peak <= 12 * 10**6
 
@@ -632,7 +623,7 @@ class TestStarWithManyLeaves:
         star = Graph(10_001, [(0, leaf) for leaf in range(1, 10_001)])
         # DSATUR's coloring fits in 3 colors, so both are one descent
         for solve in (lambda: find_k_coloring(star, 3), lambda: dsatur_coloring(star)):
-            got, peak = traced_peak(solve)
+            got, peak = peak_bytes(solve)
             assert got.num_colors == 2 and is_proper_coloring(star, got)
             assert peak < 16 * 2**20
 
@@ -640,9 +631,9 @@ class TestStarWithManyLeaves:
 class TestColorRowsGrowWithTheColorsUsed:
     def test_a_huge_k_costs_no_row_per_color(self, k4, petersen):
         # a row per allowed color, k of them, took 30.5 MB for K4 at k = 10^6
-        got, peak = traced_peak(lambda: _search(k4, 10**6)[0])
+        got, peak = peak_bytes(lambda: _search(k4, 10**6)[0])
         assert got.num_colors == 4 and is_proper_coloring(k4, got) and peak < 2**20
-        got, peak = traced_peak(lambda: find_k_coloring(petersen, 10**9))
+        got, peak = peak_bytes(lambda: find_k_coloring(petersen, 10**9))
         assert got.num_colors == 3 and is_proper_coloring(petersen, got) and peak < 2**20
 
 
@@ -850,9 +841,9 @@ class TestDenseRowsMemory:
         g = GraphSpec.parse("gnm:n=300,m=20000").build(rng_for(26, 0))
         assert 300**2 <= 16 * g.num_edges
         first, second = Graph(g.n, g.edge_array()), Graph(g.n, g.edge_array())  # no cached CSR
-        (coloring, _), dense_peak = traced_peak(lambda: _search(first, None))
+        (coloring, _), dense_peak = peak_bytes(lambda: _search(first, None))
         assert is_proper_coloring(g, coloring)
-        _, csr_peak = traced_peak(second.csr)
+        _, csr_peak = peak_bytes(second.csr)
         assert dense_peak < csr_peak
 
     def test_no_vertex_sized_array_beyond_the_coloring(self):
@@ -860,7 +851,7 @@ class TestDenseRowsMemory:
         n = 10**7
         top = np.arange(n - 5, n)
         g = Graph(n, [(a, b) for a in top for b in top if a < b])
-        (coloring, clique), peak = traced_peak(lambda: _search(g, None))
+        (coloring, clique), peak = peak_bytes(lambda: _search(g, None))
         assert coloring.num_colors == 5 and sorted(clique) == top.tolist()
         assert coloring.colors[: n - 5].max() == 0 and coloring.colors[-5:].tolist() == [0, 1, 2, 3, 4]
         assert peak < 8 * n + 2**20

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,13 @@ from streamcolor import (
 from streamcolor.errors import ArgumentError, FormatError, StreamValidationError
 from streamcolor.graph import MAX_VERTICES, missing_clique_pair, stable_order
 
-from oracles import ReplayMultigraph, brute_induced_edges, brute_is_proper, refine_partition
+from oracles import (
+    ReplayMultigraph,
+    brute_induced_edges,
+    brute_is_proper,
+    peak_bytes,
+    refine_partition,
+)
 
 
 class TestGraph:
@@ -46,12 +51,7 @@ class TestGraph:
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 3000, (400_000, 2))
         rows = rows[rows[:, 0] != rows[:, 1]]
-        tracemalloc.start()
-        try:
-            g = Graph(3000, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = peak_bytes(lambda: Graph(3000, rows))
         keys = np.unique(rows.min(axis=1) * 3000 + rows.max(axis=1))
         assert np.array_equal(g.edge_array(), np.stack(np.divmod(keys, 3000), axis=1))
         assert peak / len(rows) <= 32
@@ -305,12 +305,7 @@ class TestCsrMatchesReference:
         # 8 MB, so the local ids must come from the binary search
         path = np.arange(1001) * 997
         g = Graph(10**6, np.column_stack((path[:-1], path[1:])))
-        tracemalloc.start()
-        try:
-            verts, _, _ = g.csr()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (verts, _, _), peak = peak_bytes(g.csr)
         assert verts.tolist() == path.tolist()
         assert peak < 1_000_000
 

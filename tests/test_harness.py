@@ -5,15 +5,13 @@ import dataclasses
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
-    Graph,
     GraphSpec,
     experiment_distinguisher,
     experiment_edge_shrinkage,
@@ -24,12 +22,15 @@ from streamcolor.cli import main as cli_main
 from streamcolor.errors import ArgumentError
 from streamcolor.seeds import rng_for
 
+from oracles import peak_bytes, reference_bipartite, reference_gnm, reference_planted
 
-def reference_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
-    """gnm drawn from the table of all pairs (u, v), u < v, in row order."""
-    iu, iv = np.triu_indices(n, k=1)
-    picks = rng.choice(len(iu), size=m, replace=False)
-    return Graph(n, np.column_stack((iu[picks], iv[picks])))
+
+@st.composite
+def bipartite_fields(draw) -> tuple[int, int, int]:
+    """(n, m, left) of a valid bipartite spec, `left` often at 1 or n - 1."""
+    n = draw(st.integers(2, 60))
+    left = draw(st.sampled_from((1, n - 1)) | st.integers(1, n - 1))
+    return n, draw(st.integers(0, left * (n - left))), left
 
 
 class TestGraphSpec:
@@ -114,17 +115,57 @@ class TestGraphSpec:
         want = reference_gnm(n, m, rng_for(seed, 0))
         assert got.edge_array().tobytes() == want.edge_array().tobytes()
 
+    @given(bipartite_fields(), st.integers(0, 2**32))
+    @example((2, 1, 1), 0)  # n = 2: left = 1 = n - 1
+    @example((9, 0, 1), 1)  # m = 0
+    @example((9, 8, 1), 2)  # every pair of the one left vertex
+    @example((9, 8, 8), 3)  # left = n - 1
+    @settings(max_examples=100, deadline=None)
+    def test_bipartite_matches_reference(self, fields, seed):
+        n, m, left = fields
+        got = GraphSpec.make("bipartite", n=n, m=m, left=left).build(rng_for(seed, 0))
+        want = reference_bipartite(n, m, left, rng_for(seed, 0))
+        assert got.edge_array().tobytes() == want.edge_array().tobytes()
+
+    @given(st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.integers(0, 2**32))
+    @example((0, 0), 0)
+    @example((9, 0), 1)
+    @example((9, 1), 2)
+    @example((9, 2), 3)
+    @example((2, 2), 4)
+    @settings(max_examples=100, deadline=None)
+    def test_planted_matches_reference(self, fields, seed):
+        n, clique = fields
+        got = GraphSpec.make("planted", n=n, clique=clique).build(rng_for(seed, 0))
+        want = reference_planted(n, clique, rng_for(seed, 0))
+        assert got.edge_array().tobytes() == want.edge_array().tobytes()
+
     def test_sparse_gnm_allocates_no_pair_table(self):
         # the 4.5 million pairs of n = 3000 as two int64 columns are 72 MB
         spec = GraphSpec.parse("gnm:n=3000,m=10")
-        tracemalloc.start()
-        try:
-            g = spec.build(rng_for(3, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = peak_bytes(lambda: spec.build(rng_for(3, 0)))
         assert g.num_edges == 10
         assert peak < 4_000_000
+
+    @pytest.mark.parametrize("text", ["gnm:n=300,m=20000", "bipartite:n=200,m=8000"])
+    def test_build_peak_memory_per_edge(self, text):
+        # each family writes its endpoints once, into one (2, m) buffer: about
+        # 43 bytes per edge at peak, against 58 (gnm) and 51 (bipartite) when
+        # the endpoints were full-size temporaries and a `column_stack`
+        spec = GraphSpec.parse(text)
+        g, peak = peak_bytes(lambda: spec.build(rng_for(3, 0)))
+        assert g.num_edges == spec.m
+        assert peak / spec.m <= 45
+
+    def test_sparse_gnm_peak_memory_per_vertex(self):
+        # the row ends and their pick counts are the n-length arrays: 24
+        # bytes per vertex at peak, against 40 when `rows`, `starts` and
+        # their products were each a copy
+        spec = GraphSpec.parse("gnm:n=1000000,m=10")
+        g, peak = peak_bytes(lambda: spec.build(rng_for(3, 0)))
+        assert g.num_edges == 10
+        assert peak / spec.n <= 32
 
 
 class TestWilson:

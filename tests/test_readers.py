@@ -27,7 +27,6 @@ import json
 import os
 import re
 import tempfile
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -49,6 +48,8 @@ from streamcolor.graph import (
     write_graph,
 )
 from streamcolor.streams import Stream, read_stream, write_stream
+
+from oracles import peak_bytes
 
 
 def reference_read_graph(path: str) -> Graph:
@@ -1025,11 +1026,6 @@ def test_read_cpg_peak_memory_per_edge(tmp_path, args, bound):
     sc.write_cpg(cpg, str(path))
     path.write_bytes(path.read_bytes().replace(b"\n", end))
     path = str(path)
-    tracemalloc.start()
-    try:
-        again = sc.read_cpg(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    again, peak = peak_bytes(lambda: sc.read_cpg(path))
     assert again == cpg
     assert peak / cpg.graph.num_edges <= bound
