@@ -19,7 +19,7 @@ lists (`Graph.csr`) otherwise. Its first descent is DSATUR's coloring, so
 clique that its first descent opens settles chi when it is as large as
 DSATUR's color count or larger than the cap. Otherwise a greedy clique gives
 the lower bound and DSATUR the upper bound, and each k between them is tried
-once.
+once. `graph.first_appearance` numbers the colors a search finds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError
-from .graph import Coloring, Graph, uniform_coloring
+from .graph import Coloring, Graph, first_appearance, uniform_coloring
 
 
 def _hook(
@@ -149,23 +149,6 @@ def _two_coloring(g: Graph) -> np.ndarray | None:
     return colors
 
 
-def _canonical(colors: np.ndarray, verts: np.ndarray, local: np.ndarray) -> Coloring:
-    """The coloring that gives `verts` the colors `local`, which use each of
-    ``0..k-1``, and every other vertex color 0, relabelled to canonical form
-    from the first vertex of each color; written into the n-entry `colors`
-    with no other pass over all n vertices."""
-    first = np.full(int(local.max()) + 1, len(colors))
-    np.minimum.at(first, local, verts)
-    # the smallest vertex of degree 0: the first i that `verts` skips
-    skipped = np.flatnonzero(verts != np.arange(len(verts)))
-    first[0] = min(first[0], skipped[0] if skipped.size else len(verts))
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    colors.fill(rank[0])
-    colors[verts] = rank[local]
-    return Coloring(colors=colors, num_colors=len(first))
-
-
 def _search(g: Graph, k: int | None) -> tuple[Coloring | None, list[int]]:
     """A coloring of `g` with at most k colors, found by backtracking, or
     None if there is none; with k None there is no bound, the search never
@@ -280,7 +263,12 @@ def _search(g: Graph, k: int | None) -> tuple[Coloring | None, list[int]]:
                 opened += 1
                 if opened == len(free):
                     free = np.vstack((free, np.ones_like(free)))
-    return _canonical(colors, verts, local), verts[clique].tolist()
+    # color 0 also holds the vertices of degree 0, the first being where verts[i] - i first reaches 1
+    isolated = np.searchsorted(verts - np.arange(nv), 1)
+    ranked, num = first_appearance(np.append(local, 0), np.append(verts, isolated))
+    colors.fill(ranked[-1])
+    colors[verts] = ranked[:-1]
+    return Coloring(colors=colors, num_colors=num), verts[clique].tolist()
 
 
 def find_k_coloring(g: Graph, k: int) -> Coloring | None:

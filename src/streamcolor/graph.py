@@ -5,15 +5,15 @@ read-only ``(m, 2)`` int64 array of ``(u, v)`` rows with ``u < v``, sorted
 and without repeats, built by sorting and deduplicating the 1-D keys
 ``u * n + v``; rows whose keys already increase strictly (the gnm and
 planted builds, and every graph derived from another graph's edges or its
-pair totals) are taken as they stand. The
-frozenset of edge tuples and the compressed sparse row (CSR) neighbour lists
-are views derived from that array on first use; the exact solver above two
-colors reads the CSR. A coloring's n is the length of its colors array.
-Graphs and colorings are immutable after construction
-and safe to share across threads. Isolated vertices are implicit: a graph
-may have millions of vertices but only the edge set is materialized. The
-text formats `.graph`, `.stream` and `.cpg` share one header parser
-(`read_header`), one row parser (`Rows`) and one row writer
+pair totals) are taken as they stand. The frozenset of edge tuples and the
+compressed sparse row (CSR) neighbour lists are views derived from that array
+on first use; the exact solver above two colors reads the CSR. A coloring's n
+is the length of its colors array, numbered by first appearance by the one
+ranking, `first_appearance`. Graphs and colorings are immutable after
+construction and safe to share across threads. Isolated vertices are
+implicit: a graph may have millions of vertices but only the edge set is
+materialized. The text formats `.graph`, `.stream` and `.cpg` share one
+header parser (`read_header`), one row parser (`Rows`) and one row writer
 (`format_rows`), defined here, and one grammar: tokens are printable ASCII
 separated by spaces and tabs, lines end in ``\\n`` or ``\\r\\n``, and every
 integer is ``[+-]?[0-9]{1,18}``. `Rows` parses a body as numpy passes over
@@ -177,15 +177,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _canonicalize(colors: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel color ids to first-appearance order by vertex index."""
-    if colors.size == 0:
-        return colors.astype(np.int64), 0
-    _, first_idx, inverse = np.unique(colors, return_index=True, return_inverse=True)
-    # rank of each unique value by its first appearance
-    order = np.empty(len(first_idx), dtype=np.int64)
-    order[np.argsort(first_idx)] = np.arange(len(first_idx))
-    return order[inverse].astype(np.int64), len(first_idx)
+LABEL_TABLE_FACTOR = 2  # n labels in [0, 2n) index the first-position table as they stand
+
+
+def first_appearance(labels: np.ndarray, at: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The n int64 `labels`, entry i at position ``at[i]`` (i when `at` is
+    None), renumbered by first position, and the count of distinct labels:
+    one `np.minimum.at` fills a table of each label's first position, whose
+    argsort ranks the labels, those absent last. Labels outside ``[0, 2n)``
+    are first compressed by `np.unique`, so the table never outgrows 2n."""
+    n, size, never = len(labels), int(labels.max(initial=-1)) + 1, 2**63 - 1
+    if n and (size > LABEL_TABLE_FACTOR * n or labels.min() < 0):
+        distinct, labels = np.unique(labels, return_inverse=True)
+        size = len(distinct)
+    table = np.full(size, never)  # each label's first position, then its rank
+    np.minimum.at(table, labels, np.arange(n) if at is None else at)
+    count = int(np.count_nonzero(table < never))
+    table[np.argsort(table)] = np.arange(size)
+    return table[labels], count
 
 
 @dataclass(frozen=True)
@@ -194,13 +203,16 @@ class Coloring:
 
     Canonical form means color ids are exactly ``{0..num_colors-1}`` and are
     assigned in order of first appearance by vertex index, so equal
-    partitions compare equal. `from_array` canonicalizes any labels; the
-    constructor stores its fields as given. The vertex count ``n`` is
-    ``len(colors)``.
+    partitions compare equal. `from_array` canonicalizes 1-D integer labels
+    with `first_appearance`; the constructor takes its fields as given and
+    makes `colors` read-only in place. The vertex count ``n`` is ``len(colors)``.
     """
 
     colors: np.ndarray
     num_colors: int
+
+    def __post_init__(self) -> None:
+        self.colors.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -208,12 +220,17 @@ class Coloring:
 
     @staticmethod
     def from_array(colors: Iterable[int]) -> "Coloring":
-        arr = np.asarray(list(colors) if not isinstance(colors, np.ndarray) else colors)
-        canon, k = _canonicalize(arr)
+        arr = np.asarray(colors if isinstance(colors, np.ndarray) else list(colors))
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ArgumentError(f"colors must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}")
+        canon, k = first_appearance(arr.astype(np.int64, copy=False))
         return Coloring(colors=canon, num_colors=k)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Coloring) and np.array_equal(self.colors, other.colors)
+
+    def __hash__(self) -> int:
+        return hash(self.colors.tobytes())
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, num_colors={self.num_colors})"
@@ -228,16 +245,11 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     """True iff no edge of `g` is monochromatic under `c`."""
     if c.n != g.n:
         raise ArgumentError(f"coloring has n={c.n}, graph has n={g.n}")
-    arr = g.edge_array()
-    if arr.shape[0] == 0:
-        return True
-    return not bool(np.any(c.colors[arr[:, 0]] == c.colors[arr[:, 1]]))
+    return not len(monochromatic_edges(g.edge_array(), c))
 
 
 def monochromatic_edges(edges: np.ndarray, c: Coloring) -> np.ndarray:
     """Subset of an ``(m, 2)`` edge array that is monochromatic under `c`."""
-    if edges.shape[0] == 0:
-        return edges
     mask = c.colors[edges[:, 0]] == c.colors[edges[:, 1]]
     return edges.compress(mask, axis=0)
 
@@ -246,7 +258,7 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """Common refinement: vertices share a color iff they do in both inputs."""
     if c1.n != c2.n:
         raise ArgumentError(f"colorings disagree on n: {c1.n} vs {c2.n}")
-    combined = c1.colors.astype(np.int64) * max(c2.num_colors, 1) + c2.colors
+    combined = np.multiply(c1.colors, max(c2.num_colors, 1), dtype=np.int64) + c2.colors
     return Coloring.from_array(combined)
 
 
@@ -546,12 +558,8 @@ def read_graph(path: str) -> Graph:
     return Graph(n, rows.data)
 
 
-def coloring_to_json(c: Coloring) -> str:
-    return canonical_json({"n": c.n, "num_colors": c.num_colors, "colors": c.colors.tolist()})
-
-
 def write_coloring(c: Coloring, path: str) -> None:
-    write_text(coloring_to_json(c), path)
+    write_text(canonical_json({"n": c.n, "num_colors": c.num_colors, "colors": c.colors.tolist()}), path)
 
 
 def read_coloring(path: str) -> Coloring:
@@ -559,8 +567,11 @@ def read_coloring(path: str) -> Coloring:
     if not isinstance(payload, dict) or "colors" not in payload:
         raise FormatError("expected a JSON object with a 'colors' field")
     colors = payload["colors"]
-    if not isinstance(colors, list) or any(type(x) is not int for x in colors):
+    if not isinstance(colors, list):
         raise FormatError("'colors' must be a list of integers")
+    for i, x in enumerate(colors):
+        if type(x) is not int or not -(2**63) <= x < 2**63:
+            raise FormatError(f"'colors' must be a list of int64 integers: colors[{i}] is {x!r}")
     c = Coloring.from_array(colors)
     if c.n != payload.get("n") or c.num_colors != payload.get("num_colors"):
         raise FormatError("coloring fields are inconsistent with the colors array")

@@ -42,9 +42,10 @@ class GraphSpec:
 
     Kinds: ``gnm`` (uniform n-vertex m-edge), ``planted`` (a clique on
     ``clique`` random vertices, everything else isolated, so chi is known
-    exactly), ``bipartite`` (m uniform left-right edges), ``empty``. Each kind
-    takes only its own fields, each at most once, each an integer
-    ``[+-]?[0-9]{1,18}`` as in the text formats. gnm sampling takes
+    exactly), ``bipartite`` (m uniform left-right edges, ``left`` n // 2
+    unless given), ``empty``. Each kind takes only its own fields, and the
+    constructor checks them; `parse` also takes each at most once, each an
+    integer ``[+-]?[0-9]{1,18}`` as in the text formats. gnm sampling takes
     O(n + m) memory: m drawn pair indices map to pairs by their row ends.
     """
 
@@ -52,7 +53,28 @@ class GraphSpec:
     n: int
     m: int = 0
     clique: int = 0
-    left: int = 0
+    left: int | None = None  # bipartite: n // 2 when not given
+
+    def __post_init__(self) -> None:
+        if self.kind not in _SPEC_FIELDS:
+            raise ArgumentError(f"unknown graph-spec kind {self.kind!r}")
+        own = _SPEC_FIELDS[self.kind]
+        extra = [key for key in ("m", "clique", "left") if getattr(self, key) and key not in own]
+        if extra:
+            raise ArgumentError(f"{self.kind} spec has no field {extra[0]!r}")
+        if self.kind == "bipartite" and self.left is None:
+            object.__setattr__(self, "left", self.n // 2)
+        negative = [key for key in own if getattr(self, key) < 0]
+        if negative:
+            raise ArgumentError(f"graph-spec field {negative[0]!r} must be >= 0")
+        if self.kind == "gnm" and self.m > self.n * (self.n - 1) // 2:
+            raise ArgumentError("m exceeds the pair count")
+        if self.kind == "planted" and self.clique > self.n:
+            raise ArgumentError("clique size exceeds n")
+        if self.kind == "bipartite" and not 0 < self.left < self.n:
+            raise ArgumentError("bipartite spec needs 0 < left < n")
+        if self.kind == "bipartite" and self.m > self.left * (self.n - self.left):
+            raise ArgumentError("m exceeds the bipartite pair count")
 
     @staticmethod
     def parse(text: str) -> "GraphSpec":
@@ -73,37 +95,12 @@ class GraphSpec:
             if not _INTEGER.fullmatch(val.strip()):
                 raise ArgumentError(f"graph-spec field {key!r} is not an integer: {val.strip()!r}")
             fields[key] = int(val)
-        return GraphSpec.make(kind, **fields)
-
-    @staticmethod
-    def make(kind: str, /, **fields: int) -> "GraphSpec":
         if kind not in _SPEC_FIELDS:
             raise ArgumentError(f"unknown graph-spec kind {kind!r}")
         unknown = sorted(set(fields) - set(_SPEC_FIELDS[kind]))
         if unknown:
             raise ArgumentError(f"{kind} spec has no field {unknown[0]!r}")
-        negative = [key for key, value in fields.items() if value < 0]
-        if negative:
-            raise ArgumentError(f"graph-spec field {negative[0]!r} must be >= 0")
-        n = fields.get("n", 0)
-        if kind == "gnm":
-            spec = GraphSpec(kind="gnm", n=n, m=fields.get("m", 0))
-        elif kind == "planted":
-            spec = GraphSpec(kind="planted", n=n, clique=fields.get("clique", 0))
-            if spec.clique > n:
-                raise ArgumentError("clique size exceeds n")
-        elif kind == "bipartite":
-            left = fields.get("left", n // 2)
-            if not 0 < left < n:
-                raise ArgumentError("bipartite spec needs 0 < left < n")
-            spec = GraphSpec(kind="bipartite", n=n, m=fields.get("m", 0), left=left)
-            if spec.m > left * (n - left):
-                raise ArgumentError("m exceeds the bipartite pair count")
-        else:
-            spec = GraphSpec(kind="empty", n=n)
-        if spec.kind == "gnm" and spec.m > n * (n - 1) // 2:
-            raise ArgumentError("m exceeds the pair count")
-        return spec
+        return GraphSpec(kind, fields.pop("n", 0), **fields)
 
     def describe(self) -> str:
         fields = ",".join(f"{key}={getattr(self, key)}" for key in _SPEC_FIELDS[self.kind])

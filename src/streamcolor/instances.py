@@ -180,10 +180,13 @@ def default_level_plan(
     r_a = 4 n_{a-1}, from n_2 = max(2k^3, 16k^2), each with t_a = 8 clusters.
 
     `n2` replaces n_2, and entry i of `level_n` or `level_t` replaces n_a or
-    t_a of level a = i + 3; the chain goes on from a replaced size.
+    t_a of level a = i + 3; the chain goes on from a replaced size, and a
+    list longer than the p - 2 levels raises `ArgumentError`.
     """
     if p < 2:
         raise ArgumentError("player count p must be >= 2")
+    if max(len(level_n), len(level_t)) > p - 2:
+        raise ArgumentError(f"p = {p} takes at most {p - 2} level_n and level_t values")
     n2 = max(2 * k**3, 16 * k**2) if n2 is None else n2
     levels, n = [], n2
     for i in range(p - 2):

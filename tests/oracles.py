@@ -9,6 +9,7 @@ at a time and share no code with the library's array passes. The graph-spec
 references (`reference_gnm`, `reference_bipartite`, `reference_planted`)
 make the same generator calls as `GraphSpec.build` and map the draws to
 pairs by the plain formulas, one full-size array each, and `np.column_stack`.
+`reference_canonical` relabels by first appearance with one dict.
 `peak_bytes` is the one tracemalloc probe.
 """
 
@@ -81,15 +82,16 @@ def brute_induced_edges(edges, vertex_set):
     return sorted((u, v) for u, v in edges if u in vs and v in vs)
 
 
+def reference_canonical(labels) -> list[int]:
+    """Each label replaced by the number of distinct labels seen before its
+    first appearance: one dict, one label at a time."""
+    first: dict = {}
+    return [first.setdefault(label, len(first)) for label in labels]
+
+
 def refine_partition(colors1, colors2):
     """Partition labels of the common refinement, canonical by first use."""
-    labels = {}
-    out = []
-    for pair in zip(colors1, colors2):
-        if pair not in labels:
-            labels[pair] = len(labels)
-        out.append(labels[pair])
-    return out
+    return reference_canonical(zip(colors1, colors2))
 
 
 class ReplayMultigraph:

@@ -51,7 +51,7 @@ class TestBudget:
 class TestUniformColoring:
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_is_the_canonical_all_zero_coloring(self, n):
-        got, want = uniform_coloring(n), Coloring.from_array(np.zeros(n))
+        got, want = uniform_coloring(n), Coloring.from_array(np.zeros(n, dtype=np.int64))
         assert (got.n, got.num_colors) == (want.n, want.num_colors)
         assert got.colors.dtype == want.colors.dtype == np.int64
         assert got.colors.tobytes() == want.colors.tobytes()

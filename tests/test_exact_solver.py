@@ -39,6 +39,7 @@ from oracles import (
     brute_k_colorable,
     dict_adjacency,
     peak_bytes,
+    reference_canonical,
     reference_components,
 )
 
@@ -533,6 +534,23 @@ class TestTwoColoringFromTheEdgeArray:
             if found is not None:
                 assert is_proper_coloring(g, found) and found.num_colors == 2
 
+    def test_search_hands_its_colors_to_the_one_ranking(self, monkeypatch):
+        # vertices 0 and 4 have degree 0: the search ranks its 5 local
+        # colors and vertex 0, the smallest of them
+        ranked, real = [], exact.first_appearance
+
+        def spy(labels, at):
+            ranked.append(at.tolist())
+            return real(labels, at)
+
+        monkeypatch.setattr(exact, "first_appearance", spy)
+        g = Graph(7, [(1, 2), (2, 3), (3, 1), (5, 6)])
+        got = dsatur_coloring(g)
+        assert ranked == [[1, 2, 3, 5, 6, 0]]
+        assert is_proper_coloring(g, got) and got.num_colors == 3
+        assert got.colors.tolist() == reference_canonical(got.colors.tolist())
+        assert got.colors[0] == got.colors[4] == 0
+
     def test_q2_coloring_is_canonical_without_a_relabel(self, monkeypatch):
         def forbidden(colors):
             raise AssertionError("a two-coloring is canonical as found; relabelling it is waste")
@@ -541,7 +559,7 @@ class TestTwoColoringFromTheEdgeArray:
         for g in (spec, Graph(9, [(3, 5), (5, 8), (1, 2)])):
             want = Coloring.from_array(_two_coloring(g))
             with monkeypatch.context() as patch:
-                patch.setattr("streamcolor.graph._canonicalize", forbidden)
+                patch.setattr("streamcolor.graph.first_appearance", forbidden)
                 found, capped = find_k_coloring(g, 2), color_with_cap(g, 2)
             assert found == capped == want
             assert found.num_colors == capped.num_colors == 2

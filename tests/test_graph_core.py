@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from streamcolor import (
     product_coloring,
     read_coloring,
     read_graph,
+    run_random_order,
+    to_insertion_stream,
     write_coloring,
     write_graph,
 )
@@ -27,6 +30,7 @@ from oracles import (
     brute_induced_edges,
     brute_is_proper,
     peak_bytes,
+    reference_canonical,
     refine_partition,
 )
 
@@ -353,6 +357,95 @@ class TestColoringCanonicalForm:
         again = Coloring.from_array(first.colors)
         assert first == again
 
+    def test_verdict_coloring_is_read_only(self):
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        v = run_random_order(to_insertion_stream(path, "as-given"), 2, 2)
+        assert v.label == "small" and v.coloring.num_colors == 2
+        with pytest.raises(ValueError, match="read-only"):
+            v.coloring.colors[:] = 0
+        assert is_proper_coloring(path, v.coloring)
+
+    def test_constructor_freezes_the_given_array_without_a_copy(self):
+        colors = np.array([0, 1, 0], dtype=np.int64)
+        c = Coloring(colors=colors, num_colors=2)
+        assert c.colors is colors and not colors.flags.writeable
+
+    def test_equal_partitions_hash_equal(self):
+        a, b = Coloring.from_array([1, 0, 1]), Coloring.from_array([7, -3, 7])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Coloring.from_array([0, 1, 1]), Coloring.from_array([])}) == 3
+
+    @pytest.mark.parametrize("labels, dtype, shape", [
+        ([1.5, 2], "float64", "(2,)"),
+        (["a", "b"], "<U1", "(2,)"),
+        ([[0, 1]], "int64", "(1, 2)"),
+        ([True, False], "bool", "(2,)"),
+        ([2**64], "object", "(1,)"),
+    ])
+    def test_from_array_takes_only_1d_integer_labels(self, labels, dtype, shape):
+        message = f"colors must be a 1-D integer array, got {dtype} of shape {shape}"
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            Coloring.from_array(labels)
+
+
+@st.composite
+def label_lists(draw) -> list[int]:
+    """n labels in the first-position table's range ``[0, 2n)``, or reaching
+    below 0 or up to magnitude 2^62, where a sort compresses them first."""
+    n = draw(st.integers(0, 40))
+    lo, hi = draw(st.sampled_from([(0, 2 * n - 1), (-2, 2 * n - 1), (0, 2**62), (-(2**62), 2**62)]))
+    return draw(st.lists(st.integers(lo, max(lo, hi)), min_size=n, max_size=n))
+
+
+class TestFirstAppearance:
+    @given(label_lists())
+    @example([])
+    @example([3, 3, 0, 5])  # all below 2n = 8: the table as it stands
+    @example([0, 8, 0])  # 8 >= 2n = 6
+    @example([-1, 4, -1])
+    @example([2**62, -(2**62), 2**62])
+    @settings(max_examples=200, deadline=None)
+    def test_from_array_matches_dict_reference(self, labels):
+        c = Coloring.from_array(np.array(labels, dtype=np.int64))
+        assert c.colors.dtype == np.int64
+        assert c.colors.tolist() == reference_canonical(labels)
+        assert c.num_colors == len(set(labels))
+
+    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 11), min_size=n, max_size=n),
+        st.lists(st.integers(0, 11), min_size=n, max_size=n),
+    )))
+    @example(([], []))
+    @example(([0, 1, 2, 3], [0, 1, 2, 3]))  # codes up to 15 >= 2n = 8
+    @example(([0, 1, 1, 0], [0, 0, 1, 1]))  # codes below 8
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_dict_reference(self, pair):
+        c1, c2 = (Coloring.from_array(np.array(x, dtype=np.int64)) for x in pair)
+        got = product_coloring(c1, c2)
+        want = reference_canonical(zip(c1.colors.tolist(), c2.colors.tolist()))
+        assert got.colors.tolist() == want
+        assert got.num_colors == len(set(want))
+
+    def test_labels_in_table_range_take_no_sort(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("labels in [0, 2n) index the table as they stand")
+
+        monkeypatch.setattr("streamcolor.graph.np.unique", forbidden)
+        assert Coloring.from_array([5, 0, 5, 11, 1, 0]).colors.tolist() == [0, 1, 0, 2, 3, 1]
+        c1, c2 = Coloring.from_array([0, 1, 1, 0]), Coloring.from_array([0, 0, 1, 1])
+        assert product_coloring(c1, c2).colors.tolist() == [0, 1, 2, 3]
+
+    def test_product_peak_per_vertex(self):
+        # the product codes, the positions and the ranked output are the
+        # n-sized arrays: 16 bytes a vertex at peak, against 49 through a sort
+        n = 10**6
+        rng = np.random.default_rng(3)
+        c1, c2 = (Coloring.from_array(rng.integers(0, 2, n)) for _ in range(2))
+        got, peak = peak_bytes(lambda: product_coloring(c1, c2))
+        _, first, inverse = np.unique(c1.colors * 2 + c2.colors, return_index=True, return_inverse=True)
+        assert np.array_equal(got.colors, np.argsort(np.argsort(first))[inverse])
+        assert peak / n < 24
+
 
 class TestVerifyClique:
     def test_k4(self, k4):
@@ -426,6 +519,12 @@ class TestProductColoring:
     def test_size_mismatch(self):
         with pytest.raises(ArgumentError):
             product_coloring(Coloring.from_array([0]), Coloring.from_array([0, 1]))
+
+    def test_codes_of_narrow_colors_do_not_wrap(self):
+        # in int16, vertex 256's code 256 * 256 + 0 would wrap to vertex 0's code 0
+        c1 = Coloring(colors=np.arange(257, dtype=np.int16), num_colors=257)
+        c2 = Coloring(colors=np.arange(257, dtype=np.int16) % 256, num_colors=256)
+        assert product_coloring(c1, c2).colors.tolist() == list(range(257))
 
     @given(
         st.lists(st.integers(0, 5), min_size=1, max_size=40),

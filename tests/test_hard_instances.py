@@ -264,6 +264,17 @@ class TestRecursive:
         with pytest.raises(ResourceLimitError, match="imply 12800000 edges"):
             gen_recursive(3, 2, plan=plan)
 
+    def test_level_plan_refuses_values_past_its_levels(self, tmp_path):
+        with pytest.raises(ArgumentError, match="p = 3 takes at most 1 level_n and level_t values"):
+            default_level_plan(3, 2, level_n=[4096, 5, 7], level_t=[8, 1, 2, 3])
+        with pytest.raises(ArgumentError, match="p = 2 takes at most 0"):
+            default_level_plan(2, 2, level_t=[8])
+        assert default_level_plan(3, 2, level_n=[4096], level_t=[4]).levels == (LevelSpec(4096, 4),)
+        out = tmp_path / "rec.json"
+        gen = ["gen", "recursive", "--p", "3", "--k", "2", "--level-t", "4", "4", "-o", str(out)]
+        assert cli_main(gen) == 2
+        assert not out.exists()
+
     def test_intersection_uniform_over_subsets(self):
         # the helper behind Part 1 (iv): S cap T uniform over subsets of T
         counts = collections.Counter()

@@ -61,6 +61,25 @@ class TestGraphSpec:
         assert spec.build(rng_for(0, 0)).num_edges == 0
         assert spec.known_chi == 1
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="gnm", n=5, m=100), "m exceeds the pair count"),
+        (dict(kind="bogus", n=5), "unknown graph-spec kind 'bogus'"),
+        (dict(kind="gnm", n=5, clique=2), "gnm spec has no field 'clique'"),
+        (dict(kind="empty", n=5, left=2), "empty spec has no field 'left'"),
+        (dict(kind="planted", n=3, clique=4), "clique size exceeds n"),
+        (dict(kind="bipartite", n=1), "bipartite spec needs 0 < left < n"),
+        (dict(kind="bipartite", n=4, m=5), "m exceeds the bipartite pair count"),
+        (dict(kind="planted", n=4, clique=-1), "graph-spec field 'clique' must be >= 0"),
+    ])
+    def test_constructor_checks_its_fields(self, fields, message):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            GraphSpec(**fields)
+
+    def test_bipartite_left_defaults_to_half_of_n(self):
+        spec = GraphSpec("bipartite", n=9, m=4)
+        assert spec.left == 4 and spec == GraphSpec.parse("bipartite:n=9,m=4")
+        assert spec.describe() == "bipartite:n=9,m=4,left=4"
+
     def test_bad_specs(self):
         for text in ("gnm", "what:n=3", "gnm:n=3,m=99", "bipartite:n=4,m=9",
                      "planted:n=3,clique=7", "gnm:n=3,m=x"):
@@ -111,7 +130,7 @@ class TestGraphSpec:
     @settings(max_examples=100, deadline=None)
     def test_gnm_matches_pair_table_reference(self, data, n, seed):
         m = data.draw(st.integers(0, n * (n - 1) // 2))
-        got = GraphSpec.make("gnm", n=n, m=m).build(rng_for(seed, 0))
+        got = GraphSpec("gnm", n=n, m=m).build(rng_for(seed, 0))
         want = reference_gnm(n, m, rng_for(seed, 0))
         assert got.edge_array().tobytes() == want.edge_array().tobytes()
 
@@ -123,7 +142,7 @@ class TestGraphSpec:
     @settings(max_examples=100, deadline=None)
     def test_bipartite_matches_reference(self, fields, seed):
         n, m, left = fields
-        got = GraphSpec.make("bipartite", n=n, m=m, left=left).build(rng_for(seed, 0))
+        got = GraphSpec("bipartite", n=n, m=m, left=left).build(rng_for(seed, 0))
         want = reference_bipartite(n, m, left, rng_for(seed, 0))
         assert got.edge_array().tobytes() == want.edge_array().tobytes()
 
@@ -137,7 +156,7 @@ class TestGraphSpec:
     @settings(max_examples=100, deadline=None)
     def test_planted_matches_reference(self, fields, seed):
         n, clique = fields
-        got = GraphSpec.make("planted", n=n, clique=clique).build(rng_for(seed, 0))
+        got = GraphSpec("planted", n=n, clique=clique).build(rng_for(seed, 0))
         want = reference_planted(n, clique, rng_for(seed, 0))
         assert got.edge_array().tobytes() == want.edge_array().tobytes()
 

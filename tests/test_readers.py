@@ -647,6 +647,28 @@ def test_bytes_that_are_not_utf8_are_a_format_error(tmp_path, reader, data, line
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("colors, entry", [
+    ("[1000000000000000000000000000000, 5, 1000000000000000000000000000000]", "colors[0] is 10"),
+    ("[0, 9223372036854775808]", "colors[1] is 9223372036854775808"),
+    ("[0, 1, -9223372036854775809]", "colors[2] is -9223372036854775809"),
+    ("[0, 1.5]", "colors[1] is 1.5"),
+    ('[0, 1, "2"]', "colors[2] is '2'"),
+    ("[0, true]", "colors[1] is True"),
+])
+def test_coloring_entry_that_is_not_int64_is_named(tmp_path, colors, entry):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"n": 3, "num_colors": 2, "colors": {colors}}}')
+    with pytest.raises(FormatError, match=re.escape(f"'colors' must be a list of int64 integers: {entry}")):
+        read_coloring(str(path))
+
+
+def test_coloring_labels_at_the_int64_ends_read(tmp_path):
+    path = tmp_path / "c.json"
+    ends = [2**63 - 1, -(2**63), 2**63 - 1]
+    path.write_text(json.dumps({"n": 3, "num_colors": 2, "colors": ends}))
+    assert read_coloring(str(path)).colors.tolist() == [0, 1, 0]
+
+
 def test_cli_exits_3_on_bytes_that_are_not_utf8(tmp_path):
     stream, graph, coloring = tmp_path / "s", tmp_path / "g", tmp_path / "c"
     stream.write_bytes(b"#stream v1 n=3 model=ins\n0 1 +1\xff\n")
