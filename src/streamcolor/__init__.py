@@ -8,6 +8,9 @@ The package is organized around six areas:
 * `streams`: edge-stream model, builders, and serialization;
 * `algorithms`: the random-order, multi-pass, and dynamic distinguishers;
 * `harness`: Monte Carlo experiments; `cli`: the command-line surface.
+
+`clusterpack` and `instances` load on first use (PEP 562): no stream, run or
+experiment needs them, and a process without a bytecode cache compiles them.
 """
 
 from .graph import (
@@ -23,36 +26,6 @@ from .graph import (
     write_graph,
 )
 from .exact import chromatic_number, color_with_cap, dsatur_coloring, find_k_coloring
-from .clusterpack import (
-    ClusterPackingGraph,
-    DenseParams,
-    SetFamily,
-    canonical_coloring,
-    construct_dense,
-    construct_lines_basic,
-    construct_lines_grouped,
-    fano_family,
-    gen_intersection_family,
-    lift_to_k_colorable,
-    read_cpg,
-    verify_cluster_packing,
-    write_cpg,
-)
-from .instances import (
-    LevelPlan,
-    LevelSpec,
-    RecursiveInstance,
-    SimultaneousInstance,
-    TwoPlayerInstance,
-    default_level_plan,
-    gen_recursive,
-    gen_simultaneous,
-    gen_two_player,
-    read_instance,
-    verify_instance,
-    witness_coloring,
-    write_instance,
-)
 from .streams import (
     Stream,
     StreamSource,
@@ -79,3 +52,26 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# each lazily loaded name -> the submodule that defines it; a submodule names itself
+_LAZY = dict.fromkeys("""clusterpack ClusterPackingGraph DenseParams SetFamily canonical_coloring
+    construct_dense construct_lines_basic construct_lines_grouped fano_family read_cpg write_cpg
+    gen_intersection_family lift_to_k_colorable verify_cluster_packing""".split(), "clusterpack")
+_LAZY |= dict.fromkeys("""instances LevelPlan LevelSpec RecursiveInstance SimultaneousInstance
+    TwoPlayerInstance default_level_plan gen_recursive gen_simultaneous gen_two_player
+    read_instance verify_instance witness_coloring write_instance""".split(), "instances")
+__all__ = sorted(name for name in {*globals(), *_LAZY} if not name.startswith("_"))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    globals()[name] = value = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

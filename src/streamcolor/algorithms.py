@@ -37,6 +37,8 @@ from .streams import INSERTION, Stream, StreamSource
 
 def default_budget(n: int, t: int, multiplier: float = 1.0) -> int:
     """Per-round edge budget ceil(n^(1+1/t) * ln n) with a tuning multiplier."""
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise ArgumentError(f"budget multiplier must be finite and > 0, got {multiplier}")
     if n <= 1:
         return 1
     return max(1, math.ceil(n ** (1 + 1 / t) * math.log(n) * multiplier))

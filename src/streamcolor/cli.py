@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 
-from . import clusterpack, instances
 from .algorithms import Verdict, run_dynamic, run_multipass, run_random_order
 from .errors import (
     ArgumentError,
@@ -204,6 +203,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _family_from_args(args) -> clusterpack.SetFamily:
+    from . import clusterpack
+
     if args.fano is not None:
         return clusterpack.fano_family(args.fano)
     if not args.family:
@@ -274,6 +275,11 @@ def _dispatch(args) -> int:
 
 
 def _dispatch_gen(args) -> int:
+    if args.target == "graph":
+        write_graph(GraphSpec.parse(args.spec).build(rng_for(args.seed, 0)), args.out)
+        return EXIT_OK
+    from . import clusterpack, instances
+
     if args.target == "basic":
         clusterpack.write_cpg(clusterpack.construct_lines_basic(args.n, args.k), args.out)
     elif args.target == "grouped":
@@ -317,20 +323,17 @@ def _dispatch_gen(args) -> int:
             args.k, args.n_base, seed=args.seed, theta_override=args.theta
         )
         _emit(instances.instance_to_json(inst), args.out)
-    elif args.target == "graph":
-        write_graph(GraphSpec.parse(args.spec).build(rng_for(args.seed, 0)), args.out)
     return EXIT_OK
 
 
 def _dispatch_verify(args) -> int:
-    if args.target == "cpg":
-        cpg = clusterpack.read_cpg(args.file)
-        report = clusterpack.verify_cluster_packing(cpg)
-        print(report)
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
-    if args.target == "instance":
-        inst = instances.read_instance(args.file)
-        report = instances.verify_instance(inst)
+    if args.target in ("cpg", "instance"):
+        from . import clusterpack, instances
+
+        if args.target == "cpg":
+            report = clusterpack.verify_cluster_packing(clusterpack.read_cpg(args.file))
+        else:
+            report = instances.verify_instance(instances.read_instance(args.file))
         print(report)
         return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
     g = read_graph(args.graph)

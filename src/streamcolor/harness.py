@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import offline_iterative_coloring, run_dynamic, run_multipass, run_random_order
+from .algorithms import default_budget, offline_iterative_coloring
+from .algorithms import run_dynamic, run_multipass, run_random_order
 from .errors import ArgumentError
 from .exact import chromatic_number
 from .graph import _INTEGER, Graph, canonical_json, induced_subgraph
@@ -238,6 +239,11 @@ def _csv_cell(value):
 # ---------------------------------------------------------------------------
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ArgumentError(f"trial count must be >= 0, got {trials}")
+
+
 def experiment_edge_shrinkage(
     spec: GraphSpec,
     t: int,
@@ -252,6 +258,10 @@ def experiment_edge_shrinkage(
     valid (indeed adversarial-leaning) probe, and it keeps dense inputs that
     the exact solver could not color tractable.
     """
+    if t < 2:
+        raise ArgumentError("iteration count t must be >= 2")
+    _check_trials(trials)
+    default_budget(spec.n, t, budget_multiplier)  # refuses a bad multiplier before any draw
     bound = spec.n ** (-1.0 / t) if spec.n > 1 else 0.0
     records = []
     violations = 0
@@ -309,6 +319,7 @@ def experiment_vertex_sampling(
         raise ArgumentError(f"spec {spec.describe()} does not expose a known chi")
     if spec.n < 2:
         raise ArgumentError("need n >= 2")
+    _check_trials(trials)
     chi_g = spec.known_chi
     threshold = (p / (2 * math.log(spec.n))) * chi_g - 1
     records = []
@@ -367,6 +378,7 @@ def experiment_distinguisher(
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
     if algorithm != "dynamic" and (extra_pairs, cycles) != (0, 1):
         raise ArgumentError(f"churn (extra_pairs, cycles) applies to dynamic, not {algorithm}")
+    _check_trials(trials)
     records = []
     small_ok = 0
     large_ok = 0

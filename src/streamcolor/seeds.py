@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
+
 
 def _sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence([int(seed)] + [int(p) for p in path])
 
 

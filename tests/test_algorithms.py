@@ -47,6 +47,19 @@ class TestBudget:
     def test_multiplier(self):
         assert default_budget(100, 2, 0.5) == math.ceil(100**1.5 * math.log(100) * 0.5)
 
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_multiplier_must_be_finite_and_positive(self, multiplier):
+        stream = to_insertion_stream(bipartite(20, 40), "as-given")
+        for budget in (
+            lambda: default_budget(100, 2, multiplier),
+            lambda: default_budget(1, 2, multiplier),
+            lambda: offline_iterative_coloring(bipartite(20, 40), 2, budget_multiplier=multiplier),
+            lambda: run_random_order(stream, 2, 2, budget_multiplier=multiplier),
+            lambda: run_multipass(stream, 2, 2, seed=0, budget_multiplier=multiplier),
+        ):
+            with pytest.raises(ArgumentError, match="budget multiplier must be finite and > 0"):
+                budget()
+
 
 class TestUniformColoring:
     @pytest.mark.parametrize("n", [0, 1, 7])

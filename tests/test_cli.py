@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -335,3 +336,72 @@ class TestExperiments:
         ]) == 2
         assert "churn" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRefusedArguments:
+    """Values no command can use exit 2 with one ``error:`` line and write nothing."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {key: str(tmp_path / key) for key in ("graph", "stream", "dynamic", "out")}
+        run(["gen", "graph", "--spec", "bipartite:n=30,m=60", "--seed", "1",
+             "-o", paths["graph"]])
+        run(["stream", "shuffle", "--graph", paths["graph"], "--seed", "1", "-o", paths["stream"]])
+        run(["stream", "dynamic", "--graph", paths["graph"], "--seed", "1", "-o", paths["dynamic"]])
+        return paths
+
+    def refused(self, files, capsys, argv) -> str:
+        assert run([arg.format(**files) for arg in argv] + ["-o", files["out"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(files["out"])
+        return err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "family", "--d", "30", "--w", "6", "--theta", "2", "--count", "5"],
+        ["gen", "two-player", "--n", "64", "--k", "2"],
+        ["gen", "recursive", "--p", "3", "--k", "2"],
+        ["gen", "simultaneous", "--k", "4", "--n-base", "6"],
+        ["gen", "graph", "--spec", "gnm:n=5,m=3"],
+        ["stream", "shuffle", "--graph", "{graph}"],
+        ["stream", "dynamic", "--graph", "{graph}"],
+        ["run", "multipass", "--stream", "{stream}", "--q", "2", "--t", "2"],
+        ["run", "dynamic", "--stream", "{dynamic}", "--q", "2", "--t", "24"],
+        ["experiment", "shrinkage", "--graph-spec", "gnm:n=30,m=60", "--t", "2",
+         "--trials", "1"],
+        ["experiment", "vertex-sampling", "--graph-spec", "planted:n=30,clique=5",
+         "--p", "0.5", "--trials", "1"],
+        ["experiment", "distinguisher", "--algorithm", "random-order", "--small",
+         "bipartite:n=30,m=60", "--large", "planted:n=30,clique=5", "--q", "2", "--t", "2",
+         "--trials", "1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_negative_seed(self, files, capsys, argv):
+        err = self.refused(files, capsys, argv + ["--seed", "-2"])
+        assert err == "error: seed must be >= 0, got -2\n"
+
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "random-order", "--stream", "{stream}", "--q", "2", "--t", "2"],
+        ["run", "multipass", "--stream", "{stream}", "--q", "2", "--t", "2"],
+        ["experiment", "shrinkage", "--graph-spec", "gnm:n=30,m=60", "--t", "2",
+         "--trials", "1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_budget_multiplier_not_finite_and_positive(self, files, capsys, argv, multiplier):
+        err = self.refused(files, capsys, argv + ["--budget-multiplier", multiplier])
+        assert "budget multiplier must be finite and > 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "shrinkage", "--graph-spec", "gnm:n=30,m=60", "--t", "2"],
+        ["experiment", "vertex-sampling", "--graph-spec", "planted:n=30,clique=5",
+         "--p", "0.5"],
+        ["experiment", "distinguisher", "--algorithm", "random-order", "--small",
+         "bipartite:n=30,m=60", "--large", "planted:n=30,clique=5", "--q", "2", "--t", "2"],
+    ], ids=lambda argv: argv[1])
+    def test_negative_trials(self, files, capsys, argv):
+        err = self.refused(files, capsys, argv + ["--trials", "-3", "--seed", "1"])
+        assert err == "error: trial count must be >= 0, got -3\n"
+
+    def test_shrinkage_t_below_two(self, files, capsys):
+        err = self.refused(files, capsys, ["experiment", "shrinkage", "--graph-spec",
+                                           "gnm:n=30,m=60", "--t", "0", "--trials", "1"])
+        assert err == "error: iteration count t must be >= 2\n"

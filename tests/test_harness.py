@@ -314,6 +314,44 @@ class TestDistinguisher:
             )
 
 
+class TestTrialCount:
+    EXPERIMENTS = {
+        "shrinkage": lambda trials, **kw: experiment_edge_shrinkage(
+            GraphSpec.parse("gnm:n=30,m=60"), 2, trials, seed=0, **kw
+        ),
+        "vertex-sampling": lambda trials: experiment_vertex_sampling(
+            GraphSpec.parse("planted:n=30,clique=5"), 0.5, trials, seed=0
+        ),
+        "distinguisher": lambda trials: experiment_distinguisher(
+            "random-order", GraphSpec.parse("bipartite:n=30,m=60"),
+            GraphSpec.parse("planted:n=30,clique=5"), 2, 2, trials, seed=0,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_negative_refused_before_any_draw(self, name, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a refused trial count must not build a graph")
+
+        monkeypatch.setattr(GraphSpec, "build", no_build)
+        with pytest.raises(ArgumentError, match="trial count must be >= 0, got -1"):
+            self.EXPERIMENTS[name](-1)
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_zero_is_an_empty_result(self, name):
+        result = self.EXPERIMENTS[name](0)
+        assert (result.trials, result.records, result.summary) == (0, (), {})
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, 0.0, -1.0])
+    def test_shrinkage_multiplier_refused_even_without_trials(self, multiplier):
+        with pytest.raises(ArgumentError, match="budget multiplier"):
+            self.EXPERIMENTS["shrinkage"](0, budget_multiplier=multiplier)
+
+    def test_shrinkage_t_below_two_refused_before_the_bound(self):
+        with pytest.raises(ArgumentError, match="t must be >= 2"):
+            experiment_edge_shrinkage(GraphSpec.parse("gnm:n=30,m=60"), 0, 1, seed=0)
+
+
 class TestResultEmission:
     def test_json_csv_field_consistency(self):
         result = experiment_edge_shrinkage(
